@@ -1,0 +1,288 @@
+"""Randomized invariant suites, shared by the CLI check mode and the tests.
+
+Each suite raises AssertionError on the first violated invariant;
+:func:`run_all` collects one (name, passed, detail) row per suite.
+All randomness is seeded, so a run is reproducible.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+from .fgl import (
+    additive_law,
+    check_fgl_axioms,
+    formal_inverse,
+    logarithm,
+    multiplicative_law,
+    projective_space_class,
+    universal_law,
+)
+from .gring import GradedRingElement, random_homogeneous
+from .motives import (
+    Correspondence,
+    TateMotive,
+    compose,
+    decompose_by_rank,
+    duality_holds,
+    identity_correspondence,
+    is_idempotent,
+    poincare_polynomial,
+    projective_bundle_projectors,
+    realize_table,
+    split_idempotent,
+    tensor_product,
+    transpose,
+    zero_correspondence,
+)
+from .series import TruncatedSeries
+from .spaces import grassmannian, projective_space, quadric
+from .theory import ProjectiveSpaceElement, chow, k0, projection_formula_holds, universal
+from .dsl import parse_space, print_space
+
+
+def random_motive(rng: random.Random, max_size=3, max_twist=3) -> TateMotive:
+    return TateMotive(rng.randint(0, max_twist) for _ in range(rng.randint(0, max_size)))
+
+
+def random_correspondence(rng, theory, source, target, degree) -> Correspondence:
+    rows = []
+    for b in target.twists:
+        rows.append(
+            [random_homogeneous(rng, theory.ring, degree + a - b) for a in source.twists]
+        )
+    return Correspondence(theory, source, target, degree, rows)
+
+
+def random_theories():
+    return (chow(), k0(), universal(6))
+
+
+def suite_graded_ring(rng) -> str:
+    rings = [t.ring for t in random_theories()]
+    for ring in rings:
+        one = GradedRingElement.one(ring)
+        zero = GradedRingElement.zero(ring)
+        for _ in range(25):
+            a = random_homogeneous(rng, ring, rng.randint(-3, 1))
+            b = random_homogeneous(rng, ring, rng.randint(-3, 1))
+            c = random_homogeneous(rng, ring, rng.randint(-3, 1))
+            assert (a + b) + c == a + (b + c)
+            assert a * b == b * a
+            assert (a * b) * c == a * (b * c)
+            assert a * (b + c) == a * b + a * c
+            assert a * one == a and a + zero == a
+            got = set((a * b).degrees())
+            allowed = {da + db for da in a.degrees() for db in b.degrees()}
+            assert got <= allowed
+    return "ring axioms and degree additivity"
+
+
+def suite_fgl(rng) -> str:
+    order = 8
+    laws = (additive_law(order), multiplicative_law(order), universal_law(order))
+    for law in laws:
+        check_fgl_axioms(law)
+        log = logarithm(law)
+        exp = log.reversion()
+        x = TruncatedSeries.variable(log.ring, ("x",), "x", order)
+        assert log.substitute("x", exp) == x
+        assert exp.substitute("x", log) == x
+        inv = formal_inverse(law)
+        xv = TruncatedSeries.variable(law.ring, ("x",), "x", order)
+        assert law.apply(xv, inv).is_zero()
+        for n in range(0, order - 1):
+            cls = projective_space_class(law, n)
+            assert cls.is_homogeneous(-n)
+    b = GradedRingElement.generator(k0().ring, "b")
+    for n in range(0, order - 1):
+        assert projective_space_class(laws[1], n) == b ** n
+    return "group law axioms, log/exp, inverses, projective classes"
+
+
+def suite_theory(rng) -> str:
+    for theory in random_theories():
+        for _ in range(30):
+            m = rng.randint(0, 4)
+            degree = rng.randint(-2, m)
+            coords = [
+                random_homogeneous(rng, theory.ring, degree - i) for i in range(m + 1)
+            ]
+            u = ProjectiveSpaceElement(theory, m, coords)
+            beta = random_homogeneous(rng, theory.ring, -rng.randint(0, 2))
+            assert projection_formula_holds(u, beta)
+            down = u.pushforward_to_point()
+            assert down.is_homogeneous(degree - m)
+    return "projection formula and push-forward grading"
+
+
+def suite_spaces(rng) -> str:
+    builtins = [projective_space(n) for n in range(0, 7)]
+    builtins += [quadric(d) for d in range(0, 5)]
+    builtins += [grassmannian(d, n) for n in range(0, 7) for d in range(0, n + 1)]
+    for s in builtins:
+        s.dim()
+        assert duality_holds(s)
+        assert parse_space(print_space(s)) == s
+    return "builder dimensions, route duality, text round-trip"
+
+
+def suite_motive_category(rng, rounds=120) -> str:
+    theories = random_theories()
+    for _ in range(rounds):
+        theory = theories[rng.randrange(len(theories))]
+        a, b, c, d = (random_motive(rng) for _ in range(4))
+        degrees = [rng.randint(-1, 2) for _ in range(3)]
+        f = random_correspondence(rng, theory, a, b, degrees[0])
+        g = random_correspondence(rng, theory, b, c, degrees[1])
+        h = random_correspondence(rng, theory, c, d, degrees[2])
+        assert compose(h, compose(g, f)) == compose(compose(h, g), f)
+        assert compose(identity_correspondence(theory, b), f) == f
+        assert compose(f, identity_correspondence(theory, a)) == f
+        dim_a = max(a.twists, default=0) + rng.randint(0, 1)
+        dim_b = max(b.twists, default=0) + rng.randint(0, 1)
+        dim_c = max(c.twists, default=0) + rng.randint(0, 1)
+        ft = transpose(f, dim_a, dim_b)
+        assert transpose(ft, dim_b, dim_a) == f
+        assert ft.degree == dim_a + f.degree - dim_b
+        gf_t = transpose(compose(g, f), dim_a, dim_c)
+        assert gf_t == compose(ft, transpose(g, dim_b, dim_c))
+        p, q = random_correspondence(rng, theory, a, b, 0), random_correspondence(rng, theory, b, c, 0)
+        r, s = random_correspondence(rng, theory, a, b, 0), random_correspondence(rng, theory, b, c, 0)
+        assert compose(tensor_product(q, s), tensor_product(p, r)) == tensor_product(
+            compose(q, p), compose(s, r)
+        )
+    return "category, transpose and tensor interchange laws"
+
+
+def random_block_idempotent(rng, theory, motive: TateMotive) -> Correspondence:
+    """A twist-blocked scalar idempotent: conjugated 0/1 diagonals per block."""
+    blocks = {}
+    for t in motive.twists:
+        blocks[t] = blocks.get(t, 0) + 1
+    entries = {}
+    offset = 0
+    for t in sorted(blocks):
+        size = blocks[t]
+        diag = [[1 if (i == j and rng.random() < 0.6) else 0 for j in range(size)] for i in range(size)]
+        basis = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+        for _ in range(size):
+            i, j = rng.randrange(size), rng.randrange(size)
+            if i != j:
+                sign = rng.choice((-1, 1))
+                for col in range(size):
+                    basis[i][col] += sign * basis[j][col]
+        inverse = _invert_unimodular(basis)
+        block = _int_mat_mul(_int_mat_mul(inverse, diag), basis)
+        for i in range(size):
+            for j in range(size):
+                entries[(offset + i, offset + j)] = block[i][j]
+        offset += size
+    n = motive.size
+    rows = [
+        [GradedRingElement.scalar(theory.ring, entries.get((j, i), 0)) for i in range(n)]
+        for j in range(n)
+    ]
+    return Correspondence(theory, motive, motive, 0, rows)
+
+
+def _int_mat_mul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(len(b[0]))] for i in range(n)]
+
+
+def _invert_unimodular(m):
+    n = len(m)
+    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
+    assert all(x.denominator == 1 for row in out for x in row)
+    return [[int(x) for x in row] for row in out]
+
+
+def suite_idempotents(rng, rounds=40) -> str:
+    theories = (chow(), k0())
+    for _ in range(rounds):
+        theory = theories[rng.randrange(2)]
+        motive = random_motive(rng, max_size=4, max_twist=3)
+        p = random_block_idempotent(rng, theory, motive)
+        assert is_idempotent(p)
+        cert = split_idempotent(p)
+        assert compose(cert.retraction, cert.section) == identity_correspondence(
+            theory, cert.motive
+        )
+        assert compose(cert.section, cert.retraction) == p
+        co = split_idempotent(identity_correspondence(theory, motive) - p)
+        combined = sorted(cert.motive.twists + co.motive.twists)
+        assert tuple(combined) == motive.twists
+    for n in range(0, 5):
+        base = TateMotive((0,))
+        projectors = projective_bundle_projectors(chow(), base, n + 1)
+        total = projectors[0].source
+        acc = zero_correspondence(chow(), total, total, 0)
+        for i, p in enumerate(projectors):
+            acc = acc + p
+            for j, q in enumerate(projectors):
+                if i != j:
+                    assert compose(p, q).is_zero()
+            assert split_idempotent(p).motive == base.shifted(i)
+        assert acc == identity_correspondence(chow(), total)
+    return "projector splitting certificates and bundle projectors"
+
+
+def suite_realization(rng) -> str:
+    for d in range(0, 6):
+        q = quadric(d)
+        motive = decompose_by_rank(q)
+        table = realize_table(motive, chow())
+        expected = {k: (2 if k == d else 1) for k in range(0, 2 * d + 1)}
+        if d == 0:
+            expected = {0: 2}
+        assert table.ranks() == expected
+        assert realize_table(motive, k0()).total_rank() == 2 * d + 2
+    for n in range(0, 7):
+        for dd in range(0, n + 1):
+            motive = decompose_by_rank(grassmannian(dd, n))
+            coeffs = poincare_polynomial(motive)
+            assert sum(coeffs) == _binomial(n, dd)
+    return "quadric tables and twist counts"
+
+
+def _binomial(n, k):
+    out = 1
+    for i in range(k):
+        out = out * (n - i) // (i + 1)
+    return out
+
+
+SUITES = (
+    ("graded-ring", suite_graded_ring),
+    ("fgl-engine", suite_fgl),
+    ("theory", suite_theory),
+    ("cellular-model", suite_spaces),
+    ("motive-category", suite_motive_category),
+    ("idempotent-splitting", suite_idempotents),
+    ("realization", suite_realization),
+)
+
+
+def run_all(seed: int = 0):
+    """Run every suite; returns a list of (name, passed, detail) rows."""
+    results = []
+    for name, fn in SUITES:
+        rng = random.Random(seed)
+        try:
+            detail = fn(rng)
+            results.append((name, True, detail))
+        except Exception as exc:  # noqa: BLE001 - report, do not crash the runner
+            results.append((name, False, f"{type(exc).__name__}: {exc}"))
+    return results

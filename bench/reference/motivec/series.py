@@ -1,0 +1,361 @@
+"""Truncated multivariate power series over a graded coefficient ring.
+
+Variables all sit in degree +1; coefficients are exact ring elements.
+Terms beyond a fixed total variable degree are dropped everywhere, so all
+operations are exact statements about the quotient by that order.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .gring import (
+    GradedRingElement,
+    RingDescriptor,
+    RingMismatchError,
+    render_element,
+)
+
+
+class SubstitutionError(ValueError):
+    """Raised when a substitution target has a nonzero constant term."""
+
+
+class TruncatedSeries:
+    """A sparse series in named variables, truncated in total degree."""
+
+    __slots__ = ("ring", "variables", "order", "terms")
+
+    def __init__(self, ring, variables, order, terms):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "variables", tuple(variables))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TruncatedSeries is immutable")
+
+    @classmethod
+    def from_terms(cls, ring: RingDescriptor, variables, order: int, mapping) -> "TruncatedSeries":
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        variables = tuple(variables)
+        width = len(variables)
+        terms = {}
+        for expo, coeff in dict(mapping).items():
+            expo = tuple(expo)
+            if len(expo) != width or any(e < 0 for e in expo):
+                raise ValueError(f"bad variable exponent vector {expo}")
+            if sum(expo) > order:
+                continue
+            if not isinstance(coeff, GradedRingElement):
+                coeff = GradedRingElement.scalar(ring, coeff)
+            if coeff.ring != ring:
+                raise RingMismatchError("coefficient ring mismatch")
+            if coeff.is_zero():
+                continue
+            prev = terms.get(expo)
+            coeff = coeff if prev is None else prev + coeff
+            if coeff.is_zero():
+                terms.pop(expo, None)
+            else:
+                terms[expo] = coeff
+        return cls(ring, variables, order, terms)
+
+    @classmethod
+    def zero(cls, ring, variables, order) -> "TruncatedSeries":
+        return cls(ring, tuple(variables), order, {})
+
+    @classmethod
+    def constant(cls, value: GradedRingElement, variables, order) -> "TruncatedSeries":
+        zero_expo = (0,) * len(tuple(variables))
+        return cls.from_terms(value.ring, variables, order, {zero_expo: value})
+
+    @classmethod
+    def variable(cls, ring, variables, symbol, order) -> "TruncatedSeries":
+        variables = tuple(variables)
+        idx = variables.index(symbol)
+        expo = tuple(1 if i == idx else 0 for i in range(len(variables)))
+        return cls.from_terms(ring, variables, order, {expo: GradedRingElement.one(ring)})
+
+    # -- structure queries -------------------------------------------------
+
+    def coefficient(self, expo) -> GradedRingElement:
+        return self.terms.get(tuple(expo), GradedRingElement.zero(self.ring))
+
+    def constant_term(self) -> GradedRingElement:
+        return self.coefficient((0,) * len(self.variables))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def total_degrees(self) -> list[int]:
+        return sorted({sum(e) for e in self.terms})
+
+    def is_homogeneous_of_degree(self, d: int) -> bool:
+        """Check that the x^e coefficient has ring degree d - |e| throughout."""
+        return all(
+            coeff.is_homogeneous(d - sum(expo)) for expo, coeff in self.terms.items()
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return (
+            self.ring == other.ring
+            and self.variables == other.variables
+            and self.order == other.order
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.ring, self.variables, self.order, frozenset(self.terms)))
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _check_compatible(self, other: "TruncatedSeries"):
+        if self.ring != other.ring:
+            raise RingMismatchError("series over different rings")
+        if self.variables != other.variables or self.order != other.order:
+            raise ValueError("series with different variables or orders")
+
+    def __add__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        self._check_compatible(other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            s = terms.get(e)
+            s = c if s is None else s + c
+            if s.is_zero():
+                terms.pop(e, None)
+            else:
+                terms[e] = s
+        return TruncatedSeries(self.ring, self.variables, self.order, terms)
+
+    def __neg__(self):
+        return TruncatedSeries(
+            self.ring, self.variables, self.order, {e: -c for e, c in self.terms.items()}
+        )
+
+    def __sub__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, GradedRingElement)):
+            return self.scale(other)
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        self._check_compatible(other)
+        order = self.order
+        acc: dict = {}
+        for e1, c1 in self.terms.items():
+            d1 = sum(e1)
+            for e2, c2 in other.terms.items():
+                if d1 + sum(e2) > order:
+                    continue
+                expo = tuple(a + b for a, b in zip(e1, e2))
+                c = c1 * c2
+                prev = acc.get(expo)
+                c = c if prev is None else prev + c
+                if c.is_zero():
+                    acc.pop(expo, None)
+                else:
+                    acc[expo] = c
+        return TruncatedSeries(self.ring, self.variables, self.order, acc)
+
+    __rmul__ = __mul__
+
+    def scale(self, value) -> "TruncatedSeries":
+        if not isinstance(value, GradedRingElement):
+            value = GradedRingElement.scalar(self.ring, value)
+        terms = {}
+        for e, c in self.terms.items():
+            p = c * value
+            if not p.is_zero():
+                terms[e] = p
+        return TruncatedSeries(self.ring, self.variables, self.order, terms)
+
+    # -- substitution --------------------------------------------------------
+
+    def substitute_many(self, images: dict) -> "TruncatedSeries":
+        """Simultaneously replace every variable by a series.
+
+        All images must share one variable tuple, ring and order, and have a
+        zero constant term.
+        """
+        if not self.variables:
+            raise ValueError("series has no variables to substitute")
+        missing = [v for v in self.variables if v not in images]
+        if missing:
+            raise ValueError(f"no image given for variables {missing}")
+        picked = [images[v] for v in self.variables]
+        target = picked[0]
+        for t in picked[1:]:
+            target._check_compatible(t)
+        if target.ring != self.ring:
+            raise RingMismatchError("substitution images over a different ring")
+        for t in picked:
+            if not t.constant_term().is_zero():
+                raise SubstitutionError("substitution target has a nonzero constant term")
+        out = TruncatedSeries.zero(self.ring, target.variables, target.order)
+        powers = [
+            [TruncatedSeries.constant(GradedRingElement.one(self.ring), target.variables, target.order)]
+            for _ in picked
+        ]
+
+        def power_of(i, n):
+            cache = powers[i]
+            while len(cache) <= n:
+                cache.append(cache[-1] * picked[i])
+            return cache[n]
+
+        for expo, coeff in self.terms.items():
+            piece = TruncatedSeries.constant(coeff, target.variables, target.order)
+            for i, e in enumerate(expo):
+                if e:
+                    piece = piece * power_of(i, e)
+            out = out + piece
+        return out
+
+    def substitute(self, symbol: str, image: "TruncatedSeries") -> "TruncatedSeries":
+        """Replace one variable; remaining variables map to themselves.
+
+        The image fixes the variable tuple of the result, so every other
+        variable of this series must appear among the image's variables.
+        """
+        if symbol not in self.variables:
+            raise ValueError(f"series has no variable {symbol!r}")
+        images = {symbol: image}
+        for v in self.variables:
+            if v == symbol:
+                continue
+            if v not in image.variables:
+                raise ValueError(f"variable {v!r} is absent from the substitution target")
+            images[v] = TruncatedSeries.variable(image.ring, image.variables, v, image.order)
+        return self.substitute_many(images)
+
+    def lift(self, variables) -> "TruncatedSeries":
+        """Reinterpret over a larger ordered variable tuple."""
+        variables = tuple(variables)
+        positions = [variables.index(v) for v in self.variables]
+        terms = {}
+        for expo, coeff in self.terms.items():
+            new = [0] * len(variables)
+            for pos, e in zip(positions, expo):
+                new[pos] = e
+            terms[tuple(new)] = coeff
+        return TruncatedSeries(self.ring, variables, self.order, terms)
+
+    # -- univariate tools ------------------------------------------------------
+
+    def _require_univariate(self):
+        if len(self.variables) != 1:
+            raise ValueError("operation requires a single-variable series")
+
+    def multiplicative_inverse(self) -> "TruncatedSeries":
+        """Inverse of a series with constant term 1, by geometric expansion."""
+        one = GradedRingElement.one(self.ring)
+        if self.constant_term() != one:
+            raise ValueError("inverse requires constant term 1")
+        tail = self - TruncatedSeries.constant(one, self.variables, self.order)
+        result = TruncatedSeries.constant(one, self.variables, self.order)
+        power = result
+        for _ in range(self.order):
+            power = power * (-tail)
+            if power.is_zero():
+                break
+            result = result + power
+        return result
+
+    def integrate(self) -> "TruncatedSeries":
+        """Term-wise antiderivative with zero constant, for rational rings."""
+        self._require_univariate()
+        if not self.ring.rational:
+            raise ValueError("integration requires rational scalars")
+        terms = {}
+        for (e,), c in self.terms.items():
+            if e + 1 > self.order:
+                continue
+            terms[(e + 1,)] = c * Fraction(1, e + 1)
+        return TruncatedSeries.from_terms(self.ring, self.variables, self.order, terms)
+
+    def reversion(self) -> "TruncatedSeries":
+        """The compositional inverse of x + (higher order)."""
+        self._require_univariate()
+        one = GradedRingElement.one(self.ring)
+        if not self.constant_term().is_zero():
+            raise ValueError("reversion requires zero constant term")
+        if self.coefficient((1,)) != one:
+            raise ValueError("reversion requires linear coefficient 1 (non-unit linear coefficient)")
+        var = self.variables[0]
+        g = TruncatedSeries.variable(self.ring, self.variables, var, self.order)
+        for k in range(2, self.order + 1):
+            composed = self.substitute(var, g)
+            c = composed.coefficient((k,))
+            if c.is_zero():
+                continue
+            g = g - TruncatedSeries.from_terms(self.ring, self.variables, self.order, {(k,): c})
+        return g
+
+    # -- rendering ----------------------------------------------------------------
+
+    def __repr__(self):
+        return f"<series[{','.join(self.variables)}]<= {self.order}: {self}>"
+
+    def __str__(self):
+        return render_series(self)
+
+
+def render_series(s: TruncatedSeries) -> str:
+    if not s.terms:
+        return "0"
+    pieces = []
+    for expo, coeff in sorted(s.terms.items(), key=lambda ec: (sum(ec[0]), ec[0])):
+        var_parts = []
+        for e, v in zip(expo, s.variables):
+            if e == 0:
+                continue
+            var_parts.append(v if e == 1 else f"{v}^{e}")
+        var_str = "*".join(var_parts)
+        coeff_str = render_element(coeff)
+        if not var_str:
+            body = f"({coeff_str})" if len(coeff.terms) > 1 else coeff_str
+        elif coeff == GradedRingElement.one(s.ring):
+            body = var_str
+        elif coeff == -GradedRingElement.one(s.ring):
+            body = f"-{var_str}"
+        elif len(coeff.terms) > 1:
+            body = f"({coeff_str})*{var_str}"
+        else:
+            body = f"{coeff_str}*{var_str}"
+        pieces.append(body)
+    out = pieces[0]
+    for p in pieces[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+def parse_series(ring: RingDescriptor, variables, order: int, text: str) -> TruncatedSeries:
+    """Parse the element syntax extended with the given variables."""
+    from .gring import Generator, parse_element
+
+    variables = tuple(variables)
+    extended = RingDescriptor(
+        ring.name + "#series",
+        ring.generators + tuple(Generator(v, 1) for v in variables),
+        "Q" if ring.rational else "Z",
+        None,
+    )
+    flat = parse_element(extended, text)
+    n = len(ring.generators)
+    terms: dict = {}
+    for mono, coeff in flat.terms.items():
+        ring_part, var_part = mono[:n], mono[n:]
+        elem = GradedRingElement.from_terms(ring, {ring_part: coeff})
+        prev = terms.get(var_part)
+        elem = elem if prev is None else prev + elem
+        terms[var_part] = elem
+    return TruncatedSeries.from_terms(ring, variables, order, terms)
