@@ -1,21 +1,25 @@
 """Twist multisets and graded matrix morphisms between them.
 
-A motive here is a finite multiset of nonnegative twist integers.  A
-morphism of degree c between two of them, over a theory's coefficient
-ring, is a matrix whose (j, i) entry is homogeneous of ring degree
+A motive here is a finite multiset of nonnegative twist integers, stored
+as its histogram: sorted (twist, multiplicity) pairs.  The expanded,
+sorted twist tuple is built on first use and kept.  A morphism of degree
+c between two motives, over a theory's coefficient ring, is a matrix
+whose (j, i) entry is homogeneous of ring degree
 c + source_twist(i) - target_twist(j).  Composition is matrix product,
 duality is matrix transposition with twists reflected through the ambient
 dimensions, and the tensor product is a twist-sorted Kronecker product.
 
 The module also carries the two decomposition routes for cellular spaces
-(accumulating bundle ranks or stratum codimensions), projector splitting,
-and realization of motives as graded modules over the coefficient ring.
+(accumulating bundle ranks or stratum codimensions, by one fold over the
+space DAG), projector splitting, and realization of motives as graded
+modules over the coefficient ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .gring import (
     GradedRingElement,
@@ -28,7 +32,7 @@ from .linalg import (
     integer_column_basis,
     solve_columns,
 )
-from .spaces import Cellular, DisjointUnion, Point, SpaceExpr
+from .spaces import Cellular, DisjointUnion, Point, SpaceExpr, walk_dag
 from .theory import OrientedTheory
 
 
@@ -41,25 +45,58 @@ class NonSplittableError(ValueError):
 
 
 class TateMotive:
-    """A finite multiset of nonnegative twists, stored sorted."""
+    """A finite multiset of nonnegative twists, stored as a histogram.
 
-    __slots__ = ("twists",)
+    `histogram` holds sorted (twist, multiplicity) pairs with positive
+    multiplicities and `size` their total; `twists`, the sorted tuple with
+    one entry per generator, is expanded on first access and then stored.
+    """
+
+    __slots__ = ("histogram", "size", "twists")
 
     def __init__(self, twists=()):
         tw = tuple(sorted(int(t) for t in twists))
-        if tw and tw[0] < 0:
-            raise ValueError(f"negative twist in {tw}")
+        self._fill(tuple((t, len(list(run))) for t, run in groupby(tw)))
         object.__setattr__(self, "twists", tw)
+
+    @classmethod
+    def from_histogram(cls, pairs) -> "TateMotive":
+        """The motive with the given (twist, multiplicity) pairs, in any
+        order; repeated twists add up and zero multiplicities drop out."""
+        counts: dict[int, int] = {}
+        for t, m in pairs:
+            if m < 0:
+                raise ValueError(f"negative multiplicity {m} of twist {t}")
+            if m:
+                counts[int(t)] = counts.get(int(t), 0) + int(m)
+        return cls._of(tuple(sorted(counts.items())))
+
+    @classmethod
+    def _of(cls, histogram) -> "TateMotive":
+        """Wrap a histogram that is already sorted, merged and positive."""
+        motive = object.__new__(cls)
+        motive._fill(histogram)
+        return motive
+
+    def _fill(self, histogram):
+        if histogram and histogram[0][0] < 0:
+            raise ValueError(f"negative twist {histogram[0][0]}")
+        object.__setattr__(self, "histogram", histogram)
+        object.__setattr__(self, "size", sum(m for _, m in histogram))
+
+    def __getattr__(self, name):
+        # only reached while the `twists` slot is still empty
+        if name != "twists":
+            raise AttributeError(name)
+        tw = tuple(t for t, m in self.histogram for _ in range(m))
+        object.__setattr__(self, "twists", tw)
+        return tw
 
     def __setattr__(self, name, value):
         raise AttributeError("TateMotive is immutable")
 
-    @property
-    def size(self) -> int:
-        return len(self.twists)
-
     def __len__(self):
-        return len(self.twists)
+        return self.size
 
     def __iter__(self):
         return iter(self.twists)
@@ -67,22 +104,24 @@ class TateMotive:
     def __eq__(self, other):
         if not isinstance(other, TateMotive):
             return NotImplemented
-        return self.twists == other.twists
+        return self.histogram == other.histogram
 
     def __hash__(self):
-        return hash(self.twists)
+        return hash(self.histogram)
 
     def __repr__(self):
-        return f"TateMotive{self.twists}"
+        # the histogram, not the twists: a motive can have astronomically many
+        return f"TateMotive.from_histogram({self.histogram})"
 
     def shifted(self, k: int) -> "TateMotive":
-        return TateMotive(t + k for t in self.twists)
+        return TateMotive._of(tuple((t + k, m) for t, m in self.histogram))
 
     def dual(self, dim: int) -> "TateMotive":
-        flipped = [dim - t for t in self.twists]
-        if flipped and min(flipped) < 0:
-            raise ValueError(f"ambient dimension {dim} is below a twist of {self.twists}")
-        return TateMotive(flipped)
+        if self.histogram and self.histogram[-1][0] > dim:
+            raise ValueError(
+                f"ambient dimension {dim} is below the twist {self.histogram[-1][0]}"
+            )
+        return TateMotive._of(tuple((dim - t, m) for t, m in reversed(self.histogram)))
 
     def as_json(self) -> list[int]:
         return list(self.twists)
@@ -442,51 +481,52 @@ def projective_bundle_projectors(theory, base: TateMotive, bundle_rank: int):
 
 def decompose_by_rank(space: SpaceExpr) -> TateMotive:
     """Twists accumulate the affine-bundle ranks down the filtration."""
-    return TateMotive(_collect_rank(space))
-
-
-def _collect_rank(space: SpaceExpr) -> list[int]:
-    if isinstance(space, Point):
-        return [0]
-    if isinstance(space, DisjointUnion):
-        return _collect_rank(space.left) + _collect_rank(space.right)
-    if isinstance(space, Cellular):
-        out = []
-        for cell in space.cells:
-            out.extend(cell.rank + t for t in _collect_rank(cell.base))
-        return out
-    raise TypeError(f"not a space expression: {space!r}")
+    return TateMotive.from_histogram(_fold(space, "rank").items())
 
 
 def decompose_by_codim(space: SpaceExpr) -> TateMotive:
     """Twists accumulate the stratum codimensions down the filtration.
 
-    Requires the space to be equidimensional (checked recursively).
+    Requires the space to be equidimensional (checked at every node).
     """
     space.dim()
-    return TateMotive(_collect_codim(space))
+    return TateMotive.from_histogram(_fold(space, "codim").items())
 
 
-def _collect_codim(space: SpaceExpr) -> list[int]:
-    if isinstance(space, Point):
-        return [0]
-    if isinstance(space, DisjointUnion):
-        return _collect_codim(space.left) + _collect_codim(space.right)
-    if isinstance(space, Cellular):
-        out = []
-        for cell in space.cells:
-            out.extend(cell.codim + t for t in _collect_codim(cell.base))
-        return out
-    raise TypeError(f"not a space expression: {space!r}")
+def _fold(space: SpaceExpr, field: str) -> dict[int, int]:
+    """The twist histogram of a space, adding up the cell `field` ("rank"
+    or "codim") down the filtration.  Each shared node is folded once:
+    results are memoized by node identity for the length of one walk,
+    while the root keeps every node alive."""
+    memo: dict[int, dict[int, int]] = {}
+
+    def visit(node):
+        if isinstance(node, Point):
+            memo[id(node)] = {0: 1}
+            return
+        if isinstance(node, DisjointUnion):
+            pieces = ((0, node.left), (0, node.right))
+        elif isinstance(node, Cellular):
+            pieces = ((getattr(cell, field), cell.base) for cell in node.cells)
+        else:
+            raise TypeError(f"not a space expression: {node!r}")
+        hist: dict[int, int] = {}
+        for shift, base in pieces:
+            for t, m in memo[id(base)].items():
+                hist[t + shift] = hist.get(t + shift, 0) + m
+        memo[id(node)] = hist
+
+    walk_dag(space, lambda node: id(node) in memo, visit)
+    return memo[id(space)]
 
 
 def poincare_polynomial(motive: TateMotive) -> list[int]:
     """Coefficient k is the multiplicity of twist k."""
-    if not motive.twists:
+    if not motive.histogram:
         return []
-    out = [0] * (motive.twists[-1] + 1)
-    for t in motive.twists:
-        out[t] += 1
+    out = [0] * (motive.histogram[-1][0] + 1)
+    for t, m in motive.histogram:
+        out[t] = m
     return out
 
 
@@ -534,11 +574,12 @@ class GradedModuleTable:
 
 
 def realize(motive: TateMotive, theory: OrientedTheory, k: int) -> ModuleDescription:
-    """The degree-k module of the motive: one ring component per twist."""
+    """The degree-k module of the motive: one ring component per twist,
+    computed once per distinct twist and repeated by its multiplicity."""
     ring = theory.ring
     monomials = []
-    for t in motive.twists:
-        monomials.extend(component_rank(ring, k - t).monomials)
+    for t, m in motive.histogram:
+        monomials.extend(component_rank(ring, k - t).monomials * m)
     return ModuleDescription(ring.field, ring, tuple(monomials))
 
 
@@ -553,9 +594,9 @@ def realize_table(motive: TateMotive, theory: OrientedTheory) -> GradedModuleTab
     if _has_laurent_unit(ring):
         desc = realize(motive, theory, 0)
         return GradedModuleTable(entries=((0, desc),), periodic=True)
-    if not motive.twists:
+    if not motive.histogram:
         return GradedModuleTable(entries=())
-    low, high = motive.twists[0], motive.twists[-1]
+    low, high = motive.histogram[0][0], motive.histogram[-1][0]
     if ring.truncation is not None:
         degrees = range(high - ring.truncation, high + 1)
     else:

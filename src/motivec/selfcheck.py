@@ -1,8 +1,9 @@
 """Randomized invariant suites, shared by the CLI check mode and the tests.
 
-Each suite raises AssertionError on the first violated invariant;
-:func:`run_all` collects one (name, passed, detail) row per suite.
-All randomness is seeded, so a run is reproducible.
+Each suite raises AssertionError on the first violated invariant, through
+:func:`require`, which ``python -O`` does not strip; :func:`run_all`
+collects one (name, passed, detail) row per suite.  All randomness is
+seeded, so a run is reproducible.
 """
 
 from __future__ import annotations
@@ -42,6 +43,16 @@ from .theory import ProjectiveSpaceElement, chow, k0, projection_formula_holds, 
 from .dsl import parse_space, print_space
 
 
+def require(condition, message: str) -> None:
+    """Raise AssertionError with `message` unless `condition` holds.
+
+    Unlike a bare ``assert`` this check cannot be switched off by the
+    interpreter.
+    """
+    if not condition:
+        raise AssertionError(message)
+
+
 def random_motive(rng: random.Random, max_size=3, max_twist=3) -> TateMotive:
     return TateMotive(rng.randint(0, max_twist) for _ in range(rng.randint(0, max_size)))
 
@@ -68,14 +79,14 @@ def suite_graded_ring(rng) -> str:
             a = random_homogeneous(rng, ring, rng.randint(-3, 1))
             b = random_homogeneous(rng, ring, rng.randint(-3, 1))
             c = random_homogeneous(rng, ring, rng.randint(-3, 1))
-            assert (a + b) + c == a + (b + c)
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            assert a * one == a and a + zero == a
+            require((a + b) + c == a + (b + c), "ring addition is associative")
+            require(a * b == b * a, "ring multiplication is commutative")
+            require((a * b) * c == a * (b * c), "ring multiplication is associative")
+            require(a * (b + c) == a * b + a * c, "multiplication distributes over addition")
+            require(a * one == a and a + zero == a, "one and zero are neutral")
             got = set((a * b).degrees())
             allowed = {da + db for da in a.degrees() for db in b.degrees()}
-            assert got <= allowed
+            require(got <= allowed, "product degrees are sums of factor degrees")
     return "ring axioms and degree additivity"
 
 
@@ -87,17 +98,17 @@ def suite_fgl(rng) -> str:
         log = logarithm(law)
         exp = log.reversion()
         x = TruncatedSeries.variable(log.ring, ("x",), "x", order)
-        assert log.substitute("x", exp) == x
-        assert exp.substitute("x", log) == x
+        require(log.substitute("x", exp) == x, "log(exp(x)) = x")
+        require(exp.substitute("x", log) == x, "exp(log(x)) = x")
         inv = formal_inverse(law)
         xv = TruncatedSeries.variable(law.ring, ("x",), "x", order)
-        assert law.apply(xv, inv).is_zero()
+        require(law.apply(xv, inv).is_zero(), "F(x, inverse(x)) = 0")
         for n in range(0, order - 1):
             cls = projective_space_class(law, n)
-            assert cls.is_homogeneous(-n)
+            require(cls.is_homogeneous(-n), "[P^n] is homogeneous of degree -n")
     b = GradedRingElement.generator(k0().ring, "b")
     for n in range(0, order - 1):
-        assert projective_space_class(laws[1], n) == b ** n
+        require(projective_space_class(laws[1], n) == b ** n, "multiplicative [P^n] = b^n")
     return "group law axioms, log/exp, inverses, projective classes"
 
 
@@ -111,9 +122,9 @@ def suite_theory(rng) -> str:
             ]
             u = ProjectiveSpaceElement(theory, m, coords)
             beta = random_homogeneous(rng, theory.ring, -rng.randint(0, 2))
-            assert projection_formula_holds(u, beta)
+            require(projection_formula_holds(u, beta), "projection formula")
             down = u.pushforward_to_point()
-            assert down.is_homogeneous(degree - m)
+            require(down.is_homogeneous(degree - m), "push-forward lowers degree by m")
     return "projection formula and push-forward grading"
 
 
@@ -123,8 +134,8 @@ def suite_spaces(rng) -> str:
     builtins += [grassmannian(d, n) for n in range(0, 7) for d in range(0, n + 1)]
     for s in builtins:
         s.dim()
-        assert duality_holds(s)
-        assert parse_space(print_space(s)) == s
+        require(duality_holds(s), "codim route is the dual of the rank route")
+        require(parse_space(print_space(s)) == s, "text round-trip")
     return "builder dimensions, route duality, text round-trip"
 
 
@@ -137,34 +148,29 @@ def suite_motive_category(rng, rounds=120) -> str:
         f = random_correspondence(rng, theory, a, b, degrees[0])
         g = random_correspondence(rng, theory, b, c, degrees[1])
         h = random_correspondence(rng, theory, c, d, degrees[2])
-        assert compose(h, compose(g, f)) == compose(compose(h, g), f)
-        assert compose(identity_correspondence(theory, b), f) == f
-        assert compose(f, identity_correspondence(theory, a)) == f
+        require(compose(h, compose(g, f)) == compose(compose(h, g), f), "associativity")
+        require(compose(identity_correspondence(theory, b), f) == f, "identity is a left unit")
+        require(compose(f, identity_correspondence(theory, a)) == f, "identity is a right unit")
         dim_a = max(a.twists, default=0) + rng.randint(0, 1)
         dim_b = max(b.twists, default=0) + rng.randint(0, 1)
         dim_c = max(c.twists, default=0) + rng.randint(0, 1)
         ft = transpose(f, dim_a, dim_b)
-        assert transpose(ft, dim_b, dim_a) == f
-        assert ft.degree == dim_a + f.degree - dim_b
+        require(transpose(ft, dim_b, dim_a) == f, "transpose is an involution")
+        require(ft.degree == dim_a + f.degree - dim_b, "transpose degree")
         gf_t = transpose(compose(g, f), dim_a, dim_c)
-        assert gf_t == compose(ft, transpose(g, dim_b, dim_c))
+        require(gf_t == compose(ft, transpose(g, dim_b, dim_c)), "transpose of a composite")
         p, q = random_correspondence(rng, theory, a, b, 0), random_correspondence(rng, theory, b, c, 0)
         r, s = random_correspondence(rng, theory, a, b, 0), random_correspondence(rng, theory, b, c, 0)
-        assert compose(tensor_product(q, s), tensor_product(p, r)) == tensor_product(
-            compose(q, p), compose(s, r)
-        )
+        pr, qs = tensor_product(p, r), tensor_product(q, s)
+        require(compose(qs, pr) == tensor_product(compose(q, p), compose(s, r)), "interchange")
     return "category, transpose and tensor interchange laws"
 
 
 def random_block_idempotent(rng, theory, motive: TateMotive) -> Correspondence:
     """A twist-blocked scalar idempotent: conjugated 0/1 diagonals per block."""
-    blocks = {}
-    for t in motive.twists:
-        blocks[t] = blocks.get(t, 0) + 1
     entries = {}
     offset = 0
-    for t in sorted(blocks):
-        size = blocks[t]
+    for _, size in motive.histogram:
         diag = [[1 if (i == j and rng.random() < 0.6) else 0 for j in range(size)] for i in range(size)]
         basis = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
         for _ in range(size):
@@ -205,7 +211,7 @@ def _invert_unimodular(m):
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    assert all(x.denominator == 1 for row in out for x in row)
+    require(all(x.denominator == 1 for row in out for x in row), "integral inverse")
     return [[int(x) for x in row] for row in out]
 
 
@@ -215,15 +221,14 @@ def suite_idempotents(rng, rounds=40) -> str:
         theory = theories[rng.randrange(2)]
         motive = random_motive(rng, max_size=4, max_twist=3)
         p = random_block_idempotent(rng, theory, motive)
-        assert is_idempotent(p)
+        require(is_idempotent(p), "block projector is idempotent")
         cert = split_idempotent(p)
-        assert compose(cert.retraction, cert.section) == identity_correspondence(
-            theory, cert.motive
-        )
-        assert compose(cert.section, cert.retraction) == p
+        identity = identity_correspondence(theory, cert.motive)
+        require(compose(cert.retraction, cert.section) == identity, "retraction o section")
+        require(compose(cert.section, cert.retraction) == p, "section o retraction")
         co = split_idempotent(identity_correspondence(theory, motive) - p)
         combined = sorted(cert.motive.twists + co.motive.twists)
-        assert tuple(combined) == motive.twists
+        require(tuple(combined) == motive.twists, "image and complement split the motive")
     for n in range(0, 5):
         base = TateMotive((0,))
         projectors = projective_bundle_projectors(chow(), base, n + 1)
@@ -233,9 +238,9 @@ def suite_idempotents(rng, rounds=40) -> str:
             acc = acc + p
             for j, q in enumerate(projectors):
                 if i != j:
-                    assert compose(p, q).is_zero()
-            assert split_idempotent(p).motive == base.shifted(i)
-        assert acc == identity_correspondence(chow(), total)
+                    require(compose(p, q).is_zero(), "bundle projectors are orthogonal")
+            require(split_idempotent(p).motive == base.shifted(i), "bundle projector image")
+        require(acc == identity_correspondence(chow(), total), "bundle projectors sum to 1")
     return "projector splitting certificates and bundle projectors"
 
 
@@ -247,13 +252,13 @@ def suite_realization(rng) -> str:
         expected = {k: (2 if k == d else 1) for k in range(0, 2 * d + 1)}
         if d == 0:
             expected = {0: 2}
-        assert table.ranks() == expected
-        assert realize_table(motive, k0()).total_rank() == 2 * d + 2
+        require(table.ranks() == expected, "quadric Chow table")
+        require(realize_table(motive, k0()).total_rank() == 2 * d + 2, "quadric K0 rank")
     for n in range(0, 7):
         for dd in range(0, n + 1):
             motive = decompose_by_rank(grassmannian(dd, n))
             coeffs = poincare_polynomial(motive)
-            assert sum(coeffs) == _binomial(n, dd)
+            require(sum(coeffs) == _binomial(n, dd), "Grassmannian twist count is binomial")
     return "quadric tables and twist counts"
 
 

@@ -89,9 +89,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degrees(self) -> list[int]:
-        return sorted({sum(e) for e in self.terms})
-
     def is_homogeneous_of_degree(self, d: int) -> bool:
         """Check that the x^e coefficient has ring degree d - |e| throughout."""
         return all(

@@ -5,6 +5,12 @@ an ordered list of cells; each cell carries a base space, the rank of the
 affine bundle over that base, and the codimension of the filtration step.
 Codimensions strictly increase from 0.  Equality between spaces is
 structural and ignores display names.
+
+Spaces are immutable DAGs whose sub-spaces are often shared (the
+Grassmannian recursion, references in the text format).  Walks over
+them go through :func:`walk_dag`, which visits each shared node once and
+keeps its own stack, so deep chains do not hit the recursion limit; the
+dimension of each node is computed once and cached on it.
 """
 
 from __future__ import annotations
@@ -20,13 +26,59 @@ class EquidimensionalityViolation(ValueError):
 class SpaceExpr:
     """Base class for space expressions."""
 
+    _dim: int | None = None  # cached once known; see _settle_dims
+
     def dim(self) -> int:
         raise NotImplementedError
 
+    def parts(self) -> tuple["SpaceExpr", ...]:
+        """The sub-spaces this node is built from, in order."""
+        raise NotImplementedError
+
+
+def walk_dag(space: SpaceExpr, settled, visit) -> None:
+    """Visit every unsettled node under `space` once, its parts first.
+
+    `settled(node)` says whether a node's value is already known; a
+    settled node is neither visited nor descended into.  `visit(node)`
+    runs once all the node's parts are settled and must settle it.  The
+    walk keeps an explicit stack, so its depth is not bounded by Python's
+    recursion limit, and takes parts left to right, so errors surface in
+    the order a recursive walk would meet them.
+    """
+    stack = [space]
+    while stack:
+        node = stack[-1]
+        if not isinstance(node, SpaceExpr):
+            raise TypeError(f"not a space expression: {node!r}")
+        if settled(node):
+            stack.pop()
+            continue
+        pending = [p for p in node.parts() if not settled(p)]
+        if pending:
+            stack.extend(reversed(pending))
+        else:
+            stack.pop()
+            visit(node)
+
+
+def _settle_dims(space: SpaceExpr) -> int:
+    walk_dag(
+        space,
+        lambda node: node._dim is not None,
+        lambda node: object.__setattr__(node, "_dim", node._own_dim()),
+    )
+    return space._dim
+
 
 class Point(SpaceExpr):
+    _dim = 0
+
     def dim(self) -> int:
         return 0
+
+    def parts(self) -> tuple:
+        return ()
 
     def __eq__(self, other):
         return isinstance(other, Point)
@@ -57,7 +109,7 @@ class Cell:
 class Cellular(SpaceExpr):
     """A filtered space: nonempty cells with codims strictly increasing from 0."""
 
-    __slots__ = ("cells", "name", "expr_form")
+    __slots__ = ("cells", "name", "expr_form", "_dim")
 
     def __init__(self, cells, name: str | None = None, expr_form: str | None = None):
         cells = tuple(cells)
@@ -73,12 +125,19 @@ class Cellular(SpaceExpr):
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "expr_form", expr_form)
+        object.__setattr__(self, "_dim", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cellular is immutable")
 
     def dim(self) -> int:
-        values = [c.codim + c.rank + c.base.dim() for c in self.cells]
+        return self._dim if self._dim is not None else _settle_dims(self)
+
+    def parts(self) -> tuple[SpaceExpr, ...]:
+        return tuple(c.base for c in self.cells)
+
+    def _own_dim(self) -> int:
+        values = [c.codim + c.rank + c.base._dim for c in self.cells]
         if len(set(values)) != 1:
             raise EquidimensionalityViolation(
                 f"cells of {self.name or 'space'} give dimensions {values}"
@@ -101,17 +160,24 @@ class Cellular(SpaceExpr):
 class DisjointUnion(SpaceExpr):
     """Two components side by side; both must have the same dimension."""
 
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "_dim")
 
     def __init__(self, left: SpaceExpr, right: SpaceExpr):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_dim", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DisjointUnion is immutable")
 
     def dim(self) -> int:
-        dl, dr = self.left.dim(), self.right.dim()
+        return self._dim if self._dim is not None else _settle_dims(self)
+
+    def parts(self) -> tuple[SpaceExpr, ...]:
+        return (self.left, self.right)
+
+    def _own_dim(self) -> int:
+        dl, dr = self.left._dim, self.right._dim
         if dl != dr:
             raise EquidimensionalityViolation(
                 f"union components have dimensions {dl} and {dr}"

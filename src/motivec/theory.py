@@ -90,10 +90,21 @@ def theory_from_selector(selector: str, truncation: int | None = None) -> Orient
     if selector.startswith("universal"):
         rest = selector[len("universal"):]
         if rest.startswith(":"):
-            n = int(rest[1:])
+            try:
+                n = int(rest[1:])
+            except ValueError:
+                n = 0
+            if n < 1:
+                raise ValueError(
+                    f"bad theory selector {selector!r}: N must be an integer >= 1"
+                )
         elif rest == "":
             if truncation is None:
                 raise ValueError("the universal theory needs a truncation bound")
+            if truncation < 1:
+                raise ValueError(
+                    f"the universal theory needs a truncation bound >= 1, got {truncation}"
+                )
             n = truncation
         else:
             raise ValueError(f"unknown theory selector {selector!r}")

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import motivec
 from motivec.cli import ENV_TRUNCATION, RunConfig, main, run
 
 
@@ -154,3 +158,31 @@ def test_run_config_validants():
         RunConfig(space="point", theory="universal:3", truncation=4)
     out, code = run(RunConfig(space="point", theory="universal:3"))
     assert code == 0 and out == "0\n"
+
+
+@pytest.mark.parametrize("selector", ["universal:0", "universal:-1", "universal:x"])
+def test_bad_universal_bound_names_the_selector(selector, capsys):
+    code, out, err = invoke(["--space", "P:1", "--theory", selector], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert repr(selector) in err and ">= 1" in err
+
+
+def test_check_mode_fails_under_python_O():
+    """The self-check suites must report a broken invariant even when the
+    interpreter strips assert statements."""
+    script = (
+        "import sys\n"
+        "import motivec.motives, motivec.selfcheck\n"
+        "motivec.motives.duality_holds = lambda space: False\n"
+        "motivec.selfcheck.duality_holds = motivec.motives.duality_holds\n"
+        "from motivec.cli import main\n"
+        "sys.exit(main(['--mode', 'check']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(motivec.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "[FAIL] cellular-model: AssertionError" in proc.stdout
