@@ -61,13 +61,13 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.format not in ("text", "json"):
             raise ValueError(f"unknown format {self.format!r}")
-        wants_truncation = self.theory == "universal"
-        if self.theory.startswith("universal:") and self.truncation is not None:
-            if int(self.theory.split(":", 1)[1]) != self.truncation:
-                raise ValueError("conflicting truncation bounds")
-        if not self.theory.startswith("universal") and self.truncation is not None:
-            raise ValueError("truncation only applies to the universal theory")
-        if wants_truncation and self.truncation is None:
+        if not self.theory.startswith("universal"):
+            if self.truncation is not None:
+                raise ValueError("truncation only applies to the universal theory")
+        elif self.truncation is not None:
+            # N must be valid and agree with the truncation; builds no law
+            theory_from_selector(self.theory, self.truncation)
+        elif self.theory == "universal":
             raise ValueError(
                 "the universal theory needs a truncation bound "
                 "(universal:N, --truncation, or MOTIVEC_TRUNCATION)"

@@ -28,9 +28,13 @@ _XY = ("x", "y")
 
 
 class FormalGroupLaw:
-    """A commutative one-dimensional formal group law, truncated."""
+    """A commutative one-dimensional formal group law, truncated.
 
-    __slots__ = ("name", "ring", "series")
+    `log`, the law's :func:`logarithm`, is computed on first access and
+    then stored.
+    """
+
+    __slots__ = ("name", "ring", "series", "log")
 
     def __init__(self, name: str, series: TruncatedSeries):
         if series.variables != _XY:
@@ -38,6 +42,14 @@ class FormalGroupLaw:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "ring", series.ring)
         object.__setattr__(self, "series", series)
+
+    def __getattr__(self, name):
+        # only reached while the `log` slot is still empty
+        if name != "log":
+            raise AttributeError(name)
+        log = logarithm(self)
+        object.__setattr__(self, "log", log)
+        return log
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalGroupLaw is immutable")
@@ -139,7 +151,7 @@ def logarithm(law: FormalGroupLaw) -> TruncatedSeries:
 
 def exponential(law: FormalGroupLaw) -> TruncatedSeries:
     """The compositional inverse of the logarithm."""
-    return logarithm(law).reversion()
+    return law.log.reversion()
 
 
 def formal_inverse(law: FormalGroupLaw) -> TruncatedSeries:
@@ -166,6 +178,6 @@ def projective_space_class(law: FormalGroupLaw, n: int) -> GradedRingElement:
         raise TruncationError(
             f"class of P^{n} needs series order {n + 1} > {law.order}"
         )
-    coeff = logarithm(law).coefficient((n + 1,))
+    coeff = law.log.coefficient((n + 1,))
     value = coeff * Fraction(n + 1)
     return convert_element(value, law.ring)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
 
 class RingMismatchError(ValueError):
@@ -70,6 +72,7 @@ CHOW_RING = RingDescriptor("chow", (), "Z")
 K0_RING = RingDescriptor("k0", (Generator("b", -1, invertible=True),), "Z")
 
 
+@lru_cache(maxsize=None)
 def universal_ring(n: int) -> RingDescriptor:
     """Q[m_1, ..., m_n] with deg(m_i) = -i, truncated at |degree| <= n."""
     if n < 0:
@@ -230,12 +233,16 @@ class GradedRingElement:
         self._check_ring(other)
         ring = self.ring
         bound = ring.truncation
+        degree = ring.monomial_degree
+        # each factor term's degree once; pairs past the bound never build a monomial
+        right = [(m2, c2, degree(m2)) for m2, c2 in other.terms.items()]
         out: dict = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                if bound is not None and abs(ring.monomial_degree(mono)) > bound:
+            d1 = degree(m1)
+            for m2, c2, d2 in right:
+                if bound is not None and abs(d1 + d2) > bound:
                     continue
+                mono = tuple(map(add, m1, m2))
                 s = out.get(mono, 0) + c1 * c2
                 if s == 0:
                     out.pop(mono, None)

@@ -9,18 +9,17 @@ seeded, so a run is reproducible.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .fgl import (
     additive_law,
     check_fgl_axioms,
     formal_inverse,
-    logarithm,
     multiplicative_law,
     projective_space_class,
     universal_law,
 )
 from .gring import GradedRingElement, random_homogeneous
+from .linalg import solve_columns
 from .motives import (
     Correspondence,
     TateMotive,
@@ -95,7 +94,7 @@ def suite_fgl(rng) -> str:
     laws = (additive_law(order), multiplicative_law(order), universal_law(order))
     for law in laws:
         check_fgl_axioms(law)
-        log = logarithm(law)
+        log = law.log
         exp = log.reversion()
         x = TruncatedSeries.variable(log.ring, ("x",), "x", order)
         require(log.substitute("x", exp) == x, "log(exp(x)) = x")
@@ -179,8 +178,10 @@ def random_block_idempotent(rng, theory, motive: TateMotive) -> Correspondence:
                 sign = rng.choice((-1, 1))
                 for col in range(size):
                     basis[i][col] += sign * basis[j][col]
-        inverse = _invert_unimodular(basis)
-        block = _int_mat_mul(_int_mat_mul(inverse, diag), basis)
+        identity = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+        inverse = solve_columns(basis, identity)
+        require(all(x.denominator == 1 for row in inverse for x in row), "integral inverse")
+        block = _mat_mul(_mat_mul(inverse, diag), basis)
         for i in range(size):
             for j in range(size):
                 entries[(offset + i, offset + j)] = block[i][j]
@@ -193,26 +194,9 @@ def random_block_idempotent(rng, theory, motive: TateMotive) -> Correspondence:
     return Correspondence(theory, motive, motive, 0, rows)
 
 
-def _int_mat_mul(a, b):
+def _mat_mul(a, b):
     n = len(a)
     return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(len(b[0]))] for i in range(n)]
-
-
-def _invert_unimodular(m):
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    require(all(x.denominator == 1 for row in out for x in row), "integral inverse")
-    return [[int(x) for x in row] for row in out]
 
 
 def suite_idempotents(rng, rounds=40) -> str:

@@ -1,10 +1,13 @@
 """Oriented theory instances and the free model of projective space.
 
-A theory bundles a coefficient ring with its formal group law.  Elements
-of the rank-(m+1) free module over the coefficient ring model the theory
-on m-dimensional projective space with basis 1, t, ..., t^m where t is the
-first Chern class of the tautological line bundle; t^(m+1) = 0 is imposed.
-Push-forward to the point sends t^i to the class of P^(m-i).
+A theory bundles a coefficient ring with its formal group law.  The law is
+built the first time it is read: the twist decomposition and the graded
+groups need only the ring, and only push-forward classes such as [P^n]
+read the law.  Elements of the rank-(m+1) free module over the coefficient
+ring model the theory on m-dimensional projective space with basis
+1, t, ..., t^m where t is the first Chern class of the tautological line
+bundle; t^(m+1) = 0 is imposed.  Push-forward to the point sends t^i to
+the class of P^(m-i).
 """
 
 from __future__ import annotations
@@ -13,24 +16,46 @@ from functools import lru_cache
 
 from .fgl import (
     DEFAULT_ORDER,
-    FormalGroupLaw,
     additive_law,
     multiplicative_law,
     projective_space_class,
     universal_law,
 )
-from .gring import GradedRingElement, RingMismatchError
+from .gring import (
+    CHOW_RING,
+    K0_RING,
+    GradedRingElement,
+    RingDescriptor,
+    RingMismatchError,
+    universal_ring,
+)
 
 
 class OrientedTheory:
-    """A named coefficient ring together with its group law."""
+    """A named coefficient ring together with its group law.
 
-    __slots__ = ("name", "ring", "law")
+    `build(order)` makes the law over `ring`; `law` is built on first access
+    and then stored.  Equality, hashing and `repr` use the name, the ring
+    and the order, so they never build it.
+    """
 
-    def __init__(self, name: str, law: FormalGroupLaw):
+    __slots__ = ("name", "ring", "order", "build", "law")
+
+    def __init__(self, name: str, ring: RingDescriptor, order: int, build):
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ring", law.ring)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "build", build)
+
+    def __getattr__(self, name):
+        # only reached while the `law` slot is still empty
+        if name != "law":
+            raise AttributeError(name)
+        law = self.build(self.order)
+        if law.ring != self.ring or law.order != self.order:
+            raise ValueError(f"{self.name}: the built law has another ring or order")
         object.__setattr__(self, "law", law)
+        return law
 
     def __setattr__(self, name, value):
         raise AttributeError("OrientedTheory is immutable")
@@ -41,11 +66,11 @@ class OrientedTheory:
         return (
             self.name == other.name
             and self.ring == other.ring
-            and self.law.order == other.law.order
+            and self.order == other.order
         )
 
     def __hash__(self):
-        return hash((self.name, self.ring, self.law.order))
+        return hash((self.name, self.ring, self.order))
 
     def __repr__(self):
         return f"<theory {self.name}>"
@@ -68,17 +93,17 @@ def _point_class(theory: OrientedTheory, n: int) -> GradedRingElement:
 
 @lru_cache(maxsize=None)
 def chow(order: int = DEFAULT_ORDER) -> OrientedTheory:
-    return OrientedTheory("chow", additive_law(order))
+    return OrientedTheory("chow", CHOW_RING, order, additive_law)
 
 
 @lru_cache(maxsize=None)
 def k0(order: int = DEFAULT_ORDER) -> OrientedTheory:
-    return OrientedTheory("k0", multiplicative_law(order))
+    return OrientedTheory("k0", K0_RING, order, multiplicative_law)
 
 
 @lru_cache(maxsize=None)
 def universal(n: int) -> OrientedTheory:
-    return OrientedTheory(f"universal:{n}", universal_law(n))
+    return OrientedTheory(f"universal:{n}", universal_ring(n), n, universal_law)
 
 
 def theory_from_selector(selector: str, truncation: int | None = None) -> OrientedTheory:

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import motivec
 from motivec.cli import ENV_TRUNCATION, RunConfig, main, run
+from motivec.theory import universal
 
 
 def invoke(argv, capsys):
@@ -186,3 +188,35 @@ def test_check_mode_fails_under_python_O():
     )
     assert proc.returncode == 2, proc.stderr
     assert "[FAIL] cellular-model: AssertionError" in proc.stdout
+
+
+@pytest.mark.parametrize("selector", ["universal:x", "universal:0"])
+def test_bad_universal_bound_with_truncation_names_the_selector(selector, capsys):
+    with pytest.raises(ValueError, match=repr(selector)):
+        RunConfig(space="P:1", theory=selector, truncation=3)
+    code, out, err = invoke(["--space", "P:1", "--theory", selector, "--truncation", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert repr(selector) in err and ">= 1" in err
+
+
+@pytest.mark.parametrize("mode, answer", [("motive", "0 1 2 2 3 4\n"), ("poincare", "1 1 2 1 1\n")])
+def test_large_universal_bound_answers_without_a_law(mode, answer):
+    start = time.perf_counter()
+    out, code = run(RunConfig(space="Gr:2,4", theory="universal:40", mode=mode))
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and out == answer
+
+
+@pytest.mark.parametrize("mode", ["motive", "groups", "poincare", "dual"])
+def test_answers_never_build_the_law(mode, monkeypatch):
+    def refuse(order):
+        raise AssertionError(f"universal_law({order}) was built")
+
+    monkeypatch.setattr(motivec.theory, "universal_law", refuse)
+    universal.cache_clear()
+    try:
+        out, code = run(RunConfig(space="quadric:3", theory="universal:5", mode=mode))
+    finally:
+        universal.cache_clear()
+    assert code == 0 and out

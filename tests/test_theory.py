@@ -2,7 +2,10 @@ import random
 
 import pytest
 
-from motivec.gring import GradedRingElement, RingMismatchError, random_homogeneous
+import motivec.fgl as fgl_module
+import motivec.theory as theory_module
+from motivec.fgl import logarithm, projective_space_class, universal_law
+from motivec.gring import GradedRingElement, RingMismatchError, random_homogeneous, universal_ring
 from motivec.theory import (
     OrientedTheory,
     ProjectiveSpaceElement,
@@ -130,3 +133,57 @@ def test_theory_equality_and_cache():
     assert universal(4) == universal(4)
     assert chow() != k0()
     assert isinstance(chow(), OrientedTheory)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Orders of the universal laws built while the test runs, with
+    universal(n) made anew."""
+    orders = []
+
+    def counting(order):
+        orders.append(order)
+        return universal_law(order)
+
+    monkeypatch.setattr(theory_module, "universal_law", counting)
+    universal.cache_clear()
+    yield orders
+    universal.cache_clear()
+
+
+def test_equality_and_hash_build_no_law(built):
+    a = universal(4)
+    b = OrientedTheory("universal:4", universal_ring(4), 4, universal_law)
+    assert a == b and hash(a) == hash(b) and a != universal(5)
+    assert repr(a) == "<theory universal:4>" and {a: 1}[b] == 1
+    assert a.ring.truncation == 4 and a.order == 4
+    assert built == []
+
+
+def test_law_is_built_once_and_kept(built):
+    t = universal(4)
+    assert t.law is t.law
+    assert t.law.order == 4 and t.law.ring == t.ring
+    assert built == [4]
+
+
+def test_point_class_equals_projective_space_class():
+    law = universal_law(6)
+    for k in range(0, 6):
+        assert universal(6).point_class(k) == projective_space_class(law, k)
+
+
+def test_logarithm_is_computed_once_per_law(monkeypatch):
+    calls = []
+
+    def counting(law):
+        calls.append(law)
+        return logarithm(law)
+
+    monkeypatch.setattr(fgl_module, "logarithm", counting)
+    law = universal_law(6)
+    for k in range(1, 6):
+        projective_space_class(law, k)
+    assert law.log is law.log
+    assert law.log == logarithm(law)
+    assert calls == [law]
