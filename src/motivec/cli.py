@@ -18,16 +18,20 @@ JSON output schema (stable, keys sorted)::
     }
 
 Exit codes: 0 on success, 1 on configuration or parse errors, 2 when an
-internal invariant fails (check mode failures, or a dual-mode mismatch).
+internal invariant fails (check mode failures, or a dual-mode mismatch)
+and for any other error, reported as one ``internal error`` line.
+
+A request imports the package's arithmetic, space, parser and motive
+modules plus ``argparse``; ``json`` loads only for ``--format json`` and
+:mod:`motivec.selfcheck` only for ``--mode check``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dsl import ParseError, parse_document
 from .motives import (
@@ -38,7 +42,6 @@ from .motives import (
     poincare_polynomial,
     realize_table,
 )
-from .selfcheck import run_all
 from .spaces import POINT, SpaceExpr, grassmannian, projective_space, quadric
 from .theory import OrientedTheory, theory_from_selector
 
@@ -47,31 +50,26 @@ ENV_TRUNCATION = "MOTIVEC_TRUNCATION"
 MODES = ("motive", "groups", "poincare", "dual", "check")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    space: str
-    theory: str
-    mode: str = "motive"
-    format: str = "text"
-    file: str | None = None
-    truncation: int | None = None
+class RunConfig(namedtuple("RunConfig", "space theory mode format file truncation")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.format not in ("text", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
-        if not self.theory.startswith("universal"):
-            if self.truncation is not None:
+    def __new__(cls, space, theory, mode="motive", format="text", file=None, truncation=None):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if format not in ("text", "json"):
+            raise ValueError(f"unknown format {format!r}")
+        if not theory.startswith("universal"):
+            if truncation is not None:
                 raise ValueError("truncation only applies to the universal theory")
-        elif self.truncation is not None:
+        elif truncation is not None:
             # N must be valid and agree with the truncation; builds no law
-            theory_from_selector(self.theory, self.truncation)
-        elif self.theory == "universal":
+            theory_from_selector(theory, truncation)
+        elif theory == "universal":
             raise ValueError(
                 "the universal theory needs a truncation bound "
                 "(universal:N, --truncation, or MOTIVEC_TRUNCATION)"
             )
+        return super().__new__(cls, space, theory, mode, format, file, truncation)
 
 
 def resolve_space(config: RunConfig) -> SpaceExpr:
@@ -123,6 +121,7 @@ def _groups_text(table: GradedModuleTable) -> list[str]:
 def run(config: RunConfig) -> tuple[str, int]:
     """Execute one request; returns (output document, exit code)."""
     if config.mode == "check":
+        from .selfcheck import run_all
         lines = []
         failed = False
         for name, ok, detail in run_all():
@@ -162,6 +161,7 @@ def run(config: RunConfig) -> tuple[str, int]:
             exit_code = 2
 
     if config.format == "json":
+        import json
         return json.dumps(doc, sort_keys=True, indent=2) + "\n", exit_code
     return text + "\n", exit_code
 
@@ -212,6 +212,9 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, OSError, KeyError) as exc:
         print(f"motivec: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"motivec: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     sys.stdout.write(output)
     return code
 

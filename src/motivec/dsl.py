@@ -32,6 +32,7 @@ from .spaces import (
     quadric,
 )
 
+MAX_UNION_NESTING = 256  # parsing, printing and hashing recurse once per union(...) level
 _RESERVED = {"space", "cell", "base", "rank", "codim", "point", "union", "P", "quadric", "Gr"}
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -198,7 +199,7 @@ class _Parser:
         except ValueError as exc:
             raise ParseError(str(exc), cell_tok.line, cell_tok.col) from exc
 
-    def parse_expr(self) -> SpaceExpr:
+    def parse_expr(self, depth: int = 0) -> SpaceExpr:
         tok = self.peek()
         if tok.kind != "name":
             self.fail(f"expected a space expression, got {tok.value!r}", tok)
@@ -230,11 +231,13 @@ class _Parser:
             except ValueError as exc:
                 raise ParseError(str(exc), tok.line, tok.col) from exc
         if word == "union":
+            if depth == MAX_UNION_NESTING:
+                self.fail(f"union(...) nested more than {MAX_UNION_NESTING} levels deep", tok)
             self.advance()
             self.expect("(")
-            left = self.parse_expr()
+            left = self.parse_expr(depth + 1)
             self.expect(",")
-            right = self.parse_expr()
+            right = self.parse_expr(depth + 1)
             self.expect(")")
             return DisjointUnion(left, right)
         if word in _RESERVED:

@@ -9,7 +9,7 @@ from exponent vectors to nonzero scalars; all arithmetic is exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -23,30 +23,24 @@ class TruncationError(ValueError):
     """Raised when a query reaches beyond the ring's degree bound."""
 
 
-@dataclass(frozen=True)
-class Generator:
-    symbol: str
-    degree: int
-    invertible: bool = False
+class Generator(namedtuple("Generator", "symbol degree invertible", defaults=(False,))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
-    """A graded coefficient ring: generators, scalar field and degree bound."""
+class RingDescriptor(namedtuple("RingDescriptor", "name generators field truncation")):
+    """A graded coefficient ring: generators, scalar field ("Z" or "Q") and degree bound."""
 
-    name: str
-    generators: tuple[Generator, ...]
-    field: str  # "Z" or "Q"
-    truncation: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        symbols = [g.symbol for g in self.generators]
+    def __new__(cls, name, generators, field, truncation=None):
+        symbols = [g.symbol for g in generators]
         if len(set(symbols)) != len(symbols):
-            raise ValueError(f"duplicate generator symbols in ring {self.name!r}")
-        if self.field not in ("Z", "Q"):
-            raise ValueError(f"scalar field must be 'Z' or 'Q', got {self.field!r}")
-        if self.truncation is not None and self.truncation < 0:
+            raise ValueError(f"duplicate generator symbols in ring {name!r}")
+        if field not in ("Z", "Q"):
+            raise ValueError(f"scalar field must be 'Z' or 'Q', got {field!r}")
+        if truncation is not None and truncation < 0:
             raise ValueError("truncation bound must be >= 0")
+        return super().__new__(cls, name, generators, field, truncation)
 
     @property
     def rational(self) -> bool:
@@ -341,13 +335,10 @@ def substitute_generators(
 # -- module bases per degree ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModuleDescription:
+class ModuleDescription(namedtuple("ModuleDescription", "field ring monomials")):
     """A free module in one degree: its scalar field and monomial basis."""
 
-    field: str
-    ring: RingDescriptor
-    monomials: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def rank(self) -> int:

@@ -17,7 +17,7 @@ modules over the coefficient ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import groupby
 
@@ -323,8 +323,7 @@ def is_idempotent(p: Correspondence) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SplitCertificate:
+class SplitCertificate(namedtuple("SplitCertificate", "motive section retraction integral")):
     """An image motive with section/retraction certificates.
 
     retraction o section is the identity of the image and
@@ -332,10 +331,7 @@ class SplitCertificate:
     records whether the certificates use integer scalars only.
     """
 
-    motive: TateMotive
-    section: Correspondence
-    retraction: Correspondence
-    integral: bool
+    __slots__ = ()
 
 
 def split_idempotent(p: Correspondence) -> SplitCertificate:
@@ -541,13 +537,11 @@ def duality_holds(space: SpaceExpr) -> bool:
 # -- realization --------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
-class GradedModuleTable:
+class GradedModuleTable(namedtuple("GradedModuleTable", "entries periodic", defaults=(False,))):
     """Degree-indexed module descriptions; K-theory style tables are
     periodic and carry one description valid in every degree."""
 
-    entries: tuple[tuple[int, ModuleDescription], ...]
-    periodic: bool = False
+    __slots__ = ()
 
     def rank(self, k: int) -> int:
         if self.periodic:

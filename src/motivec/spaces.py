@@ -15,7 +15,7 @@ dimension of each node is computed once and cached on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 
@@ -93,17 +93,15 @@ class Point(SpaceExpr):
 POINT = Point()
 
 
-@dataclass(frozen=True)
-class Cell:
-    base: SpaceExpr
-    rank: int
-    codim: int
+class Cell(namedtuple("Cell", "base rank codim")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.rank, int) or self.rank < 0:
-            raise ValueError(f"cell rank must be a nonnegative integer, got {self.rank}")
-        if not isinstance(self.codim, int) or self.codim < 0:
-            raise ValueError(f"cell codim must be a nonnegative integer, got {self.codim}")
+    def __new__(cls, base, rank, codim):
+        if not isinstance(rank, int) or rank < 0:
+            raise ValueError(f"cell rank must be a nonnegative integer, got {rank}")
+        if not isinstance(codim, int) or codim < 0:
+            raise ValueError(f"cell codim must be a nonnegative integer, got {codim}")
+        return super().__new__(cls, base, rank, codim)
 
 
 class Cellular(SpaceExpr):

@@ -220,3 +220,97 @@ def test_answers_never_build_the_law(mode, monkeypatch):
     finally:
         universal.cache_clear()
     assert code == 0 and out
+
+
+def test_run_config_is_an_immutable_checked_record():
+    config = RunConfig(space="P:3", theory="chow")
+    assert repr(config) == (
+        "RunConfig(space='P:3', theory='chow', mode='motive', format='text', "
+        "file=None, truncation=None)"
+    )
+    assert config == RunConfig("P:3", "chow", "motive", "text", None, None)
+    assert hash(config) == hash(("P:3", "chow", "motive", "text", None, None))
+    with pytest.raises(AttributeError):
+        config.mode = "groups"
+    with pytest.raises(AttributeError):
+        config.extra = 1
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        RunConfig(space="point", theory="chow", format="xml")
+    with pytest.raises(ValueError, match="^truncation only applies to the universal theory$"):
+        RunConfig(space="point", theory="k0", truncation=2)
+    with pytest.raises(ValueError, match="^the universal theory needs a truncation bound"):
+        RunConfig(space="point", theory="universal")
+
+
+# Runs the CLI as `python -m motivec.cli` would and reports, on stderr, the
+# modules the request imported beyond those of the probe's own start-up.
+STARTUP_PROBE = """
+import runpy, sys
+before = set(sys.modules)
+sys.argv[0] = "motivec"
+code = 0
+try:
+    runpy.run_module("motivec.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write(" ".join(sorted(set(sys.modules) - before)))
+sys.exit(code)
+"""
+
+
+def run_fresh(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(motivec.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, set(proc.stderr.split())
+
+
+def test_a_request_imports_only_what_it_uses():
+    code, out, imported = run_fresh(["--space", "P:3"])
+    assert code == 0 and out == "0 1 2 3\n"
+    assert "motivec.motives" in imported
+    assert not imported & {"dataclasses", "inspect", "json", "motivec.selfcheck"}
+
+    argv = ["--space", "P:3", "--mode", "groups", "--format", "json"]
+    code, out, imported = run_fresh(argv)
+    assert code == 0 and "json" in imported
+    assert out == run(RunConfig(space="P:3", theory="chow", mode="groups", format="json"))[0]
+    assert json.loads(out)["groups"] == {"0": 1, "1": 1, "2": 1, "3": 1}
+
+    code, out, imported = run_fresh(["--mode", "check"])
+    assert code == 0 and "motivec.selfcheck" in imported
+    lines = out.splitlines()
+    assert len(lines) == 7 and all(l.startswith("[PASS]") for l in lines)
+
+
+def test_unexpected_errors_are_one_line_exit_2(tmp_path, capsys):
+    """A 100-level union(s, s) tower over P(2) folds to counts of 2**100;
+    expanding it for --mode groups overflows inside the interpreter."""
+    lines = ["space s0 { cell { base = P(2); rank = 0; codim = 0 } }"]
+    lines += [
+        f"space s{i} {{ cell {{ base = union(s{i - 1}, s{i - 1}); rank = 0; codim = 0 }} }}"
+        for i in range(1, 101)
+    ]
+    doc = tmp_path / "tower.txt"
+    doc.write_text("\n".join(lines) + "\n")
+    argv = ["--file", str(doc), "--space", "s100"]
+    code, out, err = invoke(argv + ["--mode", "poincare"], capsys)
+    assert code == 0 and out == " ".join([str(2**100)] * 3) + "\n"
+    code, out, err = invoke(argv + ["--mode", "groups"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("motivec: internal error: OverflowError: ")
+    assert err.count("\n") == 1
+
+
+def test_deeply_nested_union_is_a_parse_error(tmp_path, capsys):
+    doc = tmp_path / "nested.txt"
+    text = "point"
+    for _ in range(1200):
+        text = f"union({text}, point)"
+    doc.write_text(text + "\n")
+    code, out, err = invoke(["--file", str(doc), "--space", "_"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("motivec: line 1, col ") and "nested more than" in err
+    assert err.count("\n") == 1

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from motivec.dsl import ParseError, parse_document, parse_space, print_space
+from motivec.dsl import MAX_UNION_NESTING, ParseError, parse_document, parse_space, print_space
 from motivec.spaces import (
     POINT,
     Cell,
     Cellular,
     DisjointUnion,
     grassmannian,
+    normalize,
     projective_space,
     quadric,
 )
@@ -197,3 +198,30 @@ def test_union_of_user_spaces_as_a_base():
     printed = print_space(both)
     assert "union(a, b)" in printed
     assert parse_space(printed) == both
+
+
+def nested_unions(depth: int) -> str:
+    text = "point"
+    for _ in range(depth):
+        text = f"union({text}, point)"
+    return text
+
+
+def test_union_nesting_at_the_limit_answers():
+    text = nested_unions(MAX_UNION_NESTING)
+    space = parse_space(text)
+    assert space.dim() == 0
+    assert print_space(space) == text
+    assert normalize(space) == space
+    assert hash(normalize(space)) == hash(space)
+
+
+def test_union_nesting_past_the_limit_is_a_positioned_error():
+    # the refused union is the innermost one, after MAX_UNION_NESTING "union(" openers
+    with pytest.raises(ParseError, match="nested more than") as exc:
+        parse_space(nested_unions(MAX_UNION_NESTING + 1))
+    assert (exc.value.line, exc.value.col) == (1, 6 * MAX_UNION_NESTING + 1)
+    right = "union(point, " * (MAX_UNION_NESTING + 1) + "point" + ")" * (MAX_UNION_NESTING + 1)
+    with pytest.raises(ParseError) as exc:
+        parse_space(f"space s {{\n  cell {{ base = {right}; rank = 0; codim = 0 }}\n}}\n")
+    assert (exc.value.line, exc.value.col) == (2, 17 + 13 * MAX_UNION_NESTING)

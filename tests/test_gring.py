@@ -6,7 +6,9 @@ import pytest
 from motivec.gring import (
     CHOW_RING,
     K0_RING,
+    Generator,
     GradedRingElement,
+    RingDescriptor,
     RingMismatchError,
     TruncationError,
     component_rank,
@@ -249,3 +251,30 @@ def test_substitute_generators_keeps_laurent_identity():
     k0_q = K0_RING.rationalized()
     binv = gen(k0_q, "b", -1)
     assert substitute_generators(binv, k0_q, {}) == binv
+
+
+def test_ring_records_are_immutable_value_tuples():
+    b = K0_RING.generators[0]
+    assert repr(b) == "Generator(symbol='b', degree=-1, invertible=True)"
+    assert repr(CHOW_RING) == "RingDescriptor(name='chow', generators=(), field='Z', truncation=None)"
+    desc = component_rank(K0_RING, 2)
+    assert repr(desc) == f"ModuleDescription(field='Z', ring={K0_RING!r}, monomials=((-2,),))"
+    assert Generator("m_1", -1) == Generator(symbol="m_1", degree=-1, invertible=False)
+    assert hash(b) == hash(("b", -1, True))
+    assert universal_ring(3) == RingDescriptor("universal(3)", U3.generators, "Q", truncation=3)
+    for record, field in ((b, "degree"), (U3, "truncation"), (desc, "monomials")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+def test_ring_descriptor_validation():
+    x = Generator("x", -1)
+    with pytest.raises(ValueError, match="^duplicate generator symbols in ring 'r'$"):
+        RingDescriptor("r", (x, Generator("x", -2)), "Q")
+    with pytest.raises(ValueError, match="^scalar field must be 'Z' or 'Q', got 'R'$"):
+        RingDescriptor("r", (x,), "R")
+    with pytest.raises(ValueError, match="^truncation bound must be >= 0$"):
+        RingDescriptor("r", (x,), "Q", truncation=-1)
+    assert RingDescriptor("r", (x,), "Q", 0).truncation == 0

@@ -6,6 +6,7 @@ import pytest
 from motivec.gring import GradedRingElement
 from motivec.motives import (
     Correspondence,
+    GradedModuleTable,
     NonSplittableError,
     NotIdempotentError,
     TateMotive,
@@ -448,3 +449,17 @@ def test_realize_table_additivity():
                 realize(a, theory, k).rank + realize(b, theory, k).rank
                 == realize(combined, theory, k).rank
             )
+
+
+def test_module_table_and_certificate_are_immutable_records():
+    table = realize_table(decompose_by_rank(projective_space(1)), chow())
+    assert GradedModuleTable(entries=table.entries) == table
+    assert not table.periodic
+    assert repr(GradedModuleTable(entries=())) == "GradedModuleTable(entries=(), periodic=False)"
+    m = TateMotive([0, 1])
+    cert = split_idempotent(identity_correspondence(chow(), m))
+    for record, field in ((table, "periodic"), (cert, "integral")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = 1

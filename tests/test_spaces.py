@@ -116,3 +116,20 @@ def test_flag_count_matches_binomial():
     for n in range(0, 9):
         for d in range(0, n + 1):
             assert leaves(grassmannian(d, n)) == comb(n, d)
+
+
+def test_cell_is_an_immutable_checked_record():
+    cell = Cell(POINT, 1, 0)
+    assert repr(cell) == "Cell(base=Point(), rank=1, codim=0)"
+    assert cell == Cell(base=POINT, rank=1, codim=0)
+    assert hash(cell) == hash((POINT, 1, 0))
+    with pytest.raises(AttributeError):
+        cell.rank = 2
+    with pytest.raises(AttributeError):
+        cell.extra = 1
+    with pytest.raises(ValueError, match="^cell rank must be a nonnegative integer, got -1$"):
+        Cell(POINT, -1, 0)
+    with pytest.raises(ValueError, match="^cell codim must be a nonnegative integer, got -2$"):
+        Cell(POINT, 0, -2)
+    with pytest.raises(ValueError, match="^cell rank must be a nonnegative integer, got 1.5$"):
+        Cell(POINT, 1.5, 0)
