@@ -43,7 +43,7 @@ from .motives import (
     realize_table,
 )
 from .spaces import POINT, SpaceExpr, grassmannian, projective_space, quadric
-from .theory import OrientedTheory, theory_from_selector
+from .theory import theory_from_selector
 
 ENV_TRUNCATION = "MOTIVEC_TRUNCATION"
 
@@ -102,10 +102,6 @@ def resolve_space(config: RunConfig) -> SpaceExpr:
     )
 
 
-def resolve_theory(config: RunConfig) -> OrientedTheory:
-    return theory_from_selector(config.theory, config.truncation)
-
-
 def _groups_json(table: GradedModuleTable) -> dict:
     if table.periodic:
         return {"*": table.total_rank()}
@@ -131,7 +127,7 @@ def run(config: RunConfig) -> tuple[str, int]:
         return "\n".join(lines) + "\n", (2 if failed else 0)
 
     space = resolve_space(config)
-    theory = resolve_theory(config)
+    theory = theory_from_selector(config.theory, config.truncation)
     doc: dict = {"space": config.space, "theory": theory.name, "dim": space.dim()}
     exit_code = 0
 

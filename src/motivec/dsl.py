@@ -30,9 +30,10 @@ from .spaces import (
     grassmannian,
     projective_space,
     quadric,
+    walk_dag,
 )
 
-MAX_UNION_NESTING = 256  # parsing, printing and hashing recurse once per union(...) level
+MAX_UNION_NESTING = 256  # only the parser recurses over a space, once per union(...) level
 _RESERVED = {"space", "cell", "base", "rank", "codim", "point", "union", "P", "quadric", "Gr"}
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -273,14 +274,19 @@ def print_space(space: SpaceExpr) -> str:
     user-shaped cellular spaces come out as a document whose last
     declaration is the space itself.
     """
-    names: dict[int, str] = {}
-    decls: list[tuple[str, Cellular]] = []
-    taken: set[str] = set()
+    text: dict[int, str] = {}  # node id -> its expression or declared name
+    taken: set[str] = set()  # one declared name per declaration
+    lines: list[str] = []
+
+    def expr_str(s: SpaceExpr) -> str | None:
+        # built-ins print as themselves and are not walked into
+        form = getattr(s, "expr_form", None)
+        return form if form is not None else text.get(id(s))
 
     def fresh_name(wanted: str | None) -> str:
         base = wanted if wanted and _NAME_RE.fullmatch(wanted) and wanted not in _RESERVED else None
         if base is None:
-            base = f"s{len(decls)}"
+            base = f"s{len(taken)}"
         candidate, k = base, 1
         while candidate in taken:
             candidate = f"{base}_{k}"
@@ -289,41 +295,26 @@ def print_space(space: SpaceExpr) -> str:
         return candidate
 
     def visit(s: SpaceExpr):
-        if isinstance(s, Cellular) and s.expr_form is None:
-            if id(s) in names:
-                return
-            for cell in s.cells:
-                visit(cell.base)
-            name = fresh_name(s.name)
-            names[id(s)] = name
-            decls.append((name, s))
-        elif isinstance(s, DisjointUnion):
-            visit(s.left)
-            visit(s.right)
-
-    def expr_str(s: SpaceExpr) -> str:
         if isinstance(s, Point):
-            return "point"
-        if isinstance(s, Cellular):
-            return s.expr_form if s.expr_form is not None else names[id(s)]
-        if isinstance(s, DisjointUnion):
-            return f"union({expr_str(s.left)}, {expr_str(s.right)})"
-        raise TypeError(f"cannot print {type(s).__name__}")
+            text[id(s)] = "point"
+        elif isinstance(s, DisjointUnion):
+            text[id(s)] = f"union({expr_str(s.left)}, {expr_str(s.right)})"
+        elif isinstance(s, Cellular):
+            name = text[id(s)] = fresh_name(s.name)
+            lines.append(f"space {name} {{")
+            lines.extend(
+                f"  cell {{ base = {expr_str(c.base)}; rank = {c.rank}; codim = {c.codim} }}"
+                for c in s.cells
+            )
+            lines.append("}")
+        else:
+            raise TypeError(f"cannot print {type(s).__name__}")
 
-    visit(space)
+    walk_dag(space, lambda s: expr_str(s) is not None, visit)
     if not isinstance(space, Cellular) or space.expr_form is not None:
-        if decls:
+        if lines:
             raise ValueError(
                 "top-level expression mentions user-defined spaces; print those instead"
             )
         return expr_str(space)
-
-    lines = []
-    for name, s in decls:
-        lines.append(f"space {name} {{")
-        for cell in s.cells:
-            lines.append(
-                f"  cell {{ base = {expr_str(cell.base)}; rank = {cell.rank}; codim = {cell.codim} }}"
-            )
-        lines.append("}")
     return "\n".join(lines) + "\n"

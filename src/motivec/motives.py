@@ -35,6 +35,8 @@ from .linalg import (
 from .spaces import Cellular, DisjointUnion, Point, SpaceExpr, walk_dag
 from .theory import OrientedTheory
 
+MAX_TWISTS = 1 << 24  # the largest motive whose twist tuple may be expanded
+
 
 class NotIdempotentError(ValueError):
     """The given endomorphism does not square to itself."""
@@ -49,7 +51,8 @@ class TateMotive:
 
     `histogram` holds sorted (twist, multiplicity) pairs with positive
     multiplicities and `size` their total; `twists`, the sorted tuple with
-    one entry per generator, is expanded on first access and then stored.
+    one entry per generator, is expanded on first access and then stored,
+    and refused with a ValueError when `size` exceeds MAX_TWISTS.
     """
 
     __slots__ = ("histogram", "size", "twists")
@@ -88,6 +91,8 @@ class TateMotive:
         # only reached while the `twists` slot is still empty
         if name != "twists":
             raise AttributeError(name)
+        if self.size > MAX_TWISTS:
+            raise ValueError(f"motive has {self.size} twists, more than the {MAX_TWISTS} it may list")
         tw = tuple(t for t, m in self.histogram for _ in range(m))
         object.__setattr__(self, "twists", tw)
         return tw
@@ -558,13 +563,6 @@ class GradedModuleTable(namedtuple("GradedModuleTable", "entries periodic", defa
         if self.periodic:
             return self.entries[0][1].rank if self.entries else 0
         return sum(desc.rank for _, desc in self.entries)
-
-    def as_json(self) -> dict:
-        degrees = {
-            str(degree): {"rank": desc.rank, "basis": desc.basis_strings()}
-            for degree, desc in self.entries
-        }
-        return {"periodic": self.periodic, "degrees": degrees}
 
 
 def realize(motive: TateMotive, theory: OrientedTheory, k: int) -> ModuleDescription:

@@ -9,6 +9,7 @@ seeded, so a run is reproducible.
 from __future__ import annotations
 
 import random
+from math import comb
 
 from .fgl import (
     additive_law,
@@ -242,15 +243,8 @@ def suite_realization(rng) -> str:
         for dd in range(0, n + 1):
             motive = decompose_by_rank(grassmannian(dd, n))
             coeffs = poincare_polynomial(motive)
-            require(sum(coeffs) == _binomial(n, dd), "Grassmannian twist count is binomial")
+            require(sum(coeffs) == comb(n, dd), "Grassmannian twist count is binomial")
     return "quadric tables and twist counts"
-
-
-def _binomial(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 SUITES = (

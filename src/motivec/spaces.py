@@ -7,10 +7,11 @@ Codimensions strictly increase from 0.  Equality between spaces is
 structural and ignores display names.
 
 Spaces are immutable DAGs whose sub-spaces are often shared (the
-Grassmannian recursion, references in the text format).  Walks over
-them go through :func:`walk_dag`, which visits each shared node once and
-keeps its own stack, so deep chains do not hit the recursion limit; the
-dimension of each node is computed once and cached on it.
+Grassmannian recursion, references in the text format).  Every walk over
+them (dimension, hash, equality, :func:`normalize`, printing) goes
+through :func:`walk_dag`, which visits each shared node once and keeps
+its own stack, so deep chains do not hit the recursion limit; the
+dimension and hash of each node are computed once and cached on it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ class EquidimensionalityViolation(ValueError):
 class SpaceExpr:
     """Base class for space expressions."""
 
-    _dim: int | None = None  # cached once known; see _settle_dims
+    _dim: int | None = None  # cached once known; see _settle
+    _hash: int | None = None
 
     def dim(self) -> int:
         raise NotImplementedError
@@ -34,6 +36,27 @@ class SpaceExpr:
     def parts(self) -> tuple["SpaceExpr", ...]:
         """The sub-spaces this node is built from, in order."""
         raise NotImplementedError
+
+    def __hash__(self):
+        return self._hash if self._hash is not None else _settle(self, "_hash")
+
+    def __eq__(self, other):
+        """Structural equality, names ignored.  Each pair of nodes is
+        compared once, without recursion; unequal cached hashes reject."""
+        if not isinstance(other, SpaceExpr):
+            return NotImplemented
+        todo, seen = [(self, other)], set()
+        while todo:
+            a, b = todo.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if type(a) is not type(b) or hash(a) != hash(b):
+                return False
+            if isinstance(a, Cellular) and [c[1:] for c in a.cells] != [c[1:] for c in b.cells]:
+                return False
+            seen.add((id(a), id(b)))
+            todo.extend(zip(a.parts(), b.parts()))
+        return True
 
 
 def walk_dag(space: SpaceExpr, settled, visit) -> None:
@@ -62,29 +85,26 @@ def walk_dag(space: SpaceExpr, settled, visit) -> None:
             visit(node)
 
 
-def _settle_dims(space: SpaceExpr) -> int:
+def _settle(space: SpaceExpr, slot: str) -> int:
+    """Fill the cached `slot` ("_dim" or "_hash") of every node under
+    `space` from its `_own<slot>` method; returns the value at `space`."""
     walk_dag(
         space,
-        lambda node: node._dim is not None,
-        lambda node: object.__setattr__(node, "_dim", node._own_dim()),
+        lambda node: getattr(node, slot) is not None,
+        lambda node: object.__setattr__(node, slot, getattr(node, "_own" + slot)()),
     )
-    return space._dim
+    return getattr(space, slot)
 
 
 class Point(SpaceExpr):
     _dim = 0
+    _hash = hash("point")
 
     def dim(self) -> int:
         return 0
 
     def parts(self) -> tuple:
         return ()
-
-    def __eq__(self, other):
-        return isinstance(other, Point)
-
-    def __hash__(self):
-        return hash("point")
 
     def __repr__(self):
         return "Point()"
@@ -107,7 +127,7 @@ class Cell(namedtuple("Cell", "base rank codim")):
 class Cellular(SpaceExpr):
     """A filtered space: nonempty cells with codims strictly increasing from 0."""
 
-    __slots__ = ("cells", "name", "expr_form", "_dim")
+    __slots__ = ("cells", "name", "expr_form", "_dim", "_hash")
 
     def __init__(self, cells, name: str | None = None, expr_form: str | None = None):
         cells = tuple(cells)
@@ -124,12 +144,13 @@ class Cellular(SpaceExpr):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "expr_form", expr_form)
         object.__setattr__(self, "_dim", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cellular is immutable")
 
     def dim(self) -> int:
-        return self._dim if self._dim is not None else _settle_dims(self)
+        return self._dim if self._dim is not None else _settle(self, "_dim")
 
     def parts(self) -> tuple[SpaceExpr, ...]:
         return tuple(c.base for c in self.cells)
@@ -142,12 +163,7 @@ class Cellular(SpaceExpr):
             )
         return values[0]
 
-    def __eq__(self, other):
-        if not isinstance(other, Cellular):
-            return NotImplemented
-        return self.cells == other.cells
-
-    def __hash__(self):
+    def _own_hash(self) -> int:
         return hash(self.cells)
 
     def __repr__(self):
@@ -158,18 +174,19 @@ class Cellular(SpaceExpr):
 class DisjointUnion(SpaceExpr):
     """Two components side by side; both must have the same dimension."""
 
-    __slots__ = ("left", "right", "_dim")
+    __slots__ = ("left", "right", "_dim", "_hash")
 
     def __init__(self, left: SpaceExpr, right: SpaceExpr):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "_dim", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DisjointUnion is immutable")
 
     def dim(self) -> int:
-        return self._dim if self._dim is not None else _settle_dims(self)
+        return self._dim if self._dim is not None else _settle(self, "_dim")
 
     def parts(self) -> tuple[SpaceExpr, ...]:
         return (self.left, self.right)
@@ -182,16 +199,15 @@ class DisjointUnion(SpaceExpr):
             )
         return dl
 
-    def __eq__(self, other):
-        if not isinstance(other, DisjointUnion):
-            return NotImplemented
-        return self.left == other.left and self.right == other.right
-
-    def __hash__(self):
+    def _own_hash(self) -> int:
         return hash((self.left, self.right))
 
     def __repr__(self):
-        return f"DisjointUnion({self.left!r}, {self.right!r})"
+        # one level only: a shared union tower's full form doubles per level
+        left, right = (
+            "DisjointUnion(...)" if isinstance(p, DisjointUnion) else repr(p) for p in self.parts()
+        )
+        return f"DisjointUnion({left}, {right})"
 
 
 # -- builders ---------------------------------------------------------------
@@ -226,15 +242,23 @@ def quadric(d: int) -> SpaceExpr:
 
 def normalize(space: SpaceExpr) -> SpaceExpr:
     """Collapse cells that add nothing: a single cell of rank 0 and codim 0
-    over some base is that base."""
-    if isinstance(space, DisjointUnion):
-        return DisjointUnion(normalize(space.left), normalize(space.right))
-    if isinstance(space, Cellular):
-        cells = tuple(Cell(normalize(c.base), c.rank, c.codim) for c in space.cells)
-        if len(cells) == 1 and cells[0].rank == 0 and cells[0].codim == 0:
-            return cells[0].base
-        return Cellular(cells, name=space.name, expr_form=space.expr_form)
-    return space
+    over some base is that base.  Shared nodes stay shared."""
+    out: dict[int, SpaceExpr] = {}
+
+    def visit(node):
+        new = node
+        if isinstance(node, DisjointUnion):
+            new = DisjointUnion(out[id(node.left)], out[id(node.right)])
+        elif isinstance(node, Cellular):
+            cells = tuple(Cell(out[id(c.base)], c.rank, c.codim) for c in node.cells)
+            if len(cells) == 1 and cells[0].rank == 0 and cells[0].codim == 0:
+                new = cells[0].base
+            else:
+                new = Cellular(cells, name=node.name, expr_form=node.expr_form)
+        out[id(node)] = new
+
+    walk_dag(space, lambda node: id(node) in out, visit)
+    return out[id(space)]
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ import pytest
 
 import motivec
 from motivec.cli import ENV_TRUNCATION, RunConfig, main, run
+from motivec.motives import MAX_TWISTS
 from motivec.theory import universal
+from test_dsl import tower_document
 
 
 def invoke(argv, capsys):
@@ -190,6 +193,18 @@ def test_check_mode_fails_under_python_O():
     assert "[FAIL] cellular-model: AssertionError" in proc.stdout
 
 
+def test_package_has_no_assert_statements():
+    """`python -O` strips assert statements, so no check may be one."""
+    package = os.path.dirname(os.path.abspath(motivec.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), name)
+            found += [f"{name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == []
+
+
 @pytest.mark.parametrize("selector", ["universal:x", "universal:0"])
 def test_bad_universal_bound_with_truncation_names_the_selector(selector, capsys):
     with pytest.raises(ValueError, match=repr(selector)):
@@ -302,6 +317,15 @@ def test_unexpected_errors_are_one_line_exit_2(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("motivec: internal error: OverflowError: ")
     assert err.count("\n") == 1
+
+
+def test_motive_mode_refuses_more_twists_than_the_budget(tmp_path, capsys):
+    doc = tmp_path / "tower.txt"
+    doc.write_text(tower_document(100))
+    argv = ["--file", str(doc), "--space", "s100", "--mode", "motive"]
+    code, out, err = invoke(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"motivec: motive has {3 * 2**100} twists, more than the {MAX_TWISTS} it may list\n"
 
 
 def test_deeply_nested_union_is_a_parse_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from motivec.spaces import (
     projective_space,
     quadric,
 )
+from test_fold import CHAIN
 
 Q1_TEXT = """
 space q2 {
@@ -225,3 +227,38 @@ def test_union_nesting_past_the_limit_is_a_positioned_error():
     with pytest.raises(ParseError) as exc:
         parse_space(f"space s {{\n  cell {{ base = {right}; rank = 0; codim = 0 }}\n}}\n")
     assert (exc.value.line, exc.value.col) == (2, 17 + 13 * MAX_UNION_NESTING)
+
+
+def tower_document(levels: int) -> str:
+    """A union(s, s) tower over P(2): `levels` + 1 declarations, 3 * 2**levels twists."""
+    lines = ["space s0 { cell { base = P(2); rank = 0; codim = 0 } }"]
+    lines += [
+        f"space s{i} {{ cell {{ base = union(s{i - 1}, s{i - 1}); rank = 0; codim = 0 }} }}"
+        for i in range(1, levels + 1)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_hundred_level_tower_walks_each_shared_node_once():
+    start = time.perf_counter()
+    space = parse_space(tower_document(100))
+    again = parse_space(print_space(space))
+    assert hash(again) == hash(space) and again == space
+    flat = normalize(space)
+    assert isinstance(flat, DisjointUnion) and flat.dim() == 2
+    assert repr(flat) == "DisjointUnion(DisjointUnion(...), DisjointUnion(...))"
+    assert flat == normalize(again)
+    assert time.perf_counter() - start < 2
+
+
+def test_deep_chain_built_with_the_api_walks_without_recursion():
+    space = POINT
+    for _ in range(CHAIN):
+        space = Cellular([Cell(space, 1, 0)])
+    text = print_space(space)
+    assert text.count("space ") == CHAIN
+    again = parse_space(text)
+    assert hash(again) == hash(space) and again == space
+    flat = normalize(space)
+    assert flat is not space and flat == space
+    assert hash(flat) == hash(space)

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from motivec import motives
 from motivec.gring import GradedRingElement
 from motivec.motives import (
     Correspondence,
@@ -463,3 +464,14 @@ def test_module_table_and_certificate_are_immutable_records():
             setattr(record, field, None)
         with pytest.raises(AttributeError):
             record.extra = 1
+
+
+def test_twist_expansion_is_refused_past_the_budget(monkeypatch):
+    monkeypatch.setattr(motives, "MAX_TWISTS", 3)
+    assert TateMotive.from_histogram([(0, 1), (2, 2)]).twists == (0, 2, 2)
+    big = TateMotive.from_histogram([(0, 2), (2, 2)])
+    with pytest.raises(ValueError, match="^motive has 4 twists, more than the 3 it may list$"):
+        big.twists
+    with pytest.raises(ValueError):
+        list(big)
+    assert big.size == 4 and poincare_polynomial(big) == [2, 0, 2]

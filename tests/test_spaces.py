@@ -12,6 +12,7 @@ from motivec.spaces import (
     normalize,
     projective_space,
     quadric,
+    walk_dag,
 )
 
 
@@ -133,3 +134,42 @@ def test_cell_is_an_immutable_checked_record():
         Cell(POINT, 0, -2)
     with pytest.raises(ValueError, match="^cell rank must be a nonnegative integer, got 1.5$"):
         Cell(POINT, 1.5, 0)
+
+
+def distinct_nodes(space) -> int:
+    seen = set()
+    walk_dag(space, lambda node: id(node) in seen, lambda node: seen.add(id(node)))
+    return len(seen)
+
+
+def test_normalize_keeps_shared_nodes_shared():
+    space = grassmannian(9, 18)
+    flat = normalize(space)
+    assert flat == space
+    assert distinct_nodes(flat) == distinct_nodes(space) == 74
+
+
+def test_hash_keeps_its_formula():
+    p1 = projective_space(1)
+    assert hash(POINT) == hash("point")
+    assert hash(p1) == hash(p1.cells)
+    assert hash(DisjointUnion(p1, POINT)) == hash((p1, POINT))
+
+
+def test_equality_compares_structure_not_just_hashes():
+    a = Cellular([Cell(POINT, 1, 0), Cell(POINT, 0, 1)])
+    b = Cellular([Cell(POINT, 0, 0), Cell(POINT, 1, 1)])
+    object.__setattr__(b, "_hash", hash(a))  # a forced collision
+    assert a != b
+    assert DisjointUnion(a, a) != DisjointUnion(a, b)
+    assert type(POINT)() == POINT and POINT != 0
+    assert projective_space(2) == Cellular([Cell(POINT, 2 - i, i) for i in range(3)])
+    assert projective_space(1) != DisjointUnion(POINT, POINT)
+
+
+def test_union_repr_shows_one_level():
+    p1 = projective_space(1)
+    assert repr(DisjointUnion(POINT, POINT)) == "DisjointUnion(Point(), Point())"
+    assert repr(DisjointUnion(DisjointUnion(p1, p1), p1)) == (
+        "DisjointUnion(DisjointUnion(...), Cellular<P(1)>)"
+    )
