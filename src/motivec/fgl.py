@@ -15,7 +15,6 @@ from .gring import (
     CHOW_RING,
     K0_RING,
     GradedRingElement,
-    RingDescriptor,
     TruncationError,
     convert_element,
     universal_ring,
@@ -87,20 +86,16 @@ def multiplicative_law(order: int = DEFAULT_ORDER) -> FormalGroupLaw:
 def universal_law(order: int) -> FormalGroupLaw:
     """exp(log(x) + log(y)) with log(x) = x + sum m_i x^(i+1)."""
     ring = universal_ring(order)
-    log = _universal_log(ring, order)
+    log = universal_log(order)
     exp = log.reversion()
-    log_x = log.lift(_XY)
-    log_y = log.lift(_XY).substitute_many(
-        {
-            "x": TruncatedSeries.variable(ring, _XY, "y", order),
-            "y": TruncatedSeries.variable(ring, _XY, "x", order),
-        }
-    )
-    f = exp.substitute("x", log_x + log_y)
+    log_y = TruncatedSeries(ring, ("y",), order, log.terms).lift(_XY)
+    f = exp.substitute("x", log.lift(_XY) + log_y)
     return FormalGroupLaw(f"universal({order})", f)
 
 
-def _universal_log(ring: RingDescriptor, order: int) -> TruncatedSeries:
+def universal_log(order: int) -> TruncatedSeries:
+    """x + sum m_i x^(i+1) over universal_ring(order): the universal law's logarithm."""
+    ring = universal_ring(order)
     terms = {(1,): GradedRingElement.one(ring)}
     for i in range(1, order):
         terms[(i + 1,)] = GradedRingElement.generator(ring, f"m_{i}")
@@ -115,12 +110,7 @@ def check_fgl_axioms(law: FormalGroupLaw) -> None:
     zero1 = TruncatedSeries.zero(ring, ("x",), order)
     if law.apply(x1, zero1) != x1 or law.apply(zero1, x1) != x1:
         raise AssertionError(f"{law.name}: F(x,0) = x fails")
-    swapped = f.substitute_many(
-        {
-            "x": TruncatedSeries.variable(ring, _XY, "y", order),
-            "y": TruncatedSeries.variable(ring, _XY, "x", order),
-        }
-    )
+    swapped = TruncatedSeries(ring, _XY, order, {(j, i): c for (i, j), c in f.terms.items()})
     if swapped != f:
         raise AssertionError(f"{law.name}: commutativity fails")
     xyz = ("x", "y", "z")
@@ -157,10 +147,11 @@ def exponential(law: FormalGroupLaw) -> TruncatedSeries:
 def formal_inverse(law: FormalGroupLaw) -> TruncatedSeries:
     """The series i(x) with F(x, i(x)) = 0, over the law's own ring."""
     ring, order = law.ring, law.order
-    x = TruncatedSeries.variable(ring, ("x",), "x", order)
-    inv = -x
+    inv = -TruncatedSeries.variable(ring, ("x",), "x", order)
     for k in range(2, order + 1):
-        defect = law.apply(x, inv).coefficient((k,))
+        # step k reads only the x^k coefficient: apply the law at order k
+        images = {"x": TruncatedSeries.variable(ring, ("x",), "x", k), "y": inv.truncated(k)}
+        defect = law.series.truncated(k).substitute_many(images).coefficient((k,))
         if defect.is_zero():
             continue
         inv = inv - TruncatedSeries.from_terms(ring, ("x",), order, {(k,): defect})

@@ -4,6 +4,11 @@ A ring is described by a list of named generators with integer degrees
 (optionally invertible, i.e. Laurent) over Z or Q, with an optional bound
 on the absolute degree of retained monomials.  Elements are sparse maps
 from exponent vectors to nonzero scalars; all arithmetic is exact.
+
+An element carries its sorted degree tuple, filled on first read or handed
+on by the operation that built it: a product of homogeneous factors lies in
+one known degree, so it is refused past the bound at once and never
+computes a term's degree.
 """
 
 from __future__ import annotations
@@ -94,11 +99,21 @@ class GradedRingElement:
     stores monomials beyond the ring's truncation bound.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_degs")
 
-    def __init__(self, ring: RingDescriptor, terms: dict):
+    def __init__(self, ring: RingDescriptor, terms: dict, degs: tuple | None = None):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", terms)
+        if degs is not None:
+            object.__setattr__(self, "_degs", degs)
+
+    def __getattr__(self, name):
+        # only reached while the `_degs` slot is still empty
+        if name != "_degs":
+            raise AttributeError(name)
+        degs = tuple(sorted({self.ring.monomial_degree(m) for m in self.terms}))
+        object.__setattr__(self, "_degs", degs)
+        return degs
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedRingElement is immutable")
@@ -151,19 +166,19 @@ class GradedRingElement:
         return not self.terms
 
     def degrees(self) -> list[int]:
-        return sorted({self.ring.monomial_degree(m) for m in self.terms})
+        return list(self._degs)
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
-        ds = self.degrees()
+        ds = self._degs
         if degree is None:
             return len(ds) <= 1
-        return ds == [] or ds == [degree]
+        return not ds or ds == (degree,)
 
     def degree(self) -> int:
         """Degree of a nonzero homogeneous element."""
-        ds = self.degrees()
+        ds = self._degs
         if len(ds) != 1:
-            raise ValueError(f"element is not nonzero homogeneous: degrees {ds}")
+            raise ValueError(f"element is not nonzero homogeneous: degrees {list(ds)}")
         return ds[0]
 
     def homogeneous_component(self, k: int) -> "GradedRingElement":
@@ -197,6 +212,10 @@ class GradedRingElement:
         if other is NotImplemented:
             return NotImplemented
         self._check_ring(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for m, c in other.terms.items():
             s = terms.get(m, 0) + c
@@ -204,12 +223,15 @@ class GradedRingElement:
                 terms.pop(m, None)
             else:
                 terms[m] = s
+        ds = self._degs
+        if len(ds) == 1 and other._degs == ds:
+            return GradedRingElement(self.ring, terms, ds if terms else ())
         return GradedRingElement(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedRingElement(self.ring, {m: -c for m, c in self.terms.items()})
+        return GradedRingElement(self.ring, {m: -c for m, c in self.terms.items()}, self._degs)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -226,13 +248,29 @@ class GradedRingElement:
             return NotImplemented
         self._check_ring(other)
         ring = self.ring
+        left, right = self.terms, other.terms
+        if not left or not right:
+            return GradedRingElement(ring, {}, ())
         bound = ring.truncation
+        degs = None
+        da, db = self._degs, other._degs
+        if len(da) == 1 and len(db) == 1:
+            # homogeneous factors: the whole product lies in one degree
+            d = da[0] + db[0]
+            if bound is not None and abs(d) > bound:
+                return GradedRingElement(ring, {}, ())
+            degs, bound = (d,), None
+        if bound is None and (len(left) == 1 or len(right) == 1):
+            # a single-term factor shifts the other's monomials: no two collide
+            out = {tuple(map(add, m1, m2)): c1 * c2
+                   for m1, c1 in left.items() for m2, c2 in right.items()}
+            return GradedRingElement(ring, out, degs)
         degree = ring.monomial_degree
         # each factor term's degree once; pairs past the bound never build a monomial
-        right = [(m2, c2, degree(m2)) for m2, c2 in other.terms.items()]
+        right = [(m2, c2, 0 if bound is None else degree(m2)) for m2, c2 in right.items()]
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            d1 = degree(m1)
+        for m1, c1 in left.items():
+            d1 = 0 if bound is None else degree(m1)
             for m2, c2, d2 in right:
                 if bound is not None and abs(d1 + d2) > bound:
                     continue
@@ -242,7 +280,7 @@ class GradedRingElement:
                     out.pop(mono, None)
                 else:
                     out[mono] = s
-        return GradedRingElement(ring, out)
+        return GradedRingElement(ring, out, degs)
 
     __rmul__ = __mul__
 

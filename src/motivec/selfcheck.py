@@ -18,6 +18,7 @@ from .fgl import (
     multiplicative_law,
     projective_space_class,
     universal_law,
+    universal_log,
 )
 from .gring import GradedRingElement, random_homogeneous
 from .linalg import solve_columns
@@ -109,6 +110,7 @@ def suite_fgl(rng) -> str:
     b = GradedRingElement.generator(k0().ring, "b")
     for n in range(0, order - 1):
         require(projective_space_class(laws[1], n) == b ** n, "multiplicative [P^n] = b^n")
+    require(laws[2].log == universal_log(order), "universal log = x + sum m_i x^(i+1)")
     return "group law axioms, log/exp, inverses, projective classes"
 
 

@@ -3,11 +3,16 @@
 Variables all sit in degree +1; coefficients are exact ring elements.
 Terms beyond a fixed total variable degree are dropped everywhere, so all
 operations are exact statements about the quotient by that order.
+
+Substitution is Horner-like: terms are grouped by the exponent of the first
+variable and each group is multiplied by one power of its image.  Reversion
+reads one new coefficient per step, so step k composes at order k only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .gring import (
     GradedRingElement,
@@ -147,13 +152,14 @@ class TruncatedSeries:
             return NotImplemented
         self._check_compatible(other)
         order = self.order
+        right = [(e2, c2, sum(e2)) for e2, c2 in other.terms.items()]
         acc: dict = {}
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > order:
+            room = order - sum(e1)
+            for e2, c2, d2 in right:
+                if d2 > room:
                     continue
-                expo = tuple(a + b for a, b in zip(e1, e2))
+                expo = tuple(map(add, e1, e2))
                 c = c1 * c2
                 prev = acc.get(expo)
                 c = c if prev is None else prev + c
@@ -197,11 +203,9 @@ class TruncatedSeries:
         for t in picked:
             if not t.constant_term().is_zero():
                 raise SubstitutionError("substitution target has a nonzero constant term")
-        out = TruncatedSeries.zero(self.ring, target.variables, target.order)
-        powers = [
-            [TruncatedSeries.constant(GradedRingElement.one(self.ring), target.variables, target.order)]
-            for _ in picked
-        ]
+        variables, order = target.variables, target.order
+        one = TruncatedSeries.constant(GradedRingElement.one(self.ring), variables, order)
+        powers = [[one] for _ in picked]
 
         def power_of(i, n):
             cache = powers[i]
@@ -209,12 +213,19 @@ class TruncatedSeries:
                 cache.append(cache[-1] * picked[i])
             return cache[n]
 
+        # Horner-like in the first variable: sum each group's inner series,
+        # then multiply it by one power of the first image
+        groups: dict = {}
         for expo, coeff in self.terms.items():
-            piece = TruncatedSeries.constant(coeff, target.variables, target.order)
-            for i, e in enumerate(expo):
-                if e:
-                    piece = piece * power_of(i, e)
-            out = out + piece
+            rest = one
+            for i in range(1, len(expo)):
+                if expo[i]:
+                    rest = power_of(i, expo[i]) if rest is one else rest * power_of(i, expo[i])
+            piece = rest.scale(coeff)
+            groups[expo[0]] = groups[expo[0]] + piece if expo[0] in groups else piece
+        out = TruncatedSeries.zero(self.ring, variables, order)
+        for e0, inner in groups.items():
+            out = out + (inner * power_of(0, e0) if e0 else inner)
         return out
 
     def substitute(self, symbol: str, image: "TruncatedSeries") -> "TruncatedSeries":
@@ -245,6 +256,13 @@ class TruncatedSeries:
                 new[pos] = e
             terms[tuple(new)] = coeff
         return TruncatedSeries(self.ring, variables, self.order, terms)
+
+    def truncated(self, order: int) -> "TruncatedSeries":
+        """The same series modulo total degree above a lower `order`."""
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate a series of order {self.order} to order {order}")
+        terms = {e: c for e, c in self.terms.items() if sum(e) <= order}
+        return TruncatedSeries(self.ring, self.variables, order, terms)
 
     # -- univariate tools ------------------------------------------------------
 
@@ -290,8 +308,8 @@ class TruncatedSeries:
         var = self.variables[0]
         g = TruncatedSeries.variable(self.ring, self.variables, var, self.order)
         for k in range(2, self.order + 1):
-            composed = self.substitute(var, g)
-            c = composed.coefficient((k,))
+            # step k reads only the x^k coefficient: compose at order k
+            c = self.truncated(k).substitute(var, g.truncated(k)).coefficient((k,))
             if c.is_zero():
                 continue
             g = g - TruncatedSeries.from_terms(self.ring, self.variables, self.order, {(k,): c})

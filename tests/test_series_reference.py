@@ -1,0 +1,178 @@
+"""Horner substitution and working-order reversion against the plain algorithms.
+
+The references below are the straightforward versions: substitution builds
+every term as a constant series times the powers of the images, reversion
+composes at the full order at every step, and the formal inverse applies the
+whole law at every step.  They are kept here, independent of the package's
+algorithms, so that the package must agree with them coefficient by
+coefficient: on the built-in laws, on universal laws built entirely from the
+references, on random univariate reversions and on random substitutions.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from motivec.fgl import (
+    additive_law,
+    formal_inverse,
+    logarithm,
+    multiplicative_law,
+    universal_law,
+    universal_log,
+)
+from motivec.gring import GradedRingElement, random_homogeneous, universal_ring
+from motivec.series import SubstitutionError, TruncatedSeries
+from motivec.theory import chow, k0, universal
+
+XY = ("x", "y")
+
+
+def ref_substitute_many(series, images):
+    """Every term as a constant series times the powers of the images."""
+    picked = [images[v] for v in series.variables]
+    target = picked[0]
+    for t in picked:
+        if not t.constant_term().is_zero():
+            raise SubstitutionError("substitution target has a nonzero constant term")
+    one = GradedRingElement.one(series.ring)
+    powers = [[TruncatedSeries.constant(one, target.variables, target.order)] for _ in picked]
+    out = TruncatedSeries.zero(series.ring, target.variables, target.order)
+    for expo, coeff in series.terms.items():
+        piece = TruncatedSeries.constant(coeff, target.variables, target.order)
+        for i, e in enumerate(expo):
+            while len(powers[i]) <= e:
+                powers[i].append(powers[i][-1] * picked[i])
+            if e:
+                piece = piece * powers[i][e]
+        out = out + piece
+    return out
+
+
+def ref_reversion(series):
+    """Compose at the full order at every step."""
+    (var,) = series.variables
+    x = TruncatedSeries.variable(series.ring, (var,), var, series.order)
+    g = x
+    for k in range(2, series.order + 1):
+        c = ref_substitute_many(series, {var: g}).coefficient((k,))
+        if not c.is_zero():
+            g = g - TruncatedSeries.from_terms(series.ring, (var,), series.order, {(k,): c})
+    return g
+
+
+def ref_formal_inverse(law):
+    """Apply the whole law at the full order at every step."""
+    x = TruncatedSeries.variable(law.ring, ("x",), "x", law.order)
+    inv = -x
+    for k in range(2, law.order + 1):
+        defect = ref_substitute_many(law.series, {"x": x, "y": inv}).coefficient((k,))
+        if not defect.is_zero():
+            inv = inv - TruncatedSeries.from_terms(law.ring, ("x",), law.order, {(k,): defect})
+    return inv
+
+
+def ref_universal_series(order):
+    """exp(log(x) + log(y)), built with the reference algorithms only."""
+    ring = universal_ring(order)
+    log = universal_log(order)
+    exp = ref_reversion(log)
+    y = TruncatedSeries.variable(ring, XY, "y", order)
+    x = TruncatedSeries.variable(ring, XY, "x", order)
+    log_y = ref_substitute_many(log.lift(XY), {"x": y, "y": x})
+    return ref_substitute_many(exp, {"x": log.lift(XY) + log_y})
+
+
+def assert_same(got, want):
+    assert (got.ring, got.variables, got.order) == (want.ring, want.variables, want.order)
+    assert set(got.terms) == set(want.terms)
+    for expo, coeff in want.terms.items():
+        assert got.terms[expo] == coeff, expo
+
+
+@pytest.mark.parametrize("law", [additive_law(10), multiplicative_law(10)], ids=repr)
+def test_builtin_law_reversion_and_inverse(law):
+    assert_same(law.log.reversion(), ref_reversion(law.log))
+    assert_same(formal_inverse(law), ref_formal_inverse(law))
+    xyz = ("x", "y", "z")
+    x, y, z = (TruncatedSeries.variable(law.ring, xyz, v, law.order) for v in xyz)
+    images = {"x": law.apply(x, y), "y": z}
+    assert_same(law.series.substitute_many(images), ref_substitute_many(law.series, images))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_universal_law_log_reversion_and_inverse(n):
+    law = universal_law(n)
+    assert_same(law.series, ref_universal_series(n))
+    assert_same(law.log, logarithm(law))
+    assert_same(law.log, universal_log(n))
+    assert_same(law.log.reversion(), ref_reversion(law.log))
+    assert_same(formal_inverse(law), ref_formal_inverse(law))
+
+
+def _random_coefficient(rng, ring, degree):
+    """Homogeneous of `degree`, or a random integer over the Chow ring."""
+    if not ring.generators:
+        return GradedRingElement.scalar(ring, rng.randint(-3, 3))
+    return random_homogeneous(rng, ring, degree)
+
+
+def _random_univariate(rng, ring, order):
+    """x plus random coefficients, of degree 1 - k at x^k."""
+    terms = {(1,): 1}
+    for k in range(2, order + 1):
+        terms[(k,)] = _random_coefficient(rng, ring, 1 - k)
+    return TruncatedSeries.from_terms(ring, ("x",), order, terms)
+
+
+@pytest.mark.parametrize("theory", [chow(), k0(), universal(6)], ids=repr)
+def test_random_reversions(theory):
+    rng = random.Random(5)
+    for order in (1, 2, 5, 8):
+        for _ in range(6):
+            s = _random_univariate(rng, theory.ring, order)
+            assert_same(s.reversion(), ref_reversion(s))
+
+
+def _random_series(rng, ring, variables, order, constant):
+    terms = {}
+    for _ in range(rng.randint(0, 8)):
+        expo = tuple(rng.randint(0, 3) for _ in variables)
+        if constant or any(expo):
+            terms[expo] = _random_coefficient(rng, ring, 1 - sum(expo))
+    return TruncatedSeries.from_terms(ring, variables, order, terms)
+
+
+@pytest.mark.parametrize("theory", [chow(), k0(), universal(6)], ids=repr)
+@pytest.mark.parametrize("targets", [XY, ("x", "y", "z"), ("t",)], ids="".join)
+def test_random_two_variable_substitutions(theory, targets):
+    rng = random.Random(9)
+    ring = theory.ring
+    for order in (0, 1, 3, 6):
+        for _ in range(8):
+            s = _random_series(rng, ring, XY, order, constant=True)
+            images = {v: _random_series(rng, ring, targets, order, constant=False) for v in XY}
+            assert_same(s.substitute_many(images), ref_substitute_many(s, images))
+
+
+def test_substitution_with_rational_scalars():
+    ring = universal_ring(4)
+    x = TruncatedSeries.variable(ring, XY, "x", 5)
+    y = TruncatedSeries.variable(ring, XY, "y", 5)
+    m1 = GradedRingElement.generator(ring, "m_1")
+    s = x + (x * y).scale(m1 * Fraction(1, 3)) - (y * y * x).scale(Fraction(2, 7))
+    images = {"x": x + y.scale(m1), "y": x * y - y}
+    assert_same(s.substitute_many(images), ref_substitute_many(s, images))
+
+
+def test_truncated_keeps_low_terms_and_refuses_to_widen():
+    ring = universal_ring(3)
+    x = TruncatedSeries.variable(ring, XY, "x", 4)
+    y = TruncatedSeries.variable(ring, XY, "y", 4)
+    s = x + x * y + (x * x * y * y).scale(GradedRingElement.generator(ring, "m_1"))
+    low = s.truncated(2)
+    assert low.order == 2 and set(low.terms) == {(1, 0), (1, 1)}
+    assert s.truncated(4) == s
+    with pytest.raises(ValueError, match="cannot truncate"):
+        s.truncated(5)
