@@ -104,15 +104,14 @@ class GradedRingElement:
     def __init__(self, ring: RingDescriptor, terms: dict, degs: tuple | None = None):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", terms)
-        if degs is not None:
-            object.__setattr__(self, "_degs", degs)
-
-    def __getattr__(self, name):
-        # only reached while the `_degs` slot is still empty
-        if name != "_degs":
-            raise AttributeError(name)
-        degs = tuple(sorted({self.ring.monomial_degree(m) for m in self.terms}))
+        # the sorted degree tuple, or None until `_degrees` first computes it
         object.__setattr__(self, "_degs", degs)
+
+    def _degrees(self) -> tuple:
+        degs = self._degs
+        if degs is None:
+            degs = tuple(sorted({self.ring.monomial_degree(m) for m in self.terms}))
+            object.__setattr__(self, "_degs", degs)
         return degs
 
     def __setattr__(self, name, value):
@@ -166,17 +165,17 @@ class GradedRingElement:
         return not self.terms
 
     def degrees(self) -> list[int]:
-        return list(self._degs)
+        return list(self._degrees())
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
-        ds = self._degs
+        ds = self._degrees()
         if degree is None:
             return len(ds) <= 1
         return not ds or ds == (degree,)
 
     def degree(self) -> int:
         """Degree of a nonzero homogeneous element."""
-        ds = self._degs
+        ds = self._degrees()
         if len(ds) != 1:
             raise ValueError(f"element is not nonzero homogeneous: degrees {list(ds)}")
         return ds[0]
@@ -223,8 +222,9 @@ class GradedRingElement:
                 terms.pop(m, None)
             else:
                 terms[m] = s
+        # a sum keeps a single degree both operands already know
         ds = self._degs
-        if len(ds) == 1 and other._degs == ds:
+        if ds is not None and len(ds) == 1 and other._degs == ds:
             return GradedRingElement(self.ring, terms, ds if terms else ())
         return GradedRingElement(self.ring, terms)
 
@@ -253,18 +253,13 @@ class GradedRingElement:
             return GradedRingElement(ring, {}, ())
         bound = ring.truncation
         degs = None
-        da, db = self._degs, other._degs
+        da, db = self._degrees(), other._degrees()
         if len(da) == 1 and len(db) == 1:
             # homogeneous factors: the whole product lies in one degree
             d = da[0] + db[0]
             if bound is not None and abs(d) > bound:
                 return GradedRingElement(ring, {}, ())
             degs, bound = (d,), None
-        if bound is None and (len(left) == 1 or len(right) == 1):
-            # a single-term factor shifts the other's monomials: no two collide
-            out = {tuple(map(add, m1, m2)): c1 * c2
-                   for m1, c1 in left.items() for m2, c2 in right.items()}
-            return GradedRingElement(ring, out, degs)
         degree = ring.monomial_degree
         # each factor term's degree once; pairs past the bound never build a monomial
         right = [(m2, c2, 0 if bound is None else degree(m2)) for m2, c2 in right.items()]

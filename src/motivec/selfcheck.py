@@ -85,9 +85,13 @@ def suite_graded_ring(rng) -> str:
             require((a * b) * c == a * (b * c), "ring multiplication is associative")
             require(a * (b + c) == a * b + a * c, "multiplication distributes over addition")
             require(a * one == a and a + zero == a, "one and zero are neutral")
-            got = set((a * b).degrees())
-            allowed = {da + db for da in a.degrees() for db in b.degrees()}
-            require(got <= allowed, "product degrees are sums of factor degrees")
+            # degrees read off the terms, so the carried degree tuples are checked too
+            deg = ring.monomial_degree
+            prod = a * b
+            got = {deg(m) for m in prod.terms}
+            allowed = {deg(m1) + deg(m2) for m1 in a.terms for m2 in b.terms}
+            require(got <= allowed and sorted(got) == prod.degrees(),
+                    "product degrees are sums of factor degrees")
     return "ring axioms and degree additivity"
 
 

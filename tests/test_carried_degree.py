@@ -103,3 +103,24 @@ def test_homogeneous_product_past_the_bound_is_zero(n):
         assert prod.is_zero()
         assert prod.degrees() == []
         assert prod.is_homogeneous(0) and prod.is_homogeneous(-n - 1)
+
+
+def test_sums_and_negation_compute_no_degree(monkeypatch):
+    """`+` and `-` hand on a degree only when their operands already know it."""
+    ring = universal(6).ring
+    rng = random.Random(5)
+    parts = [random_homogeneous(rng, ring, -d) for d in range(4)]
+    calls = []
+    original = RingDescriptor.monomial_degree
+
+    def counted(self, exponents):
+        calls.append(exponents)
+        return original(self, exponents)
+
+    monkeypatch.setattr(RingDescriptor, "monomial_degree", counted)
+    total = GradedRingElement.zero(ring)
+    for p in parts:
+        total = total + p - (-p)
+    assert calls == []
+    check(total)
+    assert calls
