@@ -21,9 +21,12 @@ Exit codes: 0 on success, 1 on configuration or parse errors, 2 when an
 internal invariant fails (check mode failures, or a dual-mode mismatch)
 and for any other error, reported as one ``internal error`` line.
 
-A request imports the package's arithmetic, space, parser and motive
-modules plus ``argparse``; ``json`` loads only for ``--format json`` and
-:mod:`motivec.selfcheck` only for ``--mode check``.
+A request imports the ring, space, theory and motive modules plus
+``argparse``.  The parser :mod:`motivec.dsl` loads only for ``--file``,
+``json`` only for ``--format json``, and :mod:`motivec.selfcheck` (with the
+series, group-law and linear-algebra modules) only for ``--mode check``.
+No built-in Chow or K0 request loads ``fractions``, and no answer other
+than a check builds a group law.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import os
 import sys
 from collections import namedtuple
 
-from .dsl import ParseError, parse_document
 from .motives import (
     GradedModuleTable,
     decompose_by_codim,
@@ -48,6 +50,13 @@ from .theory import theory_from_selector
 ENV_TRUNCATION = "MOTIVEC_TRUNCATION"
 
 MODES = ("motive", "groups", "poincare", "dual", "check")
+
+# built-in space selectors: head -> (constructor, the form its arguments take)
+SELECTORS = {
+    "P": (projective_space, "P:n"),
+    "quadric": (quadric, "quadric:d"),
+    "Gr": (grassmannian, "Gr:d,n"),
+}
 
 
 class RunConfig(namedtuple("RunConfig", "space theory mode format file truncation")):
@@ -74,6 +83,8 @@ class RunConfig(namedtuple("RunConfig", "space theory mode format file truncatio
 
 def resolve_space(config: RunConfig) -> SpaceExpr:
     if config.file is not None:
+        from .dsl import parse_document
+
         with open(config.file, "r", encoding="utf-8") as handle:
             documents = parse_document(handle.read())
         if config.space not in documents:
@@ -84,16 +95,19 @@ def resolve_space(config: RunConfig) -> SpaceExpr:
     selector = config.space
     if selector == "point":
         return POINT
-    if ":" in selector:
-        head, _, args = selector.partition(":")
+    head, colon, args = selector.partition(":")
+    if colon and head in SELECTORS:
+        build, form = SELECTORS[head]
         try:
-            if head == "P":
-                return projective_space(int(args))
-            if head == "quadric":
-                return quadric(int(args))
-            if head == "Gr":
-                d, n = args.split(",")
-                return grassmannian(int(d), int(n))
+            numbers = [int(a) for a in args.split(",")]
+        except ValueError:
+            numbers = []
+        if len(numbers) != form.count(",") + 1:
+            raise ValueError(
+                f"bad space selector {selector!r}: expected {form} with integer arguments"
+            )
+        try:
+            return build(*numbers)
         except ValueError as exc:
             raise ValueError(f"bad space selector {selector!r}: {exc}") from exc
     raise ValueError(
@@ -205,7 +219,7 @@ def main(argv=None) -> int:
             truncation=truncation,
         )
         output, code = run(config)
-    except (ParseError, ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # a ParseError is a ValueError
         print(f"motivec: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

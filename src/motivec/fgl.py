@@ -20,8 +20,7 @@ from .gring import (
     universal_ring,
 )
 from .series import TruncatedSeries
-
-DEFAULT_ORDER = 10
+from .theory import DEFAULT_ORDER
 
 _XY = ("x", "y")
 
@@ -29,18 +28,21 @@ _XY = ("x", "y")
 class FormalGroupLaw:
     """A commutative one-dimensional formal group law, truncated.
 
-    `log`, the law's :func:`logarithm`, is computed on first access and
+    `log`, the law's :func:`logarithm`, is given when the law is built
+    from a known logarithm, and otherwise computed on first access and
     then stored.
     """
 
     __slots__ = ("name", "ring", "series", "log")
 
-    def __init__(self, name: str, series: TruncatedSeries):
+    def __init__(self, name: str, series: TruncatedSeries, log: TruncatedSeries | None = None):
         if series.variables != _XY:
             raise ValueError("a formal group law lives in variables (x, y)")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "ring", series.ring)
         object.__setattr__(self, "series", series)
+        if log is not None:
+            object.__setattr__(self, "log", log)
 
     def __getattr__(self, name):
         # only reached while the `log` slot is still empty
@@ -90,7 +92,7 @@ def universal_law(order: int) -> FormalGroupLaw:
     exp = log.reversion()
     log_y = TruncatedSeries(ring, ("y",), order, log.terms).lift(_XY)
     f = exp.substitute("x", log.lift(_XY) + log_y)
-    return FormalGroupLaw(f"universal({order})", f)
+    return FormalGroupLaw(f"universal({order})", f, log)
 
 
 def universal_log(order: int) -> TruncatedSeries:

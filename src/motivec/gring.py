@@ -9,13 +9,15 @@ An element carries its sorted degree tuple, filled on first read or handed
 on by the operation that built it: a product of homogeneous factors lies in
 one known degree, so it is refused past the bound at once and never
 computes a term's degree.
+
+Integral arithmetic never loads :mod:`fractions`: it is imported on the
+first rational scalar, and a Fraction test reads ``sys.modules`` instead.
 """
 
 from __future__ import annotations
 
-import re
+import sys
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
@@ -80,14 +82,20 @@ def universal_ring(n: int) -> RingDescriptor:
     return RingDescriptor(f"universal({n})", gens, "Q", truncation=n)
 
 
+def _is_fraction(value) -> bool:
+    # a Fraction exists only once `fractions` is loaded, so this never loads it
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
+
+
 def _normalize_scalar(value, field: str):
-    if isinstance(value, Fraction):
+    if isinstance(value, int):
+        return value
+    if _is_fraction(value):
         if value.denominator == 1:
             return int(value)
         if field == "Z":
             raise ValueError(f"non-integer scalar {value} in an integral ring")
-        return value
-    if isinstance(value, int):
         return value
     raise TypeError(f"scalar must be int or Fraction, got {type(value).__name__}")
 
@@ -184,7 +192,8 @@ class GradedRingElement:
         picked = {m: c for m, c in self.terms.items() if self.ring.monomial_degree(m) == k}
         return GradedRingElement(self.ring, picked)
 
-    def coefficient(self, mono) -> int | Fraction:
+    def coefficient(self, mono):
+        """The scalar (an int or a Fraction) at `mono`, 0 when absent."""
         return self.terms.get(tuple(mono), 0)
 
     def scalar_part(self):
@@ -202,7 +211,7 @@ class GradedRingElement:
     def _coerce(self, other):
         if isinstance(other, GradedRingElement):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or _is_fraction(other):
             return GradedRingElement.scalar(self.ring, other)
         return NotImplemented
 
@@ -305,19 +314,21 @@ class GradedRingElement:
                 raise ValueError(f"scalar {coeff} is not a unit over Z")
             inv_coeff = coeff
         else:
+            from fractions import Fraction
+
             inv_coeff = Fraction(1) / coeff
         return GradedRingElement.from_terms(
             self.ring, {tuple(-e for e in mono): inv_coeff}
         )
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, GradedRingElement):
+            if not (isinstance(other, int) or _is_fraction(other)):
+                return NotImplemented
             try:
                 other = GradedRingElement.scalar(self.ring, other)
             except ValueError:
                 return False
-        if not isinstance(other, GradedRingElement):
-            return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
@@ -445,7 +456,7 @@ def render_monomial(ring: RingDescriptor, mono: tuple[int, ...]) -> str:
 
 
 def _render_scalar(value) -> str:
-    if isinstance(value, Fraction) and value.denominator != 1:
+    if _is_fraction(value) and value.denominator != 1:
         return f"{value.numerator}/{value.denominator}"
     return str(int(value))
 
@@ -472,13 +483,16 @@ def render_element(elem: GradedRingElement) -> str:
     return " ".join(pieces)
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|/|\+|-|\(|\)))")
+_TOKEN = r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|/|\+|-|\(|\)))"
 
 
 def _tokenize_element(text: str):
+    import re
+
+    match = re.compile(_TOKEN).match  # compiled on the first call, then cached by `re`
     pos, out = 0, []
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = match(text, pos)
         if not m or m.end() == pos:
             if text[pos:].strip():
                 raise ValueError(f"bad character in element syntax at {text[pos:]!r}")
@@ -508,12 +522,14 @@ def parse_element(ring: RingDescriptor, text: str) -> GradedRingElement:
         kind, value = tokens[idx]
         if kind == "int":
             idx += 1
-            scalar = Fraction(value)
+            scalar = value
             if peek() == "/":
                 idx += 1
                 if peek() != "int":
                     raise ValueError("expected denominator after '/'")
-                scalar = scalar / tokens[idx][1]
+                from fractions import Fraction
+
+                scalar = Fraction(value) / tokens[idx][1]
                 idx += 1
             return GradedRingElement.scalar(ring, scalar)
         if kind == "name":
@@ -576,6 +592,8 @@ def random_homogeneous(rng, ring: RingDescriptor, degree: int, span: int = 3) ->
         basis = component_rank(ring, degree).monomials
     except TruncationError:
         return GradedRingElement.zero(ring)
+    from fractions import Fraction
+
     terms = {}
     for mono in basis:
         c = rng.randint(-span, span)

@@ -18,7 +18,6 @@ modules over the coefficient ring.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import groupby
 
 from .gring import (
@@ -26,11 +25,6 @@ from .gring import (
     ModuleDescription,
     RingMismatchError,
     component_rank,
-)
-from .linalg import (
-    column_space_factorization,
-    integer_column_basis,
-    solve_columns,
 )
 from .spaces import Cellular, DisjointUnion, Point, SpaceExpr, walk_dag
 from .theory import OrientedTheory
@@ -348,6 +342,10 @@ def split_idempotent(p: Correspondence) -> SplitCertificate:
     factorization is found in the image lattice, hence integral; otherwise
     an exact rational factorization is returned and flagged.
     """
+    from fractions import Fraction
+
+    from .linalg import column_space_factorization, integer_column_basis, solve_columns
+
     if p.source != p.target or p.degree != 0:
         raise NotIdempotentError("splitting needs a degree-0 endomorphism")
     if compose(p, p) != p:

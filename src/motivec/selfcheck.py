@@ -15,6 +15,7 @@ from .fgl import (
     additive_law,
     check_fgl_axioms,
     formal_inverse,
+    logarithm,
     multiplicative_law,
     projective_space_class,
     universal_law,
@@ -114,7 +115,8 @@ def suite_fgl(rng) -> str:
     b = GradedRingElement.generator(k0().ring, "b")
     for n in range(0, order - 1):
         require(projective_space_class(laws[1], n) == b ** n, "multiplicative [P^n] = b^n")
-    require(laws[2].log == universal_log(order), "universal log = x + sum m_i x^(i+1)")
+    # the universal law carries its known logarithm; recompute it from the law
+    require(logarithm(laws[2]) == universal_log(order), "universal log = x + sum m_i x^(i+1)")
     return "group law axioms, log/exp, inverses, projective classes"
 
 

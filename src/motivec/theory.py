@@ -14,13 +14,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .fgl import (
-    DEFAULT_ORDER,
-    additive_law,
-    multiplicative_law,
-    projective_space_class,
-    universal_law,
-)
 from .gring import (
     CHOW_RING,
     K0_RING,
@@ -29,6 +22,28 @@ from .gring import (
     RingMismatchError,
     universal_ring,
 )
+
+DEFAULT_ORDER = 10  # series order of the Chow and K0 laws
+
+
+# The laws live in `fgl`, loaded on the first build.  These names are looked
+# up when a theory is made, so a caller may replace them.
+def additive_law(order: int):
+    from .fgl import additive_law
+
+    return additive_law(order)
+
+
+def multiplicative_law(order: int):
+    from .fgl import multiplicative_law
+
+    return multiplicative_law(order)
+
+
+def universal_law(order: int):
+    from .fgl import universal_law
+
+    return universal_law(order)
 
 
 class OrientedTheory:
@@ -88,6 +103,8 @@ class OrientedTheory:
 
 @lru_cache(maxsize=None)
 def _point_class(theory: OrientedTheory, n: int) -> GradedRingElement:
+    from .fgl import projective_space_class
+
     return projective_space_class(theory.law, n)
 
 

@@ -120,6 +120,25 @@ def test_negative_builtin_parameters_exit_1(capsys):
         assert "selector" in err or "d=" in err
 
 
+@pytest.mark.parametrize(
+    "selector, form",
+    [
+        ("P:", "P:n"),
+        ("P:1.5", "P:n"),
+        ("quadric:", "quadric:d"),
+        ("Gr:2", "Gr:d,n"),
+        ("Gr:2,4,5", "Gr:d,n"),
+        ("Gr:a,b", "Gr:d,n"),
+    ],
+)
+def test_malformed_builtin_selector_names_the_expected_form(selector, form, capsys):
+    code, out, err = invoke(["--space", selector], capsys)
+    assert code == 1 and out == ""
+    assert err == (
+        f"motivec: bad space selector {selector!r}: expected {form} with integer arguments\n"
+    )
+
+
 def test_file_spaces(tmp_path, capsys):
     doc = tmp_path / "spaces.txt"
     doc.write_text(
@@ -298,6 +317,39 @@ def test_a_request_imports_only_what_it_uses():
     assert code == 0 and "motivec.selfcheck" in imported
     lines = out.splitlines()
     assert len(lines) == 7 and all(l.startswith("[PASS]") for l in lines)
+
+
+# modules a built-in Chow or K0 answer never needs
+UNUSED_BY_BUILTINS = {
+    "fractions", "decimal", "motivec.fgl", "motivec.series", "motivec.dsl", "motivec.linalg",
+}
+
+
+@pytest.mark.parametrize("theory", ["chow", "k0"])
+@pytest.mark.parametrize("mode", ["motive", "groups", "poincare", "dual"])
+def test_builtin_requests_load_no_law_series_parser_or_fractions(theory, mode):
+    argv = ["--space", "Gr:2,4", "--theory", theory, "--mode", mode]
+    code, out, imported = run_fresh(argv)
+    assert code == 0
+    assert out == run(RunConfig(space="Gr:2,4", theory=theory, mode=mode))[0]
+    assert "motivec.motives" in imported
+    assert not imported & UNUSED_BY_BUILTINS
+
+
+def test_universal_groups_request_loads_no_group_law():
+    argv = ["--space", "Gr:2,4", "--theory", "universal:6", "--mode", "groups"]
+    code, out, imported = run_fresh(argv)
+    assert code == 0
+    assert out == run(RunConfig(space="Gr:2,4", theory="universal:6", mode="groups"))[0]
+    assert "motivec.theory" in imported and "motivec.fgl" not in imported
+
+
+def test_file_request_loads_the_parser(tmp_path):
+    doc = tmp_path / "spaces.txt"
+    doc.write_text("space line { cell { base = point; rank = 1; codim = 0 } }\n")
+    code, out, imported = run_fresh(["--file", str(doc), "--space", "line"])
+    assert code == 0 and out == "1\n"
+    assert "motivec.dsl" in imported
 
 
 def test_unexpected_errors_are_one_line_exit_2(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 import motivec.fgl as fgl_module
 import motivec.theory as theory_module
-from motivec.fgl import logarithm, projective_space_class, universal_law
+from motivec.fgl import logarithm, multiplicative_law, projective_space_class, universal_law
 from motivec.gring import GradedRingElement, RingMismatchError, random_homogeneous, universal_ring
 from motivec.theory import (
     OrientedTheory,
@@ -181,9 +181,19 @@ def test_logarithm_is_computed_once_per_law(monkeypatch):
         return logarithm(law)
 
     monkeypatch.setattr(fgl_module, "logarithm", counting)
+    # a law built without a known logarithm computes it on first use
+    law = multiplicative_law(6)
+    for k in range(1, 6):
+        projective_space_class(law, k)
+    assert law.log is law.log
+    assert calls == [law]
+    assert law.log == logarithm(law)
+
+    # the universal law is built with its known logarithm
+    calls.clear()
     law = universal_law(6)
     for k in range(1, 6):
         projective_space_class(law, k)
     assert law.log is law.log
+    assert calls == []
     assert law.log == logarithm(law)
-    assert calls == [law]
