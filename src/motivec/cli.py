@@ -21,8 +21,16 @@ Exit codes: 0 on success, 1 on configuration or parse errors, 2 when an
 internal invariant fails (check mode failures, or a dual-mode mismatch)
 and for any other error, reported as one ``internal error`` line.
 
-A request imports the ring, space, theory and motive modules plus
-``argparse``.  The parser :mod:`motivec.dsl` loads only for ``--file``,
+The ``groups`` and ``dual`` ranks are counted from the twist histogram and
+the coefficient ring's Hilbert series (:func:`motivec.motives.group_ranks`);
+no module basis is listed.
+
+A request imports the ring, space, theory and motive modules.  An argv of
+distinct ``--name value`` pairs of the six options, with a valid mode and
+format and a truncation of ASCII digits, is read directly; ``argparse``
+loads only for anything else (help, abbreviations, ``--name=value``,
+repeated options and every error), so that it alone writes help, usage and
+error text.  The parser :mod:`motivec.dsl` loads only for ``--file``,
 ``json`` only for ``--format json``, and :mod:`motivec.selfcheck` (with the
 series, group-law and linear-algebra modules) only for ``--mode check``.
 No built-in Chow or K0 request loads ``fractions``, and no answer other
@@ -31,25 +39,24 @@ than a check builds a group law.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections import namedtuple
 
-from .motives import (
-    GradedModuleTable,
-    decompose_by_codim,
-    decompose_by_rank,
-    duality_holds,
-    poincare_polynomial,
-    realize_table,
-)
+from .motives import decompose_by_codim, decompose_by_rank, group_ranks, poincare_polynomial
 from .spaces import POINT, SpaceExpr, grassmannian, projective_space, quadric
 from .theory import theory_from_selector
 
 ENV_TRUNCATION = "MOTIVEC_TRUNCATION"
 
 MODES = ("motive", "groups", "poincare", "dual", "check")
+FORMATS = ("text", "json")
+
+# the command-line options and their defaults
+OPTIONS = {
+    "space": "point", "file": None, "theory": "chow", "mode": "motive", "format": "text",
+    "truncation": None,
+}
 
 # built-in space selectors: head -> (constructor, the form its arguments take)
 SELECTORS = {
@@ -65,7 +72,7 @@ class RunConfig(namedtuple("RunConfig", "space theory mode format file truncatio
     def __new__(cls, space, theory, mode="motive", format="text", file=None, truncation=None):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-        if format not in ("text", "json"):
+        if format not in FORMATS:
             raise ValueError(f"unknown format {format!r}")
         if not theory.startswith("universal"):
             if truncation is not None:
@@ -116,16 +123,16 @@ def resolve_space(config: RunConfig) -> SpaceExpr:
     )
 
 
-def _groups_json(table: GradedModuleTable) -> dict:
-    if table.periodic:
-        return {"*": table.total_rank()}
-    return {str(k): r for k, r in table.ranks().items()}
+def _groups_json(ranks: dict[int, int], periodic: bool) -> dict:
+    if periodic:
+        return {"*": ranks[0]}
+    return {str(k): r for k, r in ranks.items()}
 
 
-def _groups_text(table: GradedModuleTable) -> list[str]:
-    if table.periodic:
-        return [f"rank {table.total_rank()}"]
-    return [f"{k}: {r}" for k, r in sorted(table.ranks().items())]
+def _groups_text(ranks: dict[int, int], periodic: bool) -> list[str]:
+    if periodic:
+        return [f"rank {ranks[0]}"]
+    return [f"{k}: {r}" for k, r in ranks.items()]
 
 
 def run(config: RunConfig) -> tuple[str, int]:
@@ -152,19 +159,20 @@ def run(config: RunConfig) -> tuple[str, int]:
         doc["poincare"] = poincare_polynomial(decompose_by_rank(space))
         text = " ".join(str(c) for c in doc["poincare"])
     elif config.mode == "groups":
-        table = realize_table(decompose_by_rank(space), theory)
-        doc["groups"] = _groups_json(table)
-        text = "\n".join(_groups_text(table))
+        ranks, periodic = group_ranks(decompose_by_rank(space), theory)
+        doc["groups"] = _groups_json(ranks, periodic)
+        text = "\n".join(_groups_text(ranks, periodic))
     else:  # dual
         by_codim = decompose_by_codim(space)
-        ok = duality_holds(space)
-        table = realize_table(by_codim, theory)
+        # the codim route mirrors the rank route through the dimension
+        ok = by_codim == decompose_by_rank(space).dual(doc["dim"])
+        ranks, periodic = group_ranks(by_codim, theory)
         doc["twists"] = by_codim.as_json()
-        doc["groups"] = _groups_json(table)
+        doc["groups"] = _groups_json(ranks, periodic)
         doc["duality_ok"] = ok
         text = "\n".join(
             [" ".join(str(t) for t in by_codim.twists)]
-            + _groups_text(table)
+            + _groups_text(ranks, periodic)
             + [f"duality_ok: {'true' if ok else 'false'}"]
         )
         if not ok:
@@ -176,49 +184,78 @@ def run(config: RunConfig) -> tuple[str, int]:
     return text + "\n", exit_code
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+def read_plain_argv(argv) -> dict | None:
+    """The options of an argv made only of distinct ``--name value`` pairs,
+    exactly as ``vars(build_arg_parser().parse_args(argv))`` gives them.
+
+    Returns None for anything else, to be parsed by argparse: help,
+    abbreviations, ``--name=value``, repeated options, a value that starts
+    with ``-``, a mode or format outside its choices, and a truncation
+    that is not ASCII digits.
+    """
+    flags = argv[::2]
+    if len(argv) % 2 or len(set(flags)) != len(flags):
+        return None
+    args = dict(OPTIONS)
+    for flag, value in zip(flags, argv[1::2]):
+        name = flag[2:]
+        if flag[:2] != "--" or name not in OPTIONS or value[:1] == "-":
+            return None
+        if name == "truncation":
+            if not (value.isascii() and value.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than int() converts
+                return None
+        elif (name == "mode" and value not in MODES) or (name == "format" and value not in FORMATS):
+            return None
+        args[name] = value
+    return args
+
+
+def build_arg_parser():
+    """The argparse parser: the one writer of help, usage and error text."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="motivec",
         description="Exact twist decompositions of cellular spaces.",
     )
     parser.add_argument(
         "--space",
-        default="point",
+        default=OPTIONS["space"],
         help="point, P:n, quadric:d, Gr:d,n, or a name declared in --file",
     )
     parser.add_argument("--file", help="space description file")
     parser.add_argument(
-        "--theory", default="chow", help="chow, k0, or universal:N"
+        "--theory", default=OPTIONS["theory"], help="chow, k0, or universal:N"
     )
-    parser.add_argument("--mode", default="motive", choices=MODES)
-    parser.add_argument("--format", default="text", choices=("text", "json"))
+    parser.add_argument("--mode", default=OPTIONS["mode"], choices=MODES)
+    parser.add_argument("--format", default=OPTIONS["format"], choices=FORMATS)
     parser.add_argument("--truncation", type=int, default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_arg_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed a message; --help exits with 0
-        return 0 if exc.code == 0 else 1
-    truncation = args.truncation
-    if truncation is None and args.theory.startswith("universal") and os.environ.get(ENV_TRUNCATION):
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_plain_argv(argv)
+    if args is None:
+        try:
+            args = vars(build_arg_parser().parse_args(argv))
+        except SystemExit as exc:
+            # argparse already printed a message; --help exits with 0
+            return 0 if exc.code == 0 else 1
+    truncation = args["truncation"]
+    if truncation is None and args["theory"].startswith("universal") and os.environ.get(ENV_TRUNCATION):
         try:
             truncation = int(os.environ[ENV_TRUNCATION])
         except ValueError:
             print(f"motivec: bad {ENV_TRUNCATION} value", file=sys.stderr)
             return 1
     try:
-        config = RunConfig(
-            space=args.space,
-            theory=args.theory,
-            mode=args.mode,
-            format=args.format,
-            file=args.file,
-            truncation=truncation,
-        )
-        output, code = run(config)
+        output, code = run(RunConfig(**{**args, "truncation": truncation}))
     except (ValueError, OSError, KeyError) as exc:  # a ParseError is a ValueError
         print(f"motivec: {exc}", file=sys.stderr)
         return 1

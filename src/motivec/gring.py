@@ -403,25 +403,33 @@ def component_rank(ring: RingDescriptor, k: int) -> ModuleDescription:
     return ModuleDescription(ring.field, ring, tuple(monos))
 
 
-def _degree_monomials(ring: RingDescriptor, k: int):
+def check_enumerable(ring: RingDescriptor) -> None:
+    """Refuse, with NotImplementedError, a ring whose components are not
+    listed: a Laurent generator beside others, or a non-Laurent generator
+    outside the negative degrees."""
     gens = ring.generators
-    if not gens:
-        return [()] if k == 0 else []
-    invertibles = [g for g in gens if g.invertible]
-    if invertibles:
+    if any(g.invertible for g in gens):
         if len(gens) != 1:
             raise NotImplementedError(
                 "degree enumeration with invertible generators is only "
                 "supported for a single Laurent generator"
             )
+    elif any(g.degree >= 0 for g in gens):
+        raise NotImplementedError(
+            "degree enumeration requires all generators in negative degrees"
+        )
+
+
+def _degree_monomials(ring: RingDescriptor, k: int):
+    gens = ring.generators
+    if not gens:
+        return [()] if k == 0 else []
+    check_enumerable(ring)
+    if gens[0].invertible:
         g = gens[0]
         if k % g.degree == 0:
             return [(k // g.degree,)]
         return []
-    if any(g.degree >= 0 for g in gens):
-        raise NotImplementedError(
-            "degree enumeration requires all generators in negative degrees"
-        )
     if ring.truncation is not None and k < -ring.truncation:
         raise TruncationError(
             f"degree {k} lies beyond the truncation bound of {ring.name!r}"

@@ -12,7 +12,8 @@ dimensions, and the tensor product is a twist-sorted Kronecker product.
 The module also carries the two decomposition routes for cellular spaces
 (accumulating bundle ranks or stratum codimensions, by one fold over the
 space DAG), projector splitting, and realization of motives as graded
-modules over the coefficient ring.
+modules over the coefficient ring, with their ranks also counted from the
+ring's Hilbert series without listing a basis.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .gring import (
     GradedRingElement,
     ModuleDescription,
     RingMismatchError,
+    check_enumerable,
     component_rank,
 )
 from .spaces import Cellular, DisjointUnion, Point, SpaceExpr, walk_dag
@@ -565,12 +567,20 @@ class GradedModuleTable(namedtuple("GradedModuleTable", "entries periodic", defa
 
 def realize(motive: TateMotive, theory: OrientedTheory, k: int) -> ModuleDescription:
     """The degree-k module of the motive: one ring component per twist,
-    computed once per distinct twist and repeated by its multiplicity."""
+    computed once per distinct twist and repeated by its multiplicity.
+    A module of more than MAX_TWISTS basis elements is refused with a
+    ValueError before it is listed."""
     ring = theory.ring
-    monomials = []
-    for t, m in motive.histogram:
-        monomials.extend(component_rank(ring, k - t).monomials * m)
-    return ModuleDescription(ring.field, ring, tuple(monomials))
+    components = [(component_rank(ring, k - t).monomials, m) for t, m in motive.histogram]
+    size = sum(len(monomials) * m for monomials, m in components)
+    if size > MAX_TWISTS:
+        raise ValueError(
+            f"degree {k} module has {size} basis elements, more than the {MAX_TWISTS} it may list"
+        )
+    basis = []
+    for monomials, m in components:
+        basis.extend(monomials * m)
+    return ModuleDescription(ring.field, ring, tuple(basis))
 
 
 def realize_table(motive: TateMotive, theory: OrientedTheory) -> GradedModuleTable:
@@ -597,3 +607,37 @@ def realize_table(motive: TateMotive, theory: OrientedTheory) -> GradedModuleTab
         if desc.rank:
             entries.append((k, desc))
     return GradedModuleTable(entries=tuple(entries))
+
+
+def group_ranks(motive: TateMotive, theory: OrientedTheory) -> tuple[dict[int, int], bool]:
+    """The ranks `realize_table(motive, theory)` lists, and its periodic
+    flag, counted without a basis.
+
+    A^*(X) is the sum over twists t of A^(*-t)(pt), so the degree-k rank
+    is sum_t m_t * h(t - k), where h(d) counts the ring's monomials of
+    degree -d.  A ring with a Laurent unit of degree g has one monomial in
+    each degree g divides, so its table is periodic.  Otherwise h is the
+    series prod_i 1/(1 - q^s_i), one factor per generator of degree -s_i,
+    and multiplying the histogram by it is one coin-change pass per
+    generator over the degree window of `realize_table`.
+    """
+    ring = theory.ring
+    hist = motive.histogram
+    periodic = _has_laurent_unit(ring)
+    if not hist:
+        return ({0: 0} if periodic else {}), periodic
+    check_enumerable(ring)
+    if periodic:
+        (g,) = ring.generators
+        return {0: sum(m for t, m in hist if t % g.degree == 0)}, True
+    high = hist[-1][0]
+    low = hist[0][0] if ring.truncation is None else high - ring.truncation
+    ranks = {t: m for t, m in hist if t >= low}
+    if ring.generators:
+        counts = [ranks.get(k, 0) for k in range(low, high + 1)]
+        for g in ring.generators:
+            step = -g.degree
+            for i in range(len(counts) - 1 - step, -1, -1):
+                counts[i] += counts[i + step]
+        ranks = {k: c for k, c in enumerate(counts, low) if c}
+    return ranks, False

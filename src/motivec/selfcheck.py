@@ -29,6 +29,7 @@ from .motives import (
     compose,
     decompose_by_rank,
     duality_holds,
+    group_ranks,
     identity_correspondence,
     is_idempotent,
     poincare_polynomial,
@@ -237,6 +238,12 @@ def suite_idempotents(rng, rounds=40) -> str:
     return "projector splitting certificates and bundle projectors"
 
 
+def _require_counted_ranks(motive, theory, table):
+    """The ranks counted from the Hilbert series equal the enumerated table."""
+    require(group_ranks(motive, theory) == (table.ranks(), table.periodic),
+            f"counted {theory.name} ranks")
+
+
 def suite_realization(rng) -> str:
     for d in range(0, 6):
         q = quadric(d)
@@ -246,7 +253,12 @@ def suite_realization(rng) -> str:
         if d == 0:
             expected = {0: 2}
         require(table.ranks() == expected, "quadric Chow table")
-        require(realize_table(motive, k0()).total_rank() == 2 * d + 2, "quadric K0 rank")
+        _require_counted_ranks(motive, chow(), table)
+        k_table = realize_table(motive, k0())
+        require(k_table.total_rank() == 2 * d + 2, "quadric K0 rank")
+        _require_counted_ranks(motive, k0(), k_table)
+    motive = decompose_by_rank(grassmannian(2, 4))
+    _require_counted_ranks(motive, universal(6), realize_table(motive, universal(6)))
     for n in range(0, 7):
         for dd in range(0, n + 1):
             motive = decompose_by_rank(grassmannian(dd, n))

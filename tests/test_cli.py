@@ -352,9 +352,10 @@ def test_file_request_loads_the_parser(tmp_path):
     assert "motivec.dsl" in imported
 
 
-def test_unexpected_errors_are_one_line_exit_2(tmp_path, capsys):
+def test_unexpected_errors_are_one_line_exit_2(tmp_path, capsys, monkeypatch):
     """A 100-level union(s, s) tower over P(2) folds to counts of 2**100;
-    expanding it for --mode groups overflows inside the interpreter."""
+    its groups are counted, not listed, so they answer too.  A fault inside
+    the computation is one line with exit 2."""
     lines = ["space s0 { cell { base = P(2); rank = 0; codim = 0 } }"]
     lines += [
         f"space s{i} {{ cell {{ base = union(s{i - 1}, s{i - 1}); rank = 0; codim = 0 }} }}"
@@ -366,9 +367,16 @@ def test_unexpected_errors_are_one_line_exit_2(tmp_path, capsys):
     code, out, err = invoke(argv + ["--mode", "poincare"], capsys)
     assert code == 0 and out == " ".join([str(2**100)] * 3) + "\n"
     code, out, err = invoke(argv + ["--mode", "groups"], capsys)
+    assert code == 0 and err == ""
+    assert out == "".join(f"{k}: {2**100}\n" for k in range(3))
+
+    def fault(motive, theory):
+        raise OverflowError("cannot fit 'int' into an index-sized integer")
+
+    monkeypatch.setattr(motivec.cli, "group_ranks", fault)
+    code, out, err = invoke(argv + ["--mode", "groups"], capsys)
     assert code == 2 and out == ""
-    assert err.startswith("motivec: internal error: OverflowError: ")
-    assert err.count("\n") == 1
+    assert err == "motivec: internal error: OverflowError: cannot fit 'int' into an index-sized integer\n"
 
 
 def test_motive_mode_refuses_more_twists_than_the_budget(tmp_path, capsys):
