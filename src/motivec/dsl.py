@@ -36,6 +36,9 @@ from .spaces import (
 MAX_UNION_NESTING = 256  # only the parser recurses over a space, once per union(...) level
 _RESERVED = {"space", "cell", "base", "rank", "codim", "point", "union", "P", "quadric", "Gr"}
 
+# built-in expressions: keyword -> (builder, number of arguments)
+_BUILDERS = {"P": (projective_space, 1), "quadric": (quadric, 1), "Gr": (grassmannian, 2)}
+
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _NAT_RE = re.compile(r"\d+")
 _PUNCT = "{}()=;,"
@@ -118,6 +121,10 @@ class _Parser:
         self.pos += 1
         return tok
 
+    @staticmethod
+    def describe(tok: _Token) -> str:
+        return "end of input" if tok.kind == "eof" else repr(tok.value)
+
     def fail(self, message: str, tok: _Token | None = None):
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
@@ -125,13 +132,13 @@ class _Parser:
     def expect(self, kind: str, what: str | None = None) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            self.fail(f"expected {what or kind}, got {tok.value!r}", tok)
+            self.fail(f"expected {what or kind}, got {self.describe(tok)}", tok)
         return self.advance()
 
     def expect_keyword(self, word: str):
         tok = self.peek()
         if tok.kind != "name" or tok.value != word:
-            self.fail(f"expected {word!r}, got {tok.value!r}", tok)
+            self.fail(f"expected {word!r}, got {self.describe(tok)}", tok)
         return self.advance()
 
     # -- grammar ----------------------------------------------------------
@@ -203,33 +210,23 @@ class _Parser:
     def parse_expr(self, depth: int = 0) -> SpaceExpr:
         tok = self.peek()
         if tok.kind != "name":
-            self.fail(f"expected a space expression, got {tok.value!r}", tok)
+            self.fail(f"expected a space expression, got {self.describe(tok)}", tok)
         word = tok.value
         if word == "point":
             self.advance()
             return POINT
-        if word == "P":
+        if word in _BUILDERS:
+            build, arity = _BUILDERS[word]
             self.advance()
             self.expect("(")
-            n = self.expect("nat").value
-            self.expect(")")
-            return projective_space(n)
-        if word == "quadric":
-            self.advance()
-            self.expect("(")
-            d = self.expect("nat").value
-            self.expect(")")
-            return quadric(d)
-        if word == "Gr":
-            self.advance()
-            self.expect("(")
-            d = self.expect("nat").value
-            self.expect(",")
-            n = self.expect("nat").value
+            args = [self.expect("nat").value]
+            while len(args) < arity:
+                self.expect(",")
+                args.append(self.expect("nat").value)
             self.expect(")")
             try:
-                return grassmannian(d, n)
-            except ValueError as exc:
+                return build(*args)
+            except ValueError as exc:  # out of range, or past the cell budget
                 raise ParseError(str(exc), tok.line, tok.col) from exc
         if word == "union":
             if depth == MAX_UNION_NESTING:

@@ -3,7 +3,17 @@
 A ring is described by a list of named generators with integer degrees
 (optionally invertible, i.e. Laurent) over Z or Q, with an optional bound
 on the absolute degree of retained monomials.  Elements are sparse maps
-from exponent vectors to nonzero scalars; all arithmetic is exact.
+from monomials to nonzero scalars; all arithmetic is exact.
+
+Each monomial is packed into one int, EXPONENT_BITS bits per generator
+(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007), so multiplying two monomials is one
+int addition, and a monomial's degree comes from a per-ring cache.  The
+top bit of each field is a guard: a product that takes an exponent out of
+its field sets it, and raises one ValueError line.  An exponent lies in
+[0, 2^31), or in [-2^30, 2^30) for an invertible generator.  The public
+`terms` map, keyed by exponent tuples, is a read-only view built on first
+read; the package's own code never builds it.
 
 An element carries its sorted degree tuple, filled on first read or handed
 on by the operation that built it: a product of homogeneous factors lies in
@@ -19,7 +29,7 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from functools import lru_cache
-from operator import add
+from types import MappingProxyType
 
 
 class RingMismatchError(ValueError):
@@ -100,26 +110,131 @@ def _normalize_scalar(value, field: str):
     raise TypeError(f"scalar must be int or Fraction, got {type(value).__name__}")
 
 
+# -- packed monomials --------------------------------------------------------
+
+EXPONENT_BITS = 32  # width of one packed exponent field, its guard bit included
+MAX_PACKINGS = 256  # rings whose packing stays cached; the cache empties past it
+MAX_DEGREE_CACHE = 1 << 16  # degrees cached per ring; the cache empties past it
+_FIELD_MASK = (1 << EXPONENT_BITS) - 1
+_GUARD_BIT = 1 << (EXPONENT_BITS - 1)
+_LAURENT_OFFSET = 1 << (EXPONENT_BITS - 2)  # the bias of an invertible generator's field
+_PACKINGS: dict = {}
+
+
+def _packing(ring: RingDescriptor) -> tuple:
+    """(bias, guard, offsets, degrees, ring): how the ring packs monomials.
+
+    Generator i owns bits [i*W, (i+1)*W) of a key (W = EXPONENT_BITS) and
+    stores there its exponent plus its offset: 0, or 2^(W-2) for an
+    invertible generator.  `bias` is the key of the empty monomial, so the
+    product of two monomials is k1 + k2 - bias, and `guard` masks the top
+    bit of every field, which such a sum sets in any field it takes out of
+    range.  `guard` is 0 when no kept exponent can pass the bound of a
+    truncated ring whose generators are non-invertible and of one degree
+    sign.  `degrees` caches the degree of each key met.  Entries are cached
+    by identity and hold the ring, so its id is not reused while cached.
+    """
+    entry = _PACKINGS.get(id(ring))
+    if entry is None:
+        gens = ring.generators
+        offsets = tuple(_LAURENT_OFFSET if g.invertible else 0 for g in gens)
+        bias = sum(o << (EXPONENT_BITS * i) for i, o in enumerate(offsets))
+        guard = sum(_GUARD_BIT << (EXPONENT_BITS * i) for i in range(len(gens)))
+        signs = {(g.degree > 0) - (g.degree < 0) for g in gens}
+        bounded = ring.truncation is not None and ring.truncation < _GUARD_BIT
+        if bounded and not any(offsets) and signs in ({-1}, {1}):
+            guard = 0
+        if len(_PACKINGS) >= MAX_PACKINGS:
+            _PACKINGS.clear()
+        entry = _PACKINGS[id(ring)] = (bias, guard, offsets, {}, ring)
+    return entry
+
+
+def _exponent_error(ring: RingDescriptor, i: int, exponent=None) -> ValueError:
+    g = ring.generators[i]
+    low = -_LAURENT_OFFSET if g.invertible else 0
+    what = "a product exponent" if exponent is None else f"exponent {exponent}"
+    return ValueError(
+        f"{what} of {g.symbol} leaves the packed range [{low}, {low + _GUARD_BIT})"
+    )
+
+
+def _encode(ring: RingDescriptor, mono: tuple) -> int:
+    """The packed key of an exponent tuple of the ring's width."""
+    key = 0
+    for i, (e, o) in enumerate(zip(mono, _packing(ring)[2])):
+        if not -o <= e < _GUARD_BIT - o:
+            raise _exponent_error(ring, i, e)
+        key += (e + o) << (EXPONENT_BITS * i)
+    return key
+
+
+def _decode(key: int, offsets: tuple) -> tuple:
+    return tuple((key >> (EXPONENT_BITS * i) & _FIELD_MASK) - o for i, o in enumerate(offsets))
+
+
+def _key_degrees(ring: RingDescriptor, keys) -> list:
+    """The degree of each packed key, through the ring's degree cache."""
+    _, _, offsets, cache, _ = _packing(ring)
+    out = []
+    for k in keys:
+        d = cache.get(k)
+        if d is None:
+            if len(cache) >= MAX_DEGREE_CACHE:
+                cache.clear()
+            d = cache[k] = ring.monomial_degree(_decode(k, offsets))
+        out.append(d)
+    return out
+
+
+def _overflow_error(ring: RingDescriptor, key: int) -> ValueError:
+    i = next(i for i in range(len(ring.generators))
+             if key >> (EXPONENT_BITS * i) & _GUARD_BIT)
+    return _exponent_error(ring, i)
+
+
 class GradedRingElement:
     """A sparse exact element of a :class:`RingDescriptor`.
 
     Immutable after construction; the term map never stores zeros and never
-    stores monomials beyond the ring's truncation bound.
+    stores monomials beyond the ring's truncation bound.  The terms live in
+    `_mono`, keyed by packed monomials (see :func:`_packing`); `terms`, the
+    same map keyed by exponent tuples, is a read-only view built on first
+    read.  Package code reads `_mono` and never builds the view.
     """
 
-    __slots__ = ("ring", "terms", "_degs")
+    __slots__ = ("ring", "_mono", "_degs", "terms")
 
     def __init__(self, ring: RingDescriptor, terms: dict, degs: tuple | None = None):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
+        width = len(ring.generators)
+        mono = {}
+        for m, c in terms.items():
+            if len(m) != width:
+                raise ValueError(f"exponent vector {m} has wrong width for ring {ring.name!r}")
+            mono[_encode(ring, m)] = c
+        _set_ring(self, ring)
+        _set_mono(self, mono)
         # the sorted degree tuple, or None until `_degrees` first computes it
-        object.__setattr__(self, "_degs", degs)
+        _set_degs(self, degs)
+
+    def __getattr__(self, name):
+        # only reached while the `terms` slot is still empty
+        if name != "terms":
+            raise AttributeError(name)
+        view = MappingProxyType(dict(self._pairs()))
+        _set_terms(self, view)
+        return view
+
+    def _pairs(self) -> list:
+        """(exponent tuple, scalar) for each term, in term order."""
+        offsets = _packing(self.ring)[2]
+        return [(_decode(k, offsets), c) for k, c in self._mono.items()]
 
     def _degrees(self) -> tuple:
         degs = self._degs
         if degs is None:
-            degs = tuple(sorted({self.ring.monomial_degree(m) for m in self.terms}))
-            object.__setattr__(self, "_degs", degs)
+            degs = tuple(sorted(set(_key_degrees(self.ring, self._mono))))
+            _set_degs(self, degs)
         return degs
 
     def __setattr__(self, name, value):
@@ -128,6 +243,7 @@ class GradedRingElement:
     @classmethod
     def from_terms(cls, ring: RingDescriptor, mapping) -> "GradedRingElement":
         width = len(ring.generators)
+        bound = ring.truncation
         terms = {}
         for mono, coeff in dict(mapping).items():
             mono = tuple(mono)
@@ -141,18 +257,23 @@ class GradedRingElement:
             coeff = _normalize_scalar(coeff, ring.field)
             if coeff == 0:
                 continue
-            if ring.truncation is not None and abs(ring.monomial_degree(mono)) > ring.truncation:
+            degree = ring.monomial_degree(mono)
+            if bound is not None and abs(degree) > bound:
                 continue
-            terms[mono] = terms.get(mono, 0) + coeff
-        return cls(ring, {m: c for m, c in terms.items() if c != 0})
+            key = _encode(ring, mono)
+            terms[key] = terms.get(key, 0) + coeff
+        return _element(ring, {m: c for m, c in terms.items() if c != 0})
 
     @classmethod
     def zero(cls, ring: RingDescriptor) -> "GradedRingElement":
-        return cls(ring, {})
+        return _element(ring, {}, ())
 
     @classmethod
     def scalar(cls, ring: RingDescriptor, value) -> "GradedRingElement":
-        return cls.from_terms(ring, {(0,) * len(ring.generators): value})
+        value = _normalize_scalar(value, ring.field)
+        if value == 0:
+            return _element(ring, {}, ())
+        return _element(ring, {_packing(ring)[0]: value}, (0,))
 
     @classmethod
     def one(cls, ring: RingDescriptor) -> "GradedRingElement":
@@ -167,10 +288,10 @@ class GradedRingElement:
     # -- queries ---------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._mono)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._mono
 
     def degrees(self) -> list[int]:
         return list(self._degrees())
@@ -189,8 +310,9 @@ class GradedRingElement:
         return ds[0]
 
     def homogeneous_component(self, k: int) -> "GradedRingElement":
-        picked = {m: c for m, c in self.terms.items() if self.ring.monomial_degree(m) == k}
-        return GradedRingElement(self.ring, picked)
+        mono = self._mono
+        picked = {m: mono[m] for m, d in zip(mono, _key_degrees(self.ring, mono)) if d == k}
+        return _element(self.ring, picked, (k,) if picked else ())
 
     def coefficient(self, mono):
         """The scalar (an int or a Fraction) at `mono`, 0 when absent."""
@@ -198,7 +320,7 @@ class GradedRingElement:
 
     def scalar_part(self):
         """The coefficient of the empty monomial."""
-        return self.terms.get((0,) * len(self.ring.generators), 0)
+        return self._mono.get(_packing(self.ring)[0], 0)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -216,16 +338,19 @@ class GradedRingElement:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_ring(other)
-        if not other.terms:
+        ring = self.ring
+        if other.__class__ is not GradedRingElement or other.ring is not ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+            self._check_ring(other)
+        right = other._mono
+        if not right:
             return self
-        if not self.terms:
+        if not self._mono:
             return other
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
+        terms = self._mono.copy()
+        for m, c in right.items():
             s = terms.get(m, 0) + c
             if s == 0:
                 terms.pop(m, None)
@@ -233,14 +358,16 @@ class GradedRingElement:
                 terms[m] = s
         # a sum keeps a single degree both operands already know
         ds = self._degs
-        if ds is not None and len(ds) == 1 and other._degs == ds:
-            return GradedRingElement(self.ring, terms, ds if terms else ())
-        return GradedRingElement(self.ring, terms)
+        if ds is None or len(ds) != 1 or other._degs != ds:
+            ds = None
+        elif not terms:
+            ds = ()
+        return _element(ring, terms, ds)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedRingElement(self.ring, {m: -c for m, c in self.terms.items()}, self._degs)
+        return _element(self.ring, {m: -c for m, c in self._mono.items()}, self._degs)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -252,14 +379,16 @@ class GradedRingElement:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_ring(other)
         ring = self.ring
-        left, right = self.terms, other.terms
+        if other.__class__ is not GradedRingElement or other.ring is not ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+            self._check_ring(other)
+        left = self._mono
+        right = other._mono
         if not left or not right:
-            return GradedRingElement(ring, {}, ())
+            return _element(ring, {}, ())
         bound = ring.truncation
         degs = None
         da, db = self._degrees(), other._degrees()
@@ -267,24 +396,48 @@ class GradedRingElement:
             # homogeneous factors: the whole product lies in one degree
             d = da[0] + db[0]
             if bound is not None and abs(d) > bound:
-                return GradedRingElement(ring, {}, ())
+                return _element(ring, {}, ())
             degs, bound = (d,), None
-        degree = ring.monomial_degree
-        # each factor term's degree once; pairs past the bound never build a monomial
-        right = [(m2, c2, 0 if bound is None else degree(m2)) for m2, c2 in right.items()]
-        out: dict = {}
-        for m1, c1 in left.items():
-            d1 = 0 if bound is None else degree(m1)
-            for m2, c2, d2 in right:
-                if bound is not None and abs(d1 + d2) > bound:
-                    continue
-                mono = tuple(map(add, m1, m2))
-                s = out.get(mono, 0) + c1 * c2
-                if s == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return GradedRingElement(ring, out, degs)
+        bias, guard, _, _, _ = _PACKINGS.get(id(ring)) or _packing(ring)
+        out = {}
+        if bound is None and (len(left) == 1 or len(right) == 1):
+            # one single-term factor shifts the other's keys, which stay distinct
+            many = self
+            if len(right) != 1:
+                many, left, right = other, right, left
+            ((m2, c2),) = right.items()
+            if m2 == bias and c2.__class__ is int and c2 == 1:
+                return many
+            m2 -= bias
+            for m1, c1 in left.items():
+                out[m1 + m2] = c1 * c2
+        else:
+            right = [(m2 - bias, c2) for m2, c2 in right.items()]
+            if bound is not None:
+                # each term's degree once; pairs past the bound never build a key
+                rdegs = _key_degrees(ring, other._mono)
+                ldegs = iter(_key_degrees(ring, left))
+            for m1, c1 in left.items():
+                row = right
+                if bound is not None:
+                    d1 = next(ldegs)
+                    row = [t for t, d2 in zip(right, rdegs) if abs(d1 + d2) <= bound]
+                for m2, c2 in row:
+                    mono = m1 + m2
+                    s = out.get(mono, 0) + c1 * c2
+                    if s == 0:
+                        out.pop(mono, None)
+                    else:
+                        out[mono] = s
+        if guard:
+            for mono in out:
+                if mono & guard:
+                    raise _overflow_error(ring, mono)
+        elem = _new(GradedRingElement)
+        _set_ring(elem, ring)
+        _set_mono(elem, out)
+        _set_degs(elem, degs)
+        return elem
 
     __rmul__ = __mul__
 
@@ -298,14 +451,15 @@ class GradedRingElement:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def _monomial_inverse(self) -> "GradedRingElement":
-        if len(self.terms) != 1:
+        if len(self._mono) != 1:
             raise ValueError("only single-term unit monomials are invertible")
-        (mono, coeff), = self.terms.items()
+        (mono, coeff), = self._pairs()
         for e, g in zip(mono, self.ring.generators):
             if e != 0 and not g.invertible:
                 raise ValueError(f"generator {g.symbol} is not invertible")
@@ -329,16 +483,34 @@ class GradedRingElement:
                 other = GradedRingElement.scalar(self.ring, other)
             except ValueError:
                 return False
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self._mono == other._mono
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self._mono.items())))
 
     def __repr__(self):
         return f"<{self.ring.name}: {render_element(self)}>"
 
     def __str__(self):
         return render_element(self)
+
+
+# slot descriptors: they set a slot without going through __setattr__
+_set_ring, _set_mono, _set_degs, _set_terms = (
+    vars(GradedRingElement)[slot].__set__ for slot in GradedRingElement.__slots__
+)
+
+
+_new = object.__new__
+
+
+def _element(ring: RingDescriptor, mono: dict, degs: tuple | None = None) -> GradedRingElement:
+    """An element from packed terms, without checks."""
+    elem = _new(GradedRingElement)
+    _set_ring(elem, ring)
+    _set_mono(elem, mono)
+    _set_degs(elem, degs)
+    return elem
 
 
 def convert_element(elem: GradedRingElement, ring: RingDescriptor) -> GradedRingElement:
@@ -351,7 +523,14 @@ def convert_element(elem: GradedRingElement, ring: RingDescriptor) -> GradedRing
         raise RingMismatchError(
             f"generator mismatch between {elem.ring.name!r} and {ring.name!r}"
         )
-    return GradedRingElement.from_terms(ring, elem.terms)
+    # the same generators pack the same way
+    bound = ring.truncation
+    mono = {}
+    for (m, c), d in zip(elem._mono.items(), _key_degrees(ring, elem._mono)):
+        c = _normalize_scalar(c, ring.field)
+        if c != 0 and (bound is None or abs(d) <= bound):
+            mono[m] = c
+    return _element(ring, mono, elem._degs if len(mono) == len(elem._mono) else None)
 
 
 def substitute_generators(
@@ -363,7 +542,7 @@ def substitute_generators(
     the same symbol and are mapped to themselves.
     """
     out = GradedRingElement.zero(ring)
-    for mono, coeff in elem.terms.items():
+    for mono, coeff in elem._pairs():
         term = GradedRingElement.scalar(ring, coeff)
         for e, g in zip(mono, elem.ring.generators):
             if e == 0:
@@ -392,12 +571,14 @@ class ModuleDescription(namedtuple("ModuleDescription", "field ring monomials"))
         return [render_monomial(self.ring, m) for m in self.monomials]
 
 
+@lru_cache(maxsize=1024)
 def component_rank(ring: RingDescriptor, k: int) -> ModuleDescription:
     """Monomial basis of the degree-k part of the ring.
 
     For truncated rings, degrees below -truncation were dropped from the
     model and cannot be answered; positive degrees are exactly empty when
-    every generator has negative degree.
+    every generator has negative degree.  Memoized per (ring, degree) in a
+    bounded cache.
     """
     monos = sorted(_degree_monomials(ring, k))
     return ModuleDescription(ring.field, ring, tuple(monos))
@@ -470,10 +651,10 @@ def _render_scalar(value) -> str:
 
 
 def render_element(elem: GradedRingElement) -> str:
-    if not elem.terms:
+    if not elem._mono:
         return "0"
     ring = elem.ring
-    ordered = sorted(elem.terms.items(), key=lambda mc: (ring.monomial_degree(mc[0]), mc[0]))
+    ordered = sorted(elem._pairs(), key=lambda mc: (ring.monomial_degree(mc[0]), mc[0]))
     pieces = []
     for mono, coeff in ordered:
         mono_str = render_monomial(ring, mono)

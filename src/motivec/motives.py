@@ -56,7 +56,7 @@ class TateMotive:
     def __init__(self, twists=()):
         tw = tuple(sorted(int(t) for t in twists))
         self._fill(tuple((t, len(list(run))) for t, run in groupby(tw)))
-        object.__setattr__(self, "twists", tw)
+        _set_twists(self, tw)
 
     @classmethod
     def from_histogram(cls, pairs) -> "TateMotive":
@@ -80,8 +80,8 @@ class TateMotive:
     def _fill(self, histogram):
         if histogram and histogram[0][0] < 0:
             raise ValueError(f"negative twist {histogram[0][0]}")
-        object.__setattr__(self, "histogram", histogram)
-        object.__setattr__(self, "size", sum(m for _, m in histogram))
+        _set_histogram(self, histogram)
+        _set_size(self, sum(m for _, m in histogram))
 
     def __getattr__(self, name):
         # only reached while the `twists` slot is still empty
@@ -90,7 +90,7 @@ class TateMotive:
         if self.size > MAX_TWISTS:
             raise ValueError(f"motive has {self.size} twists, more than the {MAX_TWISTS} it may list")
         tw = tuple(t for t, m in self.histogram for _ in range(m))
-        object.__setattr__(self, "twists", tw)
+        _set_twists(self, tw)
         return tw
 
     def __setattr__(self, name, value):
@@ -128,6 +128,12 @@ class TateMotive:
         return list(self.twists)
 
 
+# slot descriptors: they set a slot without going through __setattr__
+_set_histogram, _set_size, _set_twists = (
+    vars(TateMotive)[slot].__set__ for slot in TateMotive.__slots__
+)
+
+
 def assemble(blocks: list[TateMotive]) -> tuple[TateMotive, list[list[int]]]:
     """Direct sum with bookkeeping: positions[b][i] is where generator i of
     block b lands in the sorted combined motive."""
@@ -153,25 +159,26 @@ class Correspondence:
         entries = tuple(tuple(row) for row in entries)
         if len(entries) != target.size:
             raise ValueError(f"expected {target.size} rows, got {len(entries)}")
-        for j, row in enumerate(entries):
+        ring, columns = theory.ring, source.twists
+        for j, (row, t) in enumerate(zip(entries, target.twists)):
             if len(row) != source.size:
                 raise ValueError(f"row {j} has {len(row)} columns, expected {source.size}")
-            for i, e in enumerate(row):
+            for i, (e, s) in enumerate(zip(row, columns)):
                 if not isinstance(e, GradedRingElement):
                     raise TypeError("entries must be graded ring elements")
-                if e.ring != theory.ring:
+                if e.ring is not ring and e.ring != ring:
                     raise RingMismatchError("entry over the wrong coefficient ring")
-                want = degree + source.twists[i] - target.twists[j]
-                if not e.is_homogeneous(want):
+                degs = e._degrees()
+                if degs and degs != (degree + s - t,):
                     raise ValueError(
-                        f"entry ({j},{i}) must be homogeneous of degree {want}, "
-                        f"got degrees {e.degrees()}"
+                        f"entry ({j},{i}) must be homogeneous of degree {degree + s - t}, "
+                        f"got degrees {list(degs)}"
                     )
-        object.__setattr__(self, "theory", theory)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "entries", entries)
+        _set_theory(self, theory)
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_degree(self, degree)
+        _set_entries(self, entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("Correspondence is immutable")
@@ -225,6 +232,12 @@ class Correspondence:
         return compose(self, other)
 
 
+# slot descriptors: they set a slot without going through __setattr__
+_set_theory, _set_source, _set_target, _set_degree, _set_entries = (
+    vars(Correspondence)[slot].__set__ for slot in Correspondence.__slots__
+)
+
+
 def zero_correspondence(theory, source: TateMotive, target: TateMotive, degree: int = 0):
     z = GradedRingElement.zero(theory.ring)
     rows = [[z] * source.size for _ in range(target.size)]
@@ -249,18 +262,16 @@ def compose(alpha: Correspondence, beta: Correspondence) -> Correspondence:
             f"shapes do not compose: {beta.target.twists} then {alpha.source.twists}"
         )
     zero = GradedRingElement.zero(alpha.theory.ring)
+    # the nonzero entries of each row of beta; a row of the product adds
+    # a * b over its live pairs, for each entry in increasing middle index
+    live = [[(i, b) for i, b in enumerate(row) if b._mono] for row in beta.entries]
     rows = []
-    for j in range(alpha.target.size):
-        row = []
-        for i in range(beta.source.size):
-            acc = zero
-            for k in range(alpha.source.size):
-                a = alpha.entries[j][k]
-                b = beta.entries[k][i]
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + a * b
-            row.append(acc)
+    for arow in alpha.entries:
+        row = [zero] * beta.source.size
+        for a, brow in zip(arow, live):
+            if a._mono:
+                for i, b in brow:
+                    row[i] = row[i] + a * b
         rows.append(row)
     return Correspondence(
         alpha.theory, beta.source, alpha.target, alpha.degree + beta.degree, rows
@@ -294,15 +305,16 @@ def tensor_product(alpha: Correspondence, beta: Correspondence) -> Correspondenc
         raise RingMismatchError("morphisms over different theories")
     src, src_order = _sorted_pairs(alpha.source, beta.source)
     tgt, tgt_order = _sorted_pairs(alpha.target, beta.target)
-    p2 = beta.source.size
-    q2 = beta.target.size
+    zero = GradedRingElement.zero(alpha.theory.ring)
+    columns = [divmod(i, beta.source.size) for i in src_order]
     rows = []
-    for jj in range(tgt.size):
-        j1, j2 = divmod(tgt_order[jj], q2)
+    for jj in tgt_order:
+        j1, j2 = divmod(jj, beta.target.size)
+        arow, brow = alpha.entries[j1], beta.entries[j2]
         row = []
-        for ii in range(src.size):
-            i1, i2 = divmod(src_order[ii], p2)
-            row.append(alpha.entries[j1][i1] * beta.entries[j2][i2])
+        for i1, i2 in columns:
+            a, b = arow[i1], brow[i2]
+            row.append(a * b if a._mono and b._mono else zero)
         rows.append(row)
     return Correspondence(alpha.theory, src, tgt, alpha.degree + beta.degree, rows)
 
@@ -435,12 +447,14 @@ def _unit_scalar(entry: GradedRingElement, degree: int):
     if entry.is_zero():
         return 0
     mono = _unit_monomial(entry.ring, degree)
-    if mono is None or set(entry.terms) != {mono}:
+    unit = None if mono is None else GradedRingElement.from_terms(entry.ring, {mono: 1})
+    if unit is None or entry._mono.keys() != unit._mono.keys():
         raise NonSplittableError(
             f"entry {entry} is not a scalar multiple of a unit monomial "
             f"of degree {degree}"
         )
-    return entry.terms[mono]
+    (coefficient,) = entry._mono.values()
+    return coefficient
 
 
 def _scale_unit(theory, coefficient, degree: int) -> GradedRingElement:

@@ -32,10 +32,10 @@ class TruncatedSeries:
     __slots__ = ("ring", "variables", "order", "terms")
 
     def __init__(self, ring, variables, order, terms):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "variables", tuple(variables))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", terms)
+        _set_ring(self, ring)
+        _set_variables(self, tuple(variables))
+        _set_order(self, order)
+        _set_terms(self, terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -65,11 +65,11 @@ class TruncatedSeries:
                 terms.pop(expo, None)
             else:
                 terms[expo] = coeff
-        return cls(ring, variables, order, terms)
+        return _series(ring, variables, order, terms)
 
     @classmethod
     def zero(cls, ring, variables, order) -> "TruncatedSeries":
-        return cls(ring, tuple(variables), order, {})
+        return _series(ring, tuple(variables), order, {})
 
     @classmethod
     def constant(cls, value: GradedRingElement, variables, order) -> "TruncatedSeries":
@@ -133,10 +133,10 @@ class TruncatedSeries:
                 terms.pop(e, None)
             else:
                 terms[e] = s
-        return TruncatedSeries(self.ring, self.variables, self.order, terms)
+        return _series(self.ring, self.variables, self.order, terms)
 
     def __neg__(self):
-        return TruncatedSeries(
+        return _series(
             self.ring, self.variables, self.order, {e: -c for e, c in self.terms.items()}
         )
 
@@ -163,11 +163,11 @@ class TruncatedSeries:
                 c = c1 * c2
                 prev = acc.get(expo)
                 c = c if prev is None else prev + c
-                if c.is_zero():
-                    acc.pop(expo, None)
-                else:
+                if c._mono:
                     acc[expo] = c
-        return TruncatedSeries(self.ring, self.variables, self.order, acc)
+                else:
+                    acc.pop(expo, None)
+        return _series(self.ring, self.variables, self.order, acc)
 
     __rmul__ = __mul__
 
@@ -177,9 +177,9 @@ class TruncatedSeries:
         terms = {}
         for e, c in self.terms.items():
             p = c * value
-            if not p.is_zero():
+            if p._mono:
                 terms[e] = p
-        return TruncatedSeries(self.ring, self.variables, self.order, terms)
+        return _series(self.ring, self.variables, self.order, terms)
 
     # -- substitution --------------------------------------------------------
 
@@ -255,14 +255,14 @@ class TruncatedSeries:
             for pos, e in zip(positions, expo):
                 new[pos] = e
             terms[tuple(new)] = coeff
-        return TruncatedSeries(self.ring, variables, self.order, terms)
+        return _series(self.ring, variables, self.order, terms)
 
     def truncated(self, order: int) -> "TruncatedSeries":
         """The same series modulo total degree above a lower `order`."""
         if not 0 <= order <= self.order:
             raise ValueError(f"cannot truncate a series of order {self.order} to order {order}")
         terms = {e: c for e, c in self.terms.items() if sum(e) <= order}
-        return TruncatedSeries(self.ring, self.variables, order, terms)
+        return _series(self.ring, self.variables, order, terms)
 
     # -- univariate tools ------------------------------------------------------
 
@@ -324,6 +324,22 @@ class TruncatedSeries:
         return render_series(self)
 
 
+# slot descriptors: they set a slot without going through __setattr__
+_set_ring, _set_variables, _set_order, _set_terms = (
+    vars(TruncatedSeries)[slot].__set__ for slot in TruncatedSeries.__slots__
+)
+
+
+def _series(ring, variables: tuple, order: int, terms: dict) -> TruncatedSeries:
+    """A series from checked parts, without copying or checks."""
+    s = object.__new__(TruncatedSeries)
+    _set_ring(s, ring)
+    _set_variables(s, variables)
+    _set_order(s, order)
+    _set_terms(s, terms)
+    return s
+
+
 def render_series(s: TruncatedSeries) -> str:
     if not s.terms:
         return "0"
@@ -337,12 +353,12 @@ def render_series(s: TruncatedSeries) -> str:
         var_str = "*".join(var_parts)
         coeff_str = render_element(coeff)
         if not var_str:
-            body = f"({coeff_str})" if len(coeff.terms) > 1 else coeff_str
+            body = f"({coeff_str})" if len(coeff._mono) > 1 else coeff_str
         elif coeff == GradedRingElement.one(s.ring):
             body = var_str
         elif coeff == -GradedRingElement.one(s.ring):
             body = f"-{var_str}"
-        elif len(coeff.terms) > 1:
+        elif len(coeff._mono) > 1:
             body = f"({coeff_str})*{var_str}"
         else:
             body = f"{coeff_str}*{var_str}"
@@ -367,7 +383,7 @@ def parse_series(ring: RingDescriptor, variables, order: int, text: str) -> Trun
     flat = parse_element(extended, text)
     n = len(ring.generators)
     terms: dict = {}
-    for mono, coeff in flat.terms.items():
+    for mono, coeff in flat._pairs():
         ring_part, var_part = mono[:n], mono[n:]
         elem = GradedRingElement.from_terms(ring, {ring_part: coeff})
         prev = terms.get(var_part)

@@ -11,13 +11,17 @@ Grassmannian recursion, references in the text format).  Every walk over
 them (dimension, hash, equality, :func:`normalize`, printing) goes
 through :func:`walk_dag`, which visits each shared node once and keeps
 its own stack, so deep chains do not hit the recursion limit; the
-dimension and hash of each node are computed once and cached on it.
+dimension and hash of each node are computed once and cached on it.  The
+built-in families count their cells first and refuse more than MAX_CELLS.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+
+
+MAX_CELLS = 20_000  # cells a built-in space may have, over its distinct nodes
 
 
 class EquidimensionalityViolation(ValueError):
@@ -213,10 +217,17 @@ class DisjointUnion(SpaceExpr):
 # -- builders ---------------------------------------------------------------
 
 
+def _check_cells(name: str, count: int) -> None:
+    """Refuse a built-in space of more than MAX_CELLS cells before building it."""
+    if count > MAX_CELLS:
+        raise ValueError(f"{name} has {count} cells, more than the {MAX_CELLS} it may have")
+
+
 def projective_space(n: int) -> SpaceExpr:
     """Cells i = 0..n over a point with rank n-i and codim i."""
     if n < 0:
         raise ValueError("projective space dimension must be >= 0")
+    _check_cells(f"P({n})", n + 1)
     cells = [Cell(POINT, n - i, i) for i in range(n + 1)]
     return Cellular(cells, name=f"P({n})", expr_form=f"P({n})")
 
@@ -232,6 +243,7 @@ def quadric(d: int) -> SpaceExpr:
         raise ValueError("quadric parameter must be >= 0")
     if d == 0:
         return DisjointUnion(POINT, POINT)
+    _check_cells(f"quadric({d})", d + 3)  # its own two and those of P(d)
     base = projective_space(d)
     return Cellular(
         [Cell(base, d, 0), Cell(base, 0, d)],
@@ -266,12 +278,14 @@ def grassmannian(d: int, n: int) -> SpaceExpr:
     """d-planes in n-space, by the recursive hyperplane filtration.
 
     Cell i sits over grassmannian(d-1, n-1-i) with rank (n-i)-d and
-    codim d*i; the recursion grounds out at a point when d is 0 or n.
+    codim d*i; the recursion grounds out at a point when d is 0 or n.  Its
+    distinct nodes hold (n-d+1) + (d-1)(n-d)(n-d+3)/2 cells in all.
     """
     if d < 0 or n < 0 or d > n:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
     if d == 0 or d == n:
         return POINT
+    _check_cells(f"Gr({d},{n})", (n - d + 1) + (d - 1) * (n - d) * (n - d + 3) // 2)
     cells = [
         Cell(grassmannian(d - 1, n - 1 - i), (n - i) - d, d * i)
         for i in range(n - d + 1)
