@@ -129,9 +129,7 @@ def _packing(ring: RingDescriptor) -> tuple:
     invertible generator.  `bias` is the key of the empty monomial, so the
     product of two monomials is k1 + k2 - bias, and `guard` masks the top
     bit of every field, which such a sum sets in any field it takes out of
-    range.  `guard` is 0 when no kept exponent can pass the bound of a
-    truncated ring whose generators are non-invertible and of one degree
-    sign.  `degrees` caches the degree of each key met.  Entries are cached
+    range.  `degrees` caches the degree of each key met.  Entries are cached
     by identity and hold the ring, so its id is not reused while cached.
     """
     entry = _PACKINGS.get(id(ring))
@@ -140,10 +138,6 @@ def _packing(ring: RingDescriptor) -> tuple:
         offsets = tuple(_LAURENT_OFFSET if g.invertible else 0 for g in gens)
         bias = sum(o << (EXPONENT_BITS * i) for i, o in enumerate(offsets))
         guard = sum(_GUARD_BIT << (EXPONENT_BITS * i) for i in range(len(gens)))
-        signs = {(g.degree > 0) - (g.degree < 0) for g in gens}
-        bounded = ring.truncation is not None and ring.truncation < _GUARD_BIT
-        if bounded and not any(offsets) and signs in ({-1}, {1}):
-            guard = 0
         if len(_PACKINGS) >= MAX_PACKINGS:
             _PACKINGS.clear()
         entry = _PACKINGS[id(ring)] = (bias, guard, offsets, {}, ring)
@@ -402,12 +396,9 @@ class GradedRingElement:
         out = {}
         if bound is None and (len(left) == 1 or len(right) == 1):
             # one single-term factor shifts the other's keys, which stay distinct
-            many = self
             if len(right) != 1:
-                many, left, right = other, right, left
+                left, right = right, left
             ((m2, c2),) = right.items()
-            if m2 == bias and c2.__class__ is int and c2 == 1:
-                return many
             m2 -= bias
             for m1, c1 in left.items():
                 out[m1 + m2] = c1 * c2
@@ -429,10 +420,9 @@ class GradedRingElement:
                         out.pop(mono, None)
                     else:
                         out[mono] = s
-        if guard:
-            for mono in out:
-                if mono & guard:
-                    raise _overflow_error(ring, mono)
+        for mono in out:
+            if mono & guard:
+                raise _overflow_error(ring, mono)
         elem = _new(GradedRingElement)
         _set_ring(elem, ring)
         _set_mono(elem, out)

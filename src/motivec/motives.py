@@ -159,10 +159,16 @@ class Correspondence:
         entries = tuple(tuple(row) for row in entries)
         if len(entries) != target.size:
             raise ValueError(f"expected {target.size} rows, got {len(entries)}")
-        ring, columns = theory.ring, source.twists
-        for j, (row, t) in enumerate(zip(entries, target.twists)):
+        ring, columns = theory.ring, None
+        for j, row in enumerate(entries):
             if len(row) != source.size:
                 raise ValueError(f"row {j} has {len(row)} columns, expected {source.size}")
+            if not row:
+                continue
+            if columns is None:
+                # the twist lists are read only once an entry needs them
+                columns, rows = source.twists, target.twists
+            t = rows[j]
             for i, (e, s) in enumerate(zip(row, columns)):
                 if not isinstance(e, GradedRingElement):
                     raise TypeError("entries must be graded ring elements")

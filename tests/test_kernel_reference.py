@@ -167,3 +167,19 @@ def test_kernel_objects_stay_immutable():
         b.terms[(1,)] = 1
     with pytest.raises(AttributeError):
         b.terms = {}
+
+
+def test_correspondence_with_an_empty_side_lists_no_twists(monkeypatch):
+    from motivec import motives
+    from motivec.motives import Correspondence, TateMotive, zero_correspondence
+    from motivec.theory import chow
+
+    monkeypatch.setattr(motives, "MAX_TWISTS", 3)
+    big = TateMotive.from_histogram([(0, 2), (1, 2)])
+    empty = TateMotive()
+    assert zero_correspondence(chow(), big, empty).entries == ()
+    assert zero_correspondence(chow(), empty, big).entries == ((),) * 4
+    with pytest.raises(ValueError, match="^row 1 has 1 columns, expected 0$"):
+        Correspondence(chow(), empty, big, 0, [[], [GradedRingElement.zero(CHOW_RING)], [], []])
+    with pytest.raises(ValueError, match="^motive has 4 twists, more than the 3 it may list$"):
+        zero_correspondence(chow(), big, TateMotive([0]))
