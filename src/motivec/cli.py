@@ -31,7 +31,8 @@ format and a truncation of ASCII digits, is read directly; ``argparse``
 loads only for anything else (help, abbreviations, ``--name=value``,
 repeated options and every error), so that it alone writes help, usage and
 error text.  The parser :mod:`motivec.dsl` loads only for ``--file``,
-``json`` only for ``--format json``, and :mod:`motivec.selfcheck` (with the
+``json`` only to escape a string that is not printable ASCII (``_json``
+writes the flat document itself), and :mod:`motivec.selfcheck` (with the
 series, group-law and linear-algebra modules) only for ``--mode check``.
 No built-in Chow or K0 request loads ``fractions``, and no answer other
 than a check builds a group law.
@@ -43,7 +44,13 @@ import os
 import sys
 from collections import namedtuple
 
-from .motives import decompose_by_codim, decompose_by_rank, group_ranks, poincare_polynomial
+from .motives import (
+    decompose_by_codim,
+    decompose_by_rank,
+    group_ranks,
+    poincare_polynomial,
+    require_listable,
+)
 from .spaces import POINT, SpaceExpr, grassmannian, projective_space, quadric
 from .theory import theory_from_selector
 
@@ -163,9 +170,11 @@ def run(config: RunConfig) -> tuple[str, int]:
         doc["groups"] = _groups_json(ranks, periodic)
         text = "\n".join(_groups_text(ranks, periodic))
     else:  # dual
+        by_rank = decompose_by_rank(space)
+        require_listable(by_rank)  # both routes have its size; refuse before the codim fold
         by_codim = decompose_by_codim(space)
         # the codim route mirrors the rank route through the dimension
-        ok = by_codim == decompose_by_rank(space).dual(doc["dim"])
+        ok = by_codim == by_rank.dual(doc["dim"])
         ranks, periodic = group_ranks(by_codim, theory)
         doc["twists"] = by_codim.as_json()
         doc["groups"] = _groups_json(ranks, periodic)
@@ -179,9 +188,25 @@ def run(config: RunConfig) -> tuple[str, int]:
             exit_code = 2
 
     if config.format == "json":
-        import json
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n", exit_code
+        return _json(doc) + "\n", exit_code
     return text + "\n", exit_code
+
+
+def _json(value, indent="\n") -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` for the flat documents `run` writes."""
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+        import json  # json itself escapes any other string
+        return json.dumps(value)
+    if isinstance(value, int):  # a bool too, which json writes in lower case
+        return str(value).lower()
+    inner = indent + "  "  # a line break and the indent of the items
+    if isinstance(value, dict):
+        items, ends = [f"{_json(k)}: {_json(v, inner)}" for k, v in sorted(value.items())], "{}"
+    else:
+        items, ends = [_json(v, inner) for v in value], "[]"
+    return ends[0] + inner + f",{inner}".join(items) + indent + ends[1] if items else ends
 
 
 def read_plain_argv(argv) -> dict | None:

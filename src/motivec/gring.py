@@ -476,7 +476,10 @@ class GradedRingElement:
         return self.ring == other.ring and self._mono == other._mono
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self._mono.items())))
+        mono, unit = self._mono, _packing(self.ring)[0]
+        if mono.keys() <= {unit}:  # a scalar equals its int or Fraction, so hashes as it
+            return hash(mono.get(unit, 0))
+        return hash((self.ring, frozenset(mono.items())))
 
     def __repr__(self):
         return f"<{self.ring.name}: {render_element(self)}>"
@@ -572,6 +575,16 @@ def component_rank(ring: RingDescriptor, k: int) -> ModuleDescription:
     """
     monos = sorted(_degree_monomials(ring, k))
     return ModuleDescription(ring.field, ring, tuple(monos))
+
+
+@lru_cache(maxsize=1024)
+def _component_keys(ring: RingDescriptor, k: int) -> tuple:
+    """The packed keys of `component_rank(ring, k)`'s basis, in its order;
+    none past the ring's degree bound, which an element never keeps."""
+    monos = component_rank(ring, k).monomials
+    if ring.truncation is not None and abs(k) > ring.truncation:
+        monos = ()
+    return tuple(_encode(ring, mono) for mono in monos)
 
 
 def check_enumerable(ring: RingDescriptor) -> None:
@@ -768,14 +781,16 @@ def parse_element(ring: RingDescriptor, text: str) -> GradedRingElement:
 def random_homogeneous(rng, ring: RingDescriptor, degree: int, span: int = 3) -> GradedRingElement:
     """A random element concentrated in one degree (possibly zero)."""
     try:
-        basis = component_rank(ring, degree).monomials
+        basis = _component_keys(ring, degree)
     except TruncationError:
         return GradedRingElement.zero(ring)
     from fractions import Fraction
 
     terms = {}
-    for mono in basis:
+    for key in basis:
         c = rng.randint(-span, span)
         if c:
-            terms[mono] = c if ring.field == "Z" else Fraction(c, rng.randint(1, 3))
-    return GradedRingElement.from_terms(ring, terms)
+            if ring.field != "Z":
+                c = _normalize_scalar(Fraction(c, rng.randint(1, 3)), ring.field)
+            terms[key] = c
+    return _element(ring, terms, (degree,) if terms else ())

@@ -3,11 +3,12 @@
 A motive here is a finite multiset of nonnegative twist integers, stored
 as its histogram: sorted (twist, multiplicity) pairs.  The expanded,
 sorted twist tuple is built on first use and kept.  A morphism of degree
-c between two motives, over a theory's coefficient ring, is a matrix
-whose (j, i) entry is homogeneous of ring degree
-c + source_twist(i) - target_twist(j).  Composition is matrix product,
-duality is matrix transposition with twists reflected through the ambient
-dimensions, and the tensor product is a twist-sorted Kronecker product.
+c between two motives, over a theory's coefficient ring, sends twist s
+to twist t through the one ring component of degree c + s - t, so it is
+stored by twist blocks: one scalar matrix per monomial of that component.
+Composition sums block products over the middle twist, duality reflects
+the blocks through the ambient dimensions, and the tensor product takes
+Kronecker products of blocks over the sums of twists.
 
 The module also carries the two decomposition routes for cellular spaces
 (accumulating bundle ranks or stratum codimensions, by one fold over the
@@ -19,12 +20,17 @@ ring's Hilbert series without listing a basis.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import groupby
+from itertools import accumulate, chain, groupby, product
 
 from .gring import (
     GradedRingElement,
     ModuleDescription,
     RingMismatchError,
+    _element,
+    _encode,
+    _normalize_scalar,
+    _overflow_error,
+    _packing,
     check_enumerable,
     component_rank,
 )
@@ -87,8 +93,7 @@ class TateMotive:
         # only reached while the `twists` slot is still empty
         if name != "twists":
             raise AttributeError(name)
-        if self.size > MAX_TWISTS:
-            raise ValueError(f"motive has {self.size} twists, more than the {MAX_TWISTS} it may list")
+        require_listable(self)
         tw = tuple(t for t, m in self.histogram for _ in range(m))
         _set_twists(self, tw)
         return tw
@@ -134,212 +139,269 @@ _set_histogram, _set_size, _set_twists = (
 )
 
 
-def assemble(blocks: list[TateMotive]) -> tuple[TateMotive, list[list[int]]]:
-    """Direct sum with bookkeeping: positions[b][i] is where generator i of
-    block b lands in the sorted combined motive."""
-    tagged = []
-    for b, m in enumerate(blocks):
-        for i, t in enumerate(m.twists):
-            tagged.append((t, b, i))
-    tagged.sort()
-    combined = TateMotive(t for t, _, _ in tagged)
-    positions = [[0] * m.size for m in blocks]
-    for pos, (_, b, i) in enumerate(tagged):
-        positions[b][i] = pos
-    return combined, positions
+def require_listable(*motives: TateMotive) -> None:
+    """Refuse, with a ValueError, a motive of more than MAX_TWISTS twists."""
+    for m in motives:
+        if m.size > MAX_TWISTS:
+            raise ValueError(f"motive has {m.size} twists, more than the {MAX_TWISTS} it may list")
 
 
 class Correspondence:
-    """A graded matrix morphism between twist multisets over a theory."""
+    """A graded matrix morphism between twist multisets over a theory.
 
-    __slots__ = ("theory", "source", "target", "degree", "entries")
+    Its (j, i) entry lies in A^(degree + s - t), s and t the twists of
+    source generator i and target generator j, so it is kept by twist:
+    `blocks[(t, s)]` maps each packed monomial of that component (see
+    `gring._packing`) to a scalar matrix, one row per generator of twist t
+    and one column per generator of twist s, as lists never changed once
+    built.  Zero matrices and blocks are absent; the dense `entries`, over
+    the expanded twist tuples, are built on first read.
+    """
+
+    __slots__ = ("theory", "source", "target", "degree", "blocks", "entries")
 
     def __init__(self, theory: OrientedTheory, source: TateMotive, target: TateMotive,
                  degree: int, entries):
-        entries = tuple(tuple(row) for row in entries)
+        entries = tuple(map(tuple, entries))
         if len(entries) != target.size:
             raise ValueError(f"expected {target.size} rows, got {len(entries)}")
-        ring, columns = theory.ring, None
+        ring, blocks, columns = theory.ring, {}, None
         for j, row in enumerate(entries):
             if len(row) != source.size:
                 raise ValueError(f"row {j} has {len(row)} columns, expected {source.size}")
-            if not row:
-                continue
-            if columns is None:
-                # the twist lists are read only once an entry needs them
-                columns, rows = source.twists, target.twists
-            t = rows[j]
-            for i, (e, s) in enumerate(zip(row, columns)):
+            if row and columns is None:  # the twist lists are read once an entry needs them
+                columns, rows, cols_at, rows_at = (source.twists, target.twists,
+                                                   _spans(source), _spans(target))
+            for i, (e, s) in enumerate(zip(row, columns or ())):
                 if not isinstance(e, GradedRingElement):
                     raise TypeError("entries must be graded ring elements")
                 if e.ring is not ring and e.ring != ring:
                     raise RingMismatchError("entry over the wrong coefficient ring")
-                degs = e._degrees()
-                if degs and degs != (degree + s - t,):
-                    raise ValueError(
-                        f"entry ({j},{i}) must be homogeneous of degree {degree + s - t}, "
-                        f"got degrees {list(degs)}"
-                    )
-        _set_theory(self, theory)
-        _set_source(self, source)
-        _set_target(self, target)
-        _set_degree(self, degree)
+                degs, t = e._degrees(), rows[j]
+                if not degs:
+                    continue
+                if degs != (degree + s - t,):  # the degree of block (t, s)
+                    raise ValueError(f"entry ({j},{i}) must be homogeneous of degree "
+                                     f"{degree + s - t}, got degrees {list(degs)}")
+                block, height, width = blocks.setdefault((t, s), {}), rows_at[t], cols_at[s]
+                for k, v in e._mono.items():
+                    m = block.get(k) or block.setdefault(k, [[0] * len(width) for _ in height])
+                    m[j - height.start][i - width.start] = v
+        _make(theory, source, target, degree, blocks, self)
         _set_entries(self, entries)
+
+    def __getattr__(self, name):
+        # only reached while the `entries` slot is still empty
+        if name != "entries":
+            raise AttributeError(name)
+        ring = self.theory.ring
+        rows = [[GradedRingElement.zero(ring)] * self.source.size for _ in range(self.target.size)]
+        rows_at, cols_at = _spans(self.target), _spans(self.source)
+        for (t, s), block in self.blocks.items():
+            for r, j in enumerate(rows_at[t]):
+                for c, i in enumerate(cols_at[s]):
+                    terms = {k: m[r][c] for k, m in block.items() if m[r][c]}
+                    if terms:
+                        rows[j][i] = _element(ring, terms, (self.degree + s - t,))
+        entries = tuple(map(tuple, rows))
+        _set_entries(self, entries)
+        return entries
 
     def __setattr__(self, name, value):
         raise AttributeError("Correspondence is immutable")
 
+    def _shape(self) -> tuple:
+        return self.theory, self.source, self.target, self.degree
+
     def __eq__(self, other):
         if not isinstance(other, Correspondence):
             return NotImplemented
-        return (
-            self.theory == other.theory
-            and self.source == other.source
-            and self.target == other.target
-            and self.degree == other.degree
-            and self.entries == other.entries
-        )
+        return self._shape() == other._shape() and self.blocks == other.blocks
 
     def __hash__(self):
-        return hash((self.theory, self.source, self.target, self.degree, self.entries))
+        return hash((self._shape(), frozenset(self.blocks)))
 
     def __repr__(self):
-        return (
-            f"<corr {self.source.twists} -> {self.target.twists} "
-            f"deg {self.degree} over {self.theory.name}>"
-        )
+        return (f"<corr {self.source.twists} -> {self.target.twists} "
+                f"deg {self.degree} over {self.theory.name}>")
 
     def entry(self, j: int, i: int) -> GradedRingElement:
         return self.entries[j][i]
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not self.blocks
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         if not isinstance(other, Correspondence):
             return NotImplemented
-        if (self.theory, self.source, self.target, self.degree) != (
-            other.theory, other.source, other.target, other.degree
-        ):
+        if self._shape() != other._shape():
             raise ValueError("can only add morphisms of identical shape and degree")
-        rows = [
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)
-        ]
-        return Correspondence(self.theory, self.source, self.target, self.degree, rows)
+        blocks = {ts: dict(b) for ts, b in self.blocks.items()}
+        for ts, b in other.blocks.items():
+            block = blocks.setdefault(ts, {})
+            for k, m in b.items():
+                mine = block.get(k) or [[0] * len(m[0])] * len(m)
+                block[k] = [[x + sign * y for x, y in zip(u, v)] for u, v in zip(mine, m)]
+        return _make(*self._shape(), _pruned(self.theory.ring, blocks))
 
     def __sub__(self, other):
-        if not isinstance(other, Correspondence):
-            return NotImplemented
-        rows = [[-e for e in row] for row in other.entries]
-        negated = Correspondence(other.theory, other.source, other.target, other.degree, rows)
-        return self + negated
+        return self.__add__(other, -1)
 
     def __matmul__(self, other):
         return compose(self, other)
 
 
 # slot descriptors: they set a slot without going through __setattr__
-_set_theory, _set_source, _set_target, _set_degree, _set_entries = (
+_set_theory, _set_source, _set_target, _set_degree, _set_blocks, _set_entries = (
     vars(Correspondence)[slot].__set__ for slot in Correspondence.__slots__
 )
 
 
+def _make(theory, source: TateMotive, target: TateMotive, degree: int, blocks,
+          corr=None) -> Correspondence:
+    """`corr` (or a new one) holding blocks that already lie in their components."""
+    if source.size and target.size and max(source.size, target.size) > MAX_TWISTS:
+        require_listable(source, target)
+    corr = object.__new__(Correspondence) if corr is None else corr
+    _set_theory(corr, theory)
+    _set_source(corr, source)
+    _set_target(corr, target)
+    _set_degree(corr, degree)
+    _set_blocks(corr, blocks)
+    return corr
+
+
+def _spans(motive: TateMotive) -> dict[int, range]:
+    """The positions of each twist's generators in the expanded twist tuple."""
+    starts = accumulate((m for _, m in motive.histogram), initial=0)
+    return {t: range(a, a + m) for (t, m), a in zip(motive.histogram, starts)}
+
+
+def _pruned(ring, blocks) -> dict:
+    """The blocks less zero matrices and empty blocks; a kept monomial with an
+    exponent out of its packed field raises the product's ValueError."""
+    guard, out = _packing(ring)[1], {}
+    for ts, block in blocks.items():
+        kept = {k: m for k, m in block.items() if any(map(any, m))}
+        for k in kept:
+            if k & guard:
+                raise _overflow_error(ring, k)
+        if kept:
+            out[ts] = kept
+    return out
+
+
 def zero_correspondence(theory, source: TateMotive, target: TateMotive, degree: int = 0):
-    z = GradedRingElement.zero(theory.ring)
-    rows = [[z] * source.size for _ in range(target.size)]
-    return Correspondence(theory, source, target, degree, rows)
+    return _make(theory, source, target, degree, {})
 
 
 def identity_correspondence(theory, motive: TateMotive) -> Correspondence:
-    one = GradedRingElement.one(theory.ring)
-    z = GradedRingElement.zero(theory.ring)
-    rows = [
-        [one if i == j else z for i in range(motive.size)] for j in range(motive.size)
-    ]
-    return Correspondence(theory, motive, motive, 0, rows)
+    one = _packing(theory.ring)[0]  # the key of the empty monomial
+    blocks = {(t, t): {one: _eye(m, range(m))} for t, m in motive.histogram}
+    return _make(theory, motive, motive, 0, blocks)
+
+
+def _eye(n: int, places) -> list:
+    """The n x n matrix with 1 at the diagonal places given, 0 elsewhere."""
+    return [[int(r == c and r in places) for c in range(n)] for r in range(n)]
+
+
+def _matmul_into(block, key, a, b):
+    """block[key] += a b, for matrices given as rows."""
+    acc = block.get(key) or block.setdefault(key, [[0] * len(b[0]) for _ in a])
+    for row, arow in zip(acc, a):
+        for x, brow in zip(arow, b):
+            if x:
+                for c, y in enumerate(brow):
+                    if y:  # into a zero slot, the product alone: 0 + Fraction is slow
+                        row[c] = row[c] + x * y if row[c] else x * y
+
+
+def _kron_into(block, key, a, b, r, c, height, width):
+    """block[key] (height x width) += the Kronecker product of a and b at (r, c)."""
+    acc = block.get(key) or block.setdefault(key, [[0] * width for _ in range(height)])
+    for r, (arow, brow) in enumerate(product(a, b), r):
+        row = acc[r]
+        for i, v in enumerate([x * y for x in arow for y in brow], c):
+            row[i] = row[i] + v if row[i] else v  # as in _matmul_into
 
 
 def compose(alpha: Correspondence, beta: Correspondence) -> Correspondence:
-    """alpha after beta: matrix product, degrees add."""
-    if alpha.theory != beta.theory:
+    """alpha after beta: matrix product, degrees add.  Block (t, s) sums the
+    present blocks (t, u) of alpha times (u, s) of beta over middle twists u."""
+    if alpha.theory is not beta.theory and alpha.theory != beta.theory:
         raise RingMismatchError("morphisms over different theories")
-    if beta.target != alpha.source:
-        raise ValueError(
-            f"shapes do not compose: {beta.target.twists} then {alpha.source.twists}"
-        )
-    zero = GradedRingElement.zero(alpha.theory.ring)
-    # the nonzero entries of each row of beta; a row of the product adds
-    # a * b over its live pairs, for each entry in increasing middle index
-    live = [[(i, b) for i, b in enumerate(row) if b._mono] for row in beta.entries]
-    rows = []
-    for arow in alpha.entries:
-        row = [zero] * beta.source.size
-        for a, brow in zip(arow, live):
-            if a._mono:
-                for i, b in brow:
-                    row[i] = row[i] + a * b
-        rows.append(row)
-    return Correspondence(
-        alpha.theory, beta.source, alpha.target, alpha.degree + beta.degree, rows
-    )
+    if beta.target is not alpha.source and beta.target != alpha.source:
+        raise ValueError(f"shapes do not compose: {beta.target.twists} then {alpha.source.twists}")
+    ring = alpha.theory.ring
+    bias, bound, degree = _packing(ring)[0], ring.truncation, alpha.degree + beta.degree
+    after, out = {}, {}  # beta's blocks by their target twist; the product's blocks
+    for (u, s), b in beta.blocks.items():
+        after.setdefault(u, []).append((s, b))
+    for (t, u), a in alpha.blocks.items():
+        for s, b in after.get(u, ()):
+            if bound is None or abs(degree + s - t) <= bound:
+                block = out.setdefault((t, s), {})
+                for ka, ma in a.items():
+                    for kb, mb in b.items():
+                        _matmul_into(block, ka + kb - bias, ma, mb)
+    return _make(alpha.theory, beta.source, alpha.target, degree, _pruned(ring, out))
 
 
 def transpose(alpha: Correspondence, dim_source: int, dim_target: int) -> Correspondence:
     """Dualize through the ambient dimensions of source and target.
 
     The result runs from the reflected target to the reflected source and
-    has degree dim_source + degree - dim_target.
+    has degree dim_source + degree - dim_target.  Block (t, s) moves to
+    (dim_source - s, dim_target - t), its matrix transposed and reversed.
     """
     new_source = alpha.target.dual(dim_target)
     new_target = alpha.source.dual(dim_source)
-    p, q = alpha.source.size, alpha.target.size
-    rows = [
-        [alpha.entries[q - 1 - jj][p - 1 - ii] for jj in range(q)] for ii in range(p)
-    ]
-    return Correspondence(
-        alpha.theory,
-        new_source,
-        new_target,
-        dim_source + alpha.degree - dim_target,
-        rows,
-    )
+    blocks = {(dim_source - s, dim_target - t): {k: [list(r) for r in zip(*m[::-1])][::-1]
+                                                 for k, m in b.items()}
+              for (t, s), b in alpha.blocks.items()}
+    return _make(alpha.theory, new_source, new_target, dim_source + alpha.degree - dim_target,
+                 blocks)
 
 
 def tensor_product(alpha: Correspondence, beta: Correspondence) -> Correspondence:
-    """Kronecker product with twist addition, re-sorted canonically."""
-    if alpha.theory != beta.theory:
+    """Kronecker product with twist addition, re-sorted canonically (by
+    alpha's generator, then beta's, within one twist sum): blocks (t1, s1)
+    and (t2, s2) fill one window of block (t1 + t2, s1 + s2)."""
+    if alpha.theory is not beta.theory and alpha.theory != beta.theory:
         raise RingMismatchError("morphisms over different theories")
-    src, src_order = _sorted_pairs(alpha.source, beta.source)
-    tgt, tgt_order = _sorted_pairs(alpha.target, beta.target)
-    zero = GradedRingElement.zero(alpha.theory.ring)
-    columns = [divmod(i, beta.source.size) for i in src_order]
-    rows = []
-    for jj in tgt_order:
-        j1, j2 = divmod(jj, beta.target.size)
-        arow, brow = alpha.entries[j1], beta.entries[j2]
-        row = []
-        for i1, i2 in columns:
-            a, b = arow[i1], brow[i2]
-            row.append(a * b if a._mono and b._mono else zero)
-        rows.append(row)
-    return Correspondence(alpha.theory, src, tgt, alpha.degree + beta.degree, rows)
+    ring = alpha.theory.ring
+    bias, bound, degree = _packing(ring)[0], ring.truncation, alpha.degree + beta.degree
+    source, col_at = _pair_sums(alpha.source, beta.source)
+    target, row_at = _pair_sums(alpha.target, beta.target)
+    height, width, out = dict(target.histogram), dict(source.histogram), {}
+    for (t1, s1), a in alpha.blocks.items():
+        for (t2, s2), b in beta.blocks.items():
+            t, s = t1 + t2, s1 + s2
+            if bound is None or abs(degree + s - t) <= bound:
+                block, r, c = out.setdefault((t, s), {}), row_at[t1, t2], col_at[s1, s2]
+                for ka, ma in a.items():
+                    for kb, mb in b.items():
+                        _kron_into(block, ka + kb - bias, ma, mb, r, c, height[t], width[s])
+    return _make(alpha.theory, source, target, degree, _pruned(ring, out))
 
 
-def _sorted_pairs(m1: TateMotive, m2: TateMotive):
-    sums = [a + b for a in m1.twists for b in m2.twists]
-    order = sorted(range(len(sums)), key=lambda t: (sums[t], t))
-    return TateMotive(sums[t] for t in order), order
+def _pair_sums(m1: TateMotive, m2: TateMotive):
+    """The motive of the twist sums a + b, and where each pair (a, b) starts
+    among the generators of a + b, pairs in order of a."""
+    counts, start = {}, {}
+    for a, p in m1.histogram:
+        for b, q in m2.histogram:
+            start[a, b] = counts.get(a + b, 0)
+            counts[a + b] = start[a, b] + p * q
+    return TateMotive._of(tuple(sorted(counts.items()))), start
 
 
 # -- idempotents -------------------------------------------------------------
 
 
 def is_idempotent(p: Correspondence) -> bool:
-    return (
-        p.source == p.target
-        and p.degree == 0
-        and compose(p, p) == p
-    )
+    return p.source == p.target and p.degree == 0 and compose(p, p) == p
 
 
 class SplitCertificate(namedtuple("SplitCertificate", "motive section retraction integral")):
@@ -357,31 +419,30 @@ def split_idempotent(p: Correspondence) -> SplitCertificate:
     """Split a degree-0 projector whose entries reduce to scalars.
 
     Entries between twists a_i and a_j must be zero or a scalar multiple of
-    the unique unit monomial of degree a_i - a_j (over rings without Laurent
-    units this forces a twist-blocked matrix).  Over integer scalars the
-    factorization is found in the image lattice, hence integral; otherwise
-    an exact rational factorization is returned and flagged.
+    the unique unit monomial of degree a_i - a_j, read block by block (over
+    rings without Laurent units this forces a twist-blocked matrix).  Over
+    integer scalars the factorization is found in the image lattice, hence
+    integral; otherwise an exact rational factorization is returned and flagged.
     """
-    from fractions import Fraction
-
     from .linalg import column_space_factorization, integer_column_basis, solve_columns
 
     if p.source != p.target or p.degree != 0:
         raise NotIdempotentError("splitting needs a degree-0 endomorphism")
     if compose(p, p) != p:
         raise NotIdempotentError("morphism does not square to itself")
-    theory = p.theory
-    twists = p.source.twists
-    n = p.source.size
-    scalar = [
-        [_unit_scalar(p.entries[j][i], twists[i] - twists[j]) for i in range(n)]
-        for j in range(n)
-    ]
-    all_integer = all(
-        isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
-        for row in scalar for c in row
-    )
-    if all_integer and n:
+    theory, ring, twists, n = p.theory, p.theory.ring, p.source.twists, p.source.size
+    at, scalar = _spans(p.source), [[0] * n for _ in range(n)]
+    for (t, s), block in p.blocks.items():
+        unit = _unit_key(ring, s - t)
+        if block.keys() != {unit}:
+            entry = next(e for j in at[t] for i in at[s]
+                         if (e := p.entry(j, i))._mono.keys() - {unit})
+            raise NonSplittableError(f"entry {entry} is not a scalar multiple of a unit "
+                                     f"monomial of degree {s - t}")
+        (m,) = block.values()
+        for j, row in zip(at[t], m):
+            scalar[j][at[s].start:at[s].stop] = row
+    if n and all(c.denominator == 1 for row in scalar for c in row):  # ints and Fractions
         c_mat = integer_column_basis(scalar)
         r_mat = solve_columns(c_mat, scalar) if c_mat and c_mat[0] else []
         if any(x.denominator != 1 for row in r_mat for x in row):
@@ -393,36 +454,14 @@ def split_idempotent(p: Correspondence) -> SplitCertificate:
             x.denominator == 1 for row in r_mat for x in row
         )
     rank = len(c_mat[0]) if c_mat and c_mat[0] else 0
-    column_twists = []
-    for t in range(rank):
-        support = [j for j in range(n) if c_mat[j][t] != 0]
-        candidates = {twists[j] for j in support}
-        if _has_laurent_unit(theory.ring):
-            column_twists.append(twists[support[0]])
-        else:
-            if len(candidates) > 1:
-                raise NonSplittableError(
-                    "image column mixes twists over a ring without Laurent units"
-                )
-            column_twists.append(candidates.pop())
-    order = sorted(range(rank), key=lambda t: (column_twists[t], t))
-    image = TateMotive(column_twists[t] for t in order)
-    section_rows = [
-        [
-            _scale_unit(theory, c_mat[j][order[t]], image.twists[t] - twists[j])
-            for t in range(rank)
-        ]
-        for j in range(n)
-    ]
-    retraction_rows = [
-        [
-            _scale_unit(theory, r_mat[order[t]][j], twists[j] - image.twists[t])
-            for j in range(n)
-        ]
-        for t in range(rank)
-    ]
-    section = Correspondence(theory, image, p.source, 0, section_rows)
-    retraction = Correspondence(theory, p.source, image, 0, retraction_rows)
+    # each column takes the twist of its first nonzero row
+    supports = [{twists[j] for j in range(n) if c_mat[j][t] != 0} for t in range(rank)]
+    if not _has_laurent_unit(ring) and any(len(twist) > 1 for twist in supports):
+        raise NonSplittableError("image column mixes twists over a ring without Laurent units")
+    order = sorted(range(rank), key=lambda t: (min(supports[t]), t))
+    image = TateMotive(min(supports[t]) for t in order)
+    section = _units(theory, image, p.source, [[row[t] for t in order] for row in c_mat])
+    retraction = _units(theory, p.source, image, [r_mat[t] for t in order])
     if compose(retraction, section) != identity_correspondence(theory, image):
         raise AssertionError("retraction o section is not the identity")
     if compose(section, retraction) != p:
@@ -434,42 +473,27 @@ def _has_laurent_unit(ring) -> bool:
     return any(g.invertible for g in ring.generators)
 
 
-def _unit_monomial(ring, degree: int):
-    """The exponent vector of the unique unit monomial of a given degree."""
-    if degree == 0:
-        return (0,) * len(ring.generators)
-    units = [(i, g) for i, g in enumerate(ring.generators) if g.invertible]
-    if len(units) == 1:
-        i, g = units[0]
-        if degree % g.degree == 0:
-            return tuple(
-                degree // g.degree if k == i else 0 for k in range(len(ring.generators))
-            )
-    return None
+def _unit_key(ring, degree: int):
+    """The packed key of the unique unit monomial of a given degree, or None."""
+    units = [g for g in ring.generators if g.invertible]
+    if degree and (len(units) != 1 or degree % units[0].degree):
+        return None
+    return _encode(ring, tuple(degree // g.degree if g.invertible else 0 for g in ring.generators))
 
 
-def _unit_scalar(entry: GradedRingElement, degree: int):
-    """Extract c from c * (unit monomial of the given degree), else refuse."""
-    if entry.is_zero():
-        return 0
-    mono = _unit_monomial(entry.ring, degree)
-    unit = None if mono is None else GradedRingElement.from_terms(entry.ring, {mono: 1})
-    if unit is None or entry._mono.keys() != unit._mono.keys():
-        raise NonSplittableError(
-            f"entry {entry} is not a scalar multiple of a unit monomial "
-            f"of degree {degree}"
-        )
-    (coefficient,) = entry._mono.values()
-    return coefficient
-
-
-def _scale_unit(theory, coefficient, degree: int) -> GradedRingElement:
-    if coefficient == 0:
-        return GradedRingElement.zero(theory.ring)
-    mono = _unit_monomial(theory.ring, degree)
-    if mono is None:
-        raise NonSplittableError(f"no unit monomial of degree {degree} in {theory.ring.name}")
-    return GradedRingElement.from_terms(theory.ring, {mono: coefficient})
+def _units(theory, source: TateMotive, target: TateMotive, matrix) -> Correspondence:
+    """The degree-0 morphism whose (j, i) entry is matrix[j][i] times the
+    unit monomial of degree s - t, cut into twist blocks."""
+    ring, blocks = theory.ring, {}
+    for t, rows in _spans(target).items():
+        for s, cols in _spans(source).items():
+            m = [[_normalize_scalar(matrix[j][i], ring.field) for i in cols] for j in rows]
+            if any(map(any, m)):
+                key = _unit_key(ring, s - t)
+                if key is None:
+                    raise NonSplittableError(f"no unit monomial of degree {s - t} in {ring.name}")
+                blocks[t, s] = {key: m}
+    return _make(theory, source, target, 0, blocks)
 
 
 def projective_bundle_projectors(theory, base: TateMotive, bundle_rank: int):
@@ -478,23 +502,17 @@ def projective_bundle_projectors(theory, base: TateMotive, bundle_rank: int):
     On the sum of `bundle_rank` copies of the base, shifted by 0..rank-1,
     the i-th projector fixes the i-shifted copy and kills the others.
     They are orthogonal, sum to the identity, and split to the shifted
-    copies.
+    copies.  Within one twist the copies come in order.
     """
     if bundle_rank < 1:
         raise ValueError("bundle rank must be >= 1")
-    blocks = [base.shifted(i) for i in range(bundle_rank)]
-    total, positions = assemble(blocks)
-    one = GradedRingElement.one(theory.ring)
-    zero = GradedRingElement.zero(theory.ring)
-    projectors = []
-    for i in range(bundle_rank):
-        inside = set(positions[i])
-        rows = [
-            [one if (r == c and r in inside) else zero for c in range(total.size)]
-            for r in range(total.size)
-        ]
-        projectors.append(Correspondence(theory, total, total, 0, rows))
-    return projectors
+    # the copies add up to the twist sums of (0, ..., rank-1) and the base
+    total, start = _pair_sums(TateMotive(range(bundle_rank)), base)
+    size, one = dict(total.histogram), _packing(theory.ring)[0]
+    return [_make(theory, total, total, 0, {
+        (i + t, i + t): {one: _eye(size[i + t], range(start[i, t], start[i, t] + m))}
+        for t, m in base.histogram
+    }) for i in range(bundle_rank)]
 
 
 # -- decomposition of cellular spaces ----------------------------------------
@@ -543,20 +561,13 @@ def _fold(space: SpaceExpr, field: str) -> dict[int, int]:
 
 def poincare_polynomial(motive: TateMotive) -> list[int]:
     """Coefficient k is the multiplicity of twist k."""
-    if not motive.histogram:
-        return []
-    out = [0] * (motive.histogram[-1][0] + 1)
-    for t, m in motive.histogram:
-        out[t] = m
-    return out
+    hist = dict(motive.histogram)
+    return [hist.get(k, 0) for k in range(max(hist, default=-1) + 1)]
 
 
 def duality_holds(space: SpaceExpr) -> bool:
     """The codim-route twists are the dim-reflection of the rank-route twists."""
-    d = space.dim()
-    by_rank = decompose_by_rank(space)
-    by_codim = decompose_by_codim(space)
-    return by_codim == by_rank.dual(d)
+    return decompose_by_codim(space) == decompose_by_rank(space).dual(space.dim())
 
 
 # -- realization --------------------------------------------------------------
@@ -569,12 +580,7 @@ class GradedModuleTable(namedtuple("GradedModuleTable", "entries periodic", defa
     __slots__ = ()
 
     def rank(self, k: int) -> int:
-        if self.periodic:
-            return self.entries[0][1].rank if self.entries else 0
-        for degree, desc in self.entries:
-            if degree == k:
-                return desc.rank
-        return 0
+        return self.total_rank() if self.periodic else self.ranks().get(k, 0)
 
     def ranks(self) -> dict[int, int]:
         return {degree: desc.rank for degree, desc in self.entries}
@@ -597,9 +603,7 @@ def realize(motive: TateMotive, theory: OrientedTheory, k: int) -> ModuleDescrip
         raise ValueError(
             f"degree {k} module has {size} basis elements, more than the {MAX_TWISTS} it may list"
         )
-    basis = []
-    for monomials, m in components:
-        basis.extend(monomials * m)
+    basis = chain.from_iterable(monomials * m for monomials, m in components)
     return ModuleDescription(ring.field, ring, tuple(basis))
 
 
@@ -616,17 +620,10 @@ def realize_table(motive: TateMotive, theory: OrientedTheory) -> GradedModuleTab
         return GradedModuleTable(entries=((0, desc),), periodic=True)
     if not motive.histogram:
         return GradedModuleTable(entries=())
-    low, high = motive.histogram[0][0], motive.histogram[-1][0]
-    if ring.truncation is not None:
-        degrees = range(high - ring.truncation, high + 1)
-    else:
-        degrees = range(low, high + 1)
-    entries = []
-    for k in degrees:
-        desc = realize(motive, theory, k)
-        if desc.rank:
-            entries.append((k, desc))
-    return GradedModuleTable(entries=tuple(entries))
+    high = motive.histogram[-1][0]
+    low = motive.histogram[0][0] if ring.truncation is None else high - ring.truncation
+    descs = ((k, realize(motive, theory, k)) for k in range(low, high + 1))
+    return GradedModuleTable(entries=tuple((k, desc) for k, desc in descs if desc.rank))
 
 
 def group_ranks(motive: TateMotive, theory: OrientedTheory) -> tuple[dict[int, int], bool]:

@@ -277,17 +277,23 @@ def normalize(space: SpaceExpr) -> SpaceExpr:
 def grassmannian(d: int, n: int) -> SpaceExpr:
     """d-planes in n-space, by the recursive hyperplane filtration.
 
-    Cell i sits over grassmannian(d-1, n-1-i) with rank (n-i)-d and
-    codim d*i; the recursion grounds out at a point when d is 0 or n.  Its
-    distinct nodes hold (n-d+1) + (d-1)(n-d)(n-d+3)/2 cells in all.
+    Cell i sits over Gr(d-1, n-1-i) with rank (n-i)-d and codim d*i; the
+    recursion grounds out at a point when d is 0 or n.  Its distinct nodes
+    hold (n-d+1) + (d-1)(n-d)(n-d+3)/2 cells in all.  They are built bottom
+    up, one d at a time, so no call recurses, whatever d is.
     """
     if d < 0 or n < 0 or d > n:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
     if d == 0 or d == n:
         return POINT
     _check_cells(f"Gr({d},{n})", (n - d + 1) + (d - 1) * (n - d) * (n - d + 3) // 2)
-    cells = [
-        Cell(grassmannian(d - 1, n - 1 - i), (n - i) - d, d * i)
-        for i in range(n - d + 1)
-    ]
-    return Cellular(cells, name=f"Gr({d},{n})", expr_form=f"Gr({d},{n})")
+    k = n - d
+    row = [POINT] * (k + 1)  # row[j] is Gr(e, e + j), from e = 0 up
+    for e in range(1, d + 1):
+        # the top level needs only Gr(d, n); the ones below need every j
+        row = [POINT] + [
+            Cellular([Cell(row[j - i], j - i, e * i) for i in range(j + 1)],
+                     name=f"Gr({e},{e + j})", expr_form=f"Gr({e},{e + j})")
+            for j in range(1 if e < d else k, k + 1)
+        ]
+    return row[-1]

@@ -15,6 +15,7 @@ from motivec import spaces
 from motivec.cli import main
 from motivec.dsl import ParseError, parse_document
 from motivec.spaces import MAX_CELLS, grassmannian, projective_space, quadric, walk_dag
+from oracles import gaussian_coefficients
 
 
 def invoke(argv, capsys):
@@ -96,3 +97,15 @@ def test_the_budget_is_inclusive(monkeypatch, capsys):
 
 def test_the_largest_builtins_of_the_benchmark_stay_inside():
     assert gr_cells(8, 16) <= MAX_CELLS and gr_cells(7, 13) <= MAX_CELLS
+
+
+def test_long_thin_grassmannians_are_built_without_recursion(capsys):
+    """Gr(d, n) is built one d at a time: Gr(600, 601) and Gr(330, 338), under
+    the budget, used to end in a RecursionError, exit 2."""
+    for d, n in ((330, 338), (600, 601)):
+        space = grassmannian(d, n)
+        assert space.dim() == d * (n - d)
+        assert cell_count(space) == gr_cells(d, n)
+    code, out, err = invoke(["--space", "Gr:600,601", "--mode", "poincare"], capsys)
+    assert code == 0 and err == ""
+    assert out == " ".join(map(str, gaussian_coefficients(1, 600))) + "\n"

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from math import comb
 
 import pytest
 
@@ -309,7 +310,7 @@ def test_a_request_imports_only_what_it_uses():
 
     argv = ["--space", "P:3", "--mode", "groups", "--format", "json"]
     code, out, imported = run_fresh(argv)
-    assert code == 0 and "json" in imported
+    assert code == 0 and "json" not in imported  # the flat document is written without it
     assert out == run(RunConfig(space="P:3", theory="chow", mode="groups", format="json"))[0]
     assert json.loads(out)["groups"] == {"0": 1, "1": 1, "2": 1, "3": 1}
 
@@ -398,3 +399,53 @@ def test_deeply_nested_union_is_a_parse_error(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith("motivec: line 1, col ") and "nested more than" in err
     assert err.count("\n") == 1
+
+
+def dumped(out: str) -> str:
+    """What json.dumps writes for the document an output reads back as."""
+    return json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("theory", ["chow", "k0", "universal:4"])
+@pytest.mark.parametrize("mode", ["motive", "groups", "poincare", "dual"])
+def test_json_writer_matches_json_dumps(theory, mode):
+    for space in ("point", "P:3", "quadric:2", "Gr:2,5"):
+        out, code = run(RunConfig(space=space, theory=theory, mode=mode, format="json"))
+        assert code == 0 and out == dumped(out)
+
+
+def test_json_writer_matches_json_dumps_on_the_tower_and_odd_strings(tmp_path):
+    doc = tmp_path / "tower.txt"
+    doc.write_text(tower_document(100))
+    for mode in ("groups", "poincare"):
+        out, _ = run(RunConfig(space="s100", theory="chow", mode=mode, format="json",
+                               file=str(doc)))
+        assert out == dumped(out) and str(2**100) in out
+    out, _ = run(RunConfig(space="P:\uff13", theory="chow", mode="poincare", format="json"))
+    assert out == dumped(out) and '"space": "P:\\uff13"' in out
+    from motivec.cli import _json
+
+    for value in ({"twists": [], "groups": {}, "duality_ok": False, "dim": 0},
+                  {"groups": {"*": 3}, "b": True, "n": -7, "big": [2**100, 0]},
+                  {"s": 'q"uote', "t": "back\\slash", "u": "tab\tnew\nline", "v": "\x7f\x00",
+                   "w": "\u00e9\u2028\U0001f600", "x": "", "y": " ~"}):
+        assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_dual_mode_refuses_a_long_motive_before_the_codim_fold(capsys, monkeypatch):
+    argv = ["--space", "Gr:30,60"]
+    invoke(argv + ["--mode", "poincare"], capsys)  # builds and caches the space
+    start = time.perf_counter()
+    assert invoke(argv + ["--mode", "poincare"], capsys)[0] == 0
+    one_fold = time.perf_counter() - start
+
+    def no_codim_fold(space):
+        raise AssertionError("the codim route was folded")
+
+    monkeypatch.setattr(motivec.cli, "decompose_by_codim", no_codim_fold)
+    start = time.perf_counter()
+    code, out, err = invoke(argv + ["--mode", "dual"], capsys)
+    assert time.perf_counter() - start < 1.5 * one_fold + 0.05
+    assert code == 1 and out == ""
+    assert err == (f"motivec: motive has {comb(60, 30)} twists, more than the {MAX_TWISTS} "
+                   "it may list\n")

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from motivec import selfcheck
+from motivec import motives, selfcheck
 from motivec.fgl import universal_law
 from motivec.gring import GradedRingElement
 from motivec.series import TruncatedSeries
@@ -51,15 +51,34 @@ def test_universal_law_product_counts(products):
     assert products[GradedRingElement] <= 5758 * MARGIN
 
 
-# Packed monomials: the motive-category suite skips zero entries in `compose`
-# and `tensor_product`, so it asks for 5 660 ring products where it asked for
-# 9 257.  Package code reads the packed terms and never builds the `terms`
-# view keyed by exponent tuples.
+# Twist blocks: `compose` and `tensor_product` multiply the scalar matrices of
+# the blocks that are present, one product per pair of their monomials, and
+# never a ring element.  The motive-category suite asks for 1 408 block
+# products and 1 016 block Kronecker products; with dense matrices it asked
+# for 5 660 ring products (9 257 before zero entries were skipped).  Package
+# code reads the packed terms and never builds the `terms` view keyed by
+# exponent tuples.
 
 
-def test_motive_category_product_counts(products):
+@pytest.fixture
+def block_products(monkeypatch):
+    counts = {"_matmul_into": 0, "_kron_into": 0}
+    for name in counts:
+        original = getattr(motives, name)
+
+        def counting(*args, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(motives, name, counting)
+    return counts
+
+
+def test_motive_category_product_counts(products, block_products):
     selfcheck.suite_motive_category(random.Random(0))
-    assert products[GradedRingElement] <= 5660 * MARGIN
+    assert products[GradedRingElement] == 0
+    assert block_products["_matmul_into"] <= 1408 * MARGIN
+    assert block_products["_kron_into"] <= 1016 * MARGIN
 
 
 @pytest.fixture

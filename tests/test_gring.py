@@ -278,3 +278,14 @@ def test_ring_descriptor_validation():
     with pytest.raises(ValueError, match="^truncation bound must be >= 0$"):
         RingDescriptor("r", (x,), "Q", truncation=-1)
     assert RingDescriptor("r", (x,), "Q", 0).truncation == 0
+
+
+def test_scalar_elements_hash_as_their_scalars():
+    one = GradedRingElement.one(CHOW_RING)
+    assert one == 1 and len({one, 1}) == 1
+    half = GradedRingElement.scalar(universal_ring(3), Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    zero = GradedRingElement.zero(K0_RING)
+    assert zero == 0 and {zero: "z"}[0] == "z"
+    b = GradedRingElement.generator(K0_RING, "b")
+    assert len({b, b * 1, GradedRingElement.generator(K0_RING, "b")}) == 1

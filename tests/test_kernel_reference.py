@@ -183,3 +183,36 @@ def test_correspondence_with_an_empty_side_lists_no_twists(monkeypatch):
         Correspondence(chow(), empty, big, 0, [[], [GradedRingElement.zero(CHOW_RING)], [], []])
     with pytest.raises(ValueError, match="^motive has 4 twists, more than the 3 it may list$"):
         zero_correspondence(chow(), big, TateMotive([0]))
+
+
+def ref_random_homogeneous(rng, ring, degree, span=3):
+    """Draw a coefficient per basis monomial and build through `from_terms`."""
+    from motivec.gring import TruncationError, component_rank
+
+    try:
+        basis = component_rank(ring, degree).monomials
+    except TruncationError:
+        return GradedRingElement.zero(ring)
+    terms = {}
+    for mono in basis:
+        c = rng.randint(-span, span)
+        if c:
+            terms[mono] = c if ring.field == "Z" else Fraction(c, rng.randint(1, 3))
+    return GradedRingElement.from_terms(ring, terms)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("ring", [CHOW_RING, K0_RING, universal_ring(6)], ids=lambda r: r.name)
+def test_random_homogeneous_builds_the_from_terms_element(ring, seed):
+    from motivec.gring import random_homogeneous
+
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    for _ in range(200):
+        degree = got_rng.randint(-8, 3)
+        assert want_rng.randint(-8, 3) == degree
+        got = random_homogeneous(got_rng, ring, degree)
+        want = ref_random_homogeneous(want_rng, ring, degree)
+        assert list(got._mono.items()) == list(want._mono.items())
+        assert [type(c) for c in got._mono.values()] == [type(c) for c in want._mono.values()]
+        assert got.degrees() == want.degrees() == sorted(set(want.degrees()))
+    assert got_rng.getstate() == want_rng.getstate()
