@@ -204,6 +204,8 @@ def _json(value, indent="\n") -> str:
     inner = indent + "  "  # a line break and the indent of the items
     if isinstance(value, dict):
         items, ends = [f"{_json(k)}: {_json(v, inner)}" for k, v in sorted(value.items())], "{}"
+    elif all(type(v) is int for v in value):  # not bool: twists and coefficients, in one join
+        items, ends = [*map(str, value)], "[]"
     else:
         items, ends = [_json(v, inner) for v in value], "[]"
     return ends[0] + inner + f",{inner}".join(items) + indent + ends[1] if items else ends

@@ -1,49 +1,16 @@
-"""Small exact matrix helpers over Q and Z (lists of lists)."""
+"""The one exact elimination, an integer column echelon form, and forward
+substitution against it: ints stay ints, and :mod:`fractions` is imported
+only for the first division that is not exact."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-
-def rref(matrix):
-    """Reduced row echelon form over Q; returns (rref, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def column_space_factorization(matrix):
-    """Factor S = C * R with C the pivot columns and R the nonzero rref rows.
-
-    For an idempotent S this gives R * C = identity.
-    """
-    reduced, pivots = rref(matrix)
-    nrows = len(matrix)
-    c = [[Fraction(matrix[i][j]) for j in pivots] for i in range(nrows)]
-    r = [reduced[t] for t in range(len(pivots))]
-    return c, r
+from operator import mul
 
 
 def integer_column_basis(matrix):
-    """A Z-basis (n x r) of the lattice generated by the integer columns."""
+    """A Z-basis (n x r) of the lattice generated by the integer columns, in
+    column echelon form: the first nonzero (leading) row of each column holds
+    a positive entry, lies below the one before, and is zero in later columns."""
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     cols = []
@@ -75,12 +42,29 @@ def integer_column_basis(matrix):
 
 
 def solve_columns(c, s):
-    """Solve C * X = S for a matrix C with full column rank, exactly."""
-    nrows = len(c)
-    r = len(c[0]) if nrows else 0
-    k = len(s[0]) if s else 0
-    augmented = [[Fraction(c[i][j]) for j in range(r)] + [Fraction(s[i][j]) for j in range(k)] for i in range(nrows)]
-    reduced, pivots = rref(augmented)
-    if pivots[:r] != list(range(r)) or len(pivots) != r:
-        raise ValueError("matrix does not have full column rank or no solution")
-    return [[reduced[t][r + j] for j in range(k)] for t in range(r)]
+    """Solve C * X = S exactly for C in column echelon form, reading row t of
+    X from the leading row of column t.  ValueError when C * X != S."""
+    nrows, k = len(c), len(s[0]) if s else 0
+    x = []
+    for t in range(len(c[0]) if nrows else 0):
+        lead = next((i for i in range(nrows) if c[i][t]), None)
+        if lead is None:
+            raise ValueError(f"column {t} of the matrix is zero")
+        row, pivot = c[lead], c[lead][t]
+        x.append([_divide(s[lead][j] - sum(row[u] * x[u][j] for u in range(t)), pivot)
+                  for j in range(k)])
+    columns = list(zip(*x)) if x else [()] * k
+    for crow, srow in zip(c, s):
+        if any(sum(map(mul, crow, col)) != v for col, v in zip(columns, srow)):
+            raise ValueError("no solution: C * X differs from S")
+    return x
+
+
+def _divide(value, pivot):
+    """value / pivot, an int when the division is exact."""
+    q, rem = divmod(value, pivot)
+    if rem:
+        from fractions import Fraction
+
+        q = Fraction(value) / pivot
+    return q

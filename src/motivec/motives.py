@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import accumulate, chain, groupby, product
+from math import lcm
 
 from .gring import (
     GradedRingElement,
@@ -420,11 +421,12 @@ def split_idempotent(p: Correspondence) -> SplitCertificate:
 
     Entries between twists a_i and a_j must be zero or a scalar multiple of
     the unique unit monomial of degree a_i - a_j, read block by block (over
-    rings without Laurent units this forces a twist-blocked matrix).  Over
-    integer scalars the factorization is found in the image lattice, hence
-    integral; otherwise an exact rational factorization is returned and flagged.
+    rings without Laurent units this forces a twist-blocked matrix).  The
+    scalar matrix, scaled by the lcm of its denominators, has an integer
+    column basis: that basis is the section, and solving against it gives
+    the retraction, integral exactly when the projector is.
     """
-    from .linalg import column_space_factorization, integer_column_basis, solve_columns
+    from .linalg import integer_column_basis, solve_columns
 
     if p.source != p.target or p.degree != 0:
         raise NotIdempotentError("splitting needs a degree-0 endomorphism")
@@ -442,18 +444,14 @@ def split_idempotent(p: Correspondence) -> SplitCertificate:
         (m,) = block.values()
         for j, row in zip(at[t], m):
             scalar[j][at[s].start:at[s].stop] = row
-    if n and all(c.denominator == 1 for row in scalar for c in row):  # ints and Fractions
-        c_mat = integer_column_basis(scalar)
-        r_mat = solve_columns(c_mat, scalar) if c_mat and c_mat[0] else []
-        if any(x.denominator != 1 for row in r_mat for x in row):
-            raise AssertionError("image lattice retraction must be integral")
-        integral = True
-    else:
-        c_mat, r_mat = column_space_factorization(scalar)
-        integral = all(x.denominator == 1 for row in c_mat for x in row) and all(
-            x.denominator == 1 for row in r_mat for x in row
-        )
-    rank = len(c_mat[0]) if c_mat and c_mat[0] else 0
+    scale = lcm(*(c.denominator for row in scalar for c in row))  # ints and Fractions
+    c_mat = integer_column_basis([[c.numerator * (scale // c.denominator) for c in row]
+                                  for row in scalar])
+    r_mat = solve_columns(c_mat, scalar)
+    integral = all(x.denominator == 1 for row in r_mat for x in row)
+    if scale == 1 and not integral:
+        raise AssertionError("image lattice retraction must be integral")
+    rank = len(r_mat)  # one row per section column
     # each column takes the twist of its first nonzero row
     supports = [{twists[j] for j in range(n) if c_mat[j][t] != 0} for t in range(rank)]
     if not _has_laurent_unit(ring) and any(len(twist) > 1 for twist in supports):

@@ -22,7 +22,6 @@ from .fgl import (
     universal_log,
 )
 from .gring import GradedRingElement, random_homogeneous
-from .linalg import solve_columns
 from .motives import (
     Correspondence,
     TateMotive,
@@ -181,16 +180,16 @@ def random_block_idempotent(rng, theory, motive: TateMotive) -> Correspondence:
     offset = 0
     for _, size in motive.histogram:
         diag = [[1 if (i == j and rng.random() < 0.6) else 0 for j in range(size)] for i in range(size)]
-        basis = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+        identity = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+        basis, inverse = [row[:] for row in identity], [row[:] for row in identity]
         for _ in range(size):
             i, j = rng.randrange(size), rng.randrange(size)
-            if i != j:
+            if i != j:  # add sign * row j to row i, and undo it on the inverse's columns
                 sign = rng.choice((-1, 1))
-                for col in range(size):
-                    basis[i][col] += sign * basis[j][col]
-        identity = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-        inverse = solve_columns(basis, identity)
-        require(all(x.denominator == 1 for row in inverse for x in row), "integral inverse")
+                for k in range(size):
+                    basis[i][k] += sign * basis[j][k]
+                    inverse[k][j] -= sign * inverse[k][i]
+        require(_mat_mul(inverse, basis) == identity, "inverse of the unimodular basis")
         block = _mat_mul(_mat_mul(inverse, diag), basis)
         for i in range(size):
             for j in range(size):

@@ -213,19 +213,21 @@ class TruncatedSeries:
                 cache.append(cache[-1] * picked[i])
             return cache[n]
 
-        # Horner-like in the first variable: sum each group's inner series,
-        # then multiply it by one power of the first image
+        # Horner-like in the variable whose image has the most terms (the
+        # first on ties): sum each group's inner series, then multiply it by
+        # one power of that image
+        h = max(range(len(picked)), key=lambda i: (len(picked[i].terms), -i))
         groups: dict = {}
         for expo, coeff in self.terms.items():
             rest = one
-            for i in range(1, len(expo)):
-                if expo[i]:
-                    rest = power_of(i, expo[i]) if rest is one else rest * power_of(i, expo[i])
+            for i, e in enumerate(expo):
+                if e and i != h:
+                    rest = power_of(i, e) if rest is one else rest * power_of(i, e)
             piece = rest.scale(coeff)
-            groups[expo[0]] = groups[expo[0]] + piece if expo[0] in groups else piece
+            groups[expo[h]] = groups[expo[h]] + piece if expo[h] in groups else piece
         out = TruncatedSeries.zero(self.ring, variables, order)
-        for e0, inner in groups.items():
-            out = out + (inner * power_of(0, e0) if e0 else inner)
+        for eh, inner in groups.items():
+            out = out + (inner * power_of(h, eh) if eh else inner)
         return out
 
     def substitute(self, symbol: str, image: "TruncatedSeries") -> "TruncatedSeries":

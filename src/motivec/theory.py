@@ -24,6 +24,7 @@ from .gring import (
 )
 
 DEFAULT_ORDER = 10  # series order of the Chow and K0 laws
+MAX_TRUNCATION = 4000  # the largest N a selector may ask of the universal theory
 
 
 # The laws live in `fgl`, loaded on the first build.  These names are looked
@@ -124,7 +125,8 @@ def universal(n: int) -> OrientedTheory:
 
 
 def theory_from_selector(selector: str, truncation: int | None = None) -> OrientedTheory:
-    """Build a theory from a CLI selector: chow, k0, or universal:N."""
+    """Build a theory from a CLI selector: chow, k0, or universal:N with N at
+    most MAX_TRUNCATION (:func:`universal` itself takes any N)."""
     if selector == "chow":
         return chow()
     if selector == "k0":
@@ -152,6 +154,8 @@ def theory_from_selector(selector: str, truncation: int | None = None) -> Orient
             raise ValueError(f"unknown theory selector {selector!r}")
         if truncation is not None and rest.startswith(":") and truncation != n:
             raise ValueError("conflicting truncation bounds for the universal theory")
+        if n > MAX_TRUNCATION:
+            raise ValueError(f"universal truncation {n} is more than the {MAX_TRUNCATION} allowed")
         return universal(n)
     raise ValueError(f"unknown theory selector {selector!r}")
 

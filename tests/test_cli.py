@@ -11,7 +11,7 @@ import pytest
 import motivec
 from motivec.cli import ENV_TRUNCATION, RunConfig, main, run
 from motivec.motives import MAX_TWISTS
-from motivec.theory import universal
+from motivec.theory import MAX_TRUNCATION, universal
 from test_dsl import tower_document
 
 
@@ -100,6 +100,26 @@ def test_universal_selector_groups_json(capsys):
     doc = json.loads(out)
     # degree -1 collects {m_1} over the twist-0 line and {m_2, m_1^2} over twist 1
     assert doc["groups"] == {"-1": 3, "0": 2, "1": 1}
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--theory", "universal:99999999999999999999"], None),
+    (["--theory", "universal", "--truncation", str(MAX_TRUNCATION + 1)], None),
+    (["--theory", "universal"], "123456789"),
+])
+def test_universal_truncation_above_the_budget_is_refused(argv, env, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv(ENV_TRUNCATION, env)
+    start = time.perf_counter()
+    code, out, err = invoke(["--space", "point", "--mode", "groups", *argv], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and f"the {MAX_TRUNCATION} allowed" in err
+
+
+def test_universal_truncation_at_the_budget_answers():
+    out, code = run(RunConfig(space="point", theory=f"universal:{MAX_TRUNCATION}", mode="poincare"))
+    assert code == 0 and out == "1\n"
 
 
 def test_truncation_rejected_for_chow(capsys):
@@ -421,12 +441,15 @@ def test_json_writer_matches_json_dumps_on_the_tower_and_odd_strings(tmp_path):
         out, _ = run(RunConfig(space="s100", theory="chow", mode=mode, format="json",
                                file=str(doc)))
         assert out == dumped(out) and str(2**100) in out
+    out, _ = run(RunConfig(space="Gr:8,16", theory="chow", mode="motive", format="json"))
+    assert out == dumped(out) and out.count("\n") == comb(16, 8) + 7
     out, _ = run(RunConfig(space="P:\uff13", theory="chow", mode="poincare", format="json"))
     assert out == dumped(out) and '"space": "P:\\uff13"' in out
     from motivec.cli import _json
 
     for value in ({"twists": [], "groups": {}, "duality_ok": False, "dim": 0},
                   {"groups": {"*": 3}, "b": True, "n": -7, "big": [2**100, 0]},
+                  {"bools": [True, False], "mixed": [0, True, -1, "s"], "nested": [[1], {"a": [2]}]},
                   {"s": 'q"uote', "t": "back\\slash", "u": "tab\tnew\nline", "v": "\x7f\x00",
                    "w": "\u00e9\u2028\U0001f600", "x": "", "y": " ~"}):
         assert _json(value) == json.dumps(value, sort_keys=True, indent=2)

@@ -4,12 +4,13 @@ Wall time on a shared machine swings too much to gate small regressions, but
 the number of products the algorithms ask for repeats exactly.  These tests
 count ``TruncatedSeries`` and ``GradedRingElement`` products, through both
 ``__mul__`` and ``__rmul__``, and hold them at the counts of the Horner
-substitution, the working-order reversion and inverse, and the degree-carrying
-product, plus a small margin.
+substitution (grouped by the image with the most terms), the working-order
+reversion and inverse, and the degree-carrying product, plus a small margin.
 
 Counts before those changes: ``selfcheck.suite_fgl(random.Random(0))`` took
 1 698 series and 8 219 ring products, and ``universal_law(12)`` took 312 and
-7 253.
+7 253.  Grouping the substitution by the first variable rather than by the
+image with the most terms, ``suite_fgl`` took 6 964 ring products.
 """
 
 import random
@@ -42,7 +43,7 @@ def products(monkeypatch):
 def test_fgl_suite_product_counts(products):
     selfcheck.suite_fgl(random.Random(0))
     assert products[TruncatedSeries] <= 641 * MARGIN
-    assert products[GradedRingElement] <= 6970 * MARGIN
+    assert products[GradedRingElement] <= 6093 * MARGIN
 
 
 def test_universal_law_product_counts(products):

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from math import comb
 
 import pytest
@@ -300,6 +303,79 @@ def test_split_rational_universal_blocks():
     assert cert.motive == TateMotive((1,))
     assert not cert.integral
     assert compose(cert.section, cert.retraction) == p
+
+
+def rational_inverse(a):
+    """The inverse of a square integer matrix over Q, or None when singular."""
+    from fractions import Fraction
+
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return None
+        m[c], m[pivot] = m[pivot], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                m[r] = [x - m[r][c] * y for x, y in zip(m[r], m[c])]
+    return [row[n:] for row in m]
+
+
+def random_rational_projector(rng, theory, motive):
+    """A twist-blocked projector A D A^-1 per block, A a random integer matrix."""
+    n, entries, offset = motive.size, {}, 0
+    for _, size in motive.histogram:
+        inverse = None
+        while inverse is None:
+            a = [[rng.randint(-2, 2) for _ in range(size)] for _ in range(size)]
+            inverse = rational_inverse(a)
+        d = [rng.random() < 0.5 for _ in range(size)]
+        for i in range(size):
+            for j in range(size):
+                entries[offset + i, offset + j] = sum(a[i][k] * inverse[k][j] for k in range(size) if d[k])
+        offset += size
+    rows = [[sc(theory, entries.get((j, i), 0)) for i in range(n)] for j in range(n)]
+    return Correspondence(theory, motive, motive, 0, rows)
+
+
+def test_split_random_rational_projectors():
+    rng = random.Random(5)
+    theory = universal(3)
+    rational = 0
+    for _ in range(30):
+        motive = TateMotive(rng.randrange(2) for _ in range(rng.randint(2, 5)))
+        p = random_rational_projector(rng, theory, motive)
+        assert is_idempotent(p)
+        integral = all(c.denominator == 1 for block in p.blocks.values()
+                       for m in block.values() for row in m for c in row)
+        rational += not integral
+        for q in (p, identity_correspondence(theory, motive) - p):
+            cert = split_idempotent(q)
+            assert compose(cert.retraction, cert.section) == identity_correspondence(theory, cert.motive)
+            assert compose(cert.section, cert.retraction) == q
+            assert cert.integral == integral
+    assert rational >= 10
+
+
+def test_splitting_integral_projectors_loads_no_fractions():
+    probe = (
+        "import sys\n"
+        "from motivec.motives import decompose_by_rank, projective_bundle_projectors, split_idempotent\n"
+        "from motivec.spaces import grassmannian\n"
+        "from motivec.theory import chow, k0\n"
+        "base = decompose_by_rank(grassmannian(2, 4))\n"
+        "for theory in (chow(), k0()):\n"
+        "    for i, p in enumerate(projective_bundle_projectors(theory, base, 3)):\n"
+        "        cert = split_idempotent(p)\n"
+        "        print(cert.integral and cert.motive == base.shifted(i))\n"
+        "print('fractions' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(motives.__file__)))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split() == ["True"] * 6 + ["False"], proc.stderr
 
 
 # -- bundle projectors ------------------------------------------------------------
