@@ -51,7 +51,7 @@ from .motives import (
     poincare_polynomial,
     require_listable,
 )
-from .spaces import POINT, SpaceExpr, grassmannian, projective_space, quadric
+from .spaces import BUILTINS, POINT, SpaceExpr
 from .theory import theory_from_selector
 
 ENV_TRUNCATION = "MOTIVEC_TRUNCATION"
@@ -65,12 +65,10 @@ OPTIONS = {
     "truncation": None,
 }
 
-# built-in space selectors: head -> (constructor, the form its arguments take)
-SELECTORS = {
-    "P": (projective_space, "P:n"),
-    "quadric": (quadric, "quadric:d"),
-    "Gr": (grassmannian, "Gr:d,n"),
-}
+
+def _forms(*heads) -> str:
+    """The selector forms of built-in families, as in "P:n, Gr:d,n"."""
+    return ", ".join(f"{head}:{','.join(BUILTINS[head][1])}" for head in heads)
 
 
 class RunConfig(namedtuple("RunConfig", "space theory mode format file truncation")):
@@ -110,23 +108,23 @@ def resolve_space(config: RunConfig) -> SpaceExpr:
     if selector == "point":
         return POINT
     head, colon, args = selector.partition(":")
-    if colon and head in SELECTORS:
-        build, form = SELECTORS[head]
+    if colon and head in BUILTINS:
+        build, names = BUILTINS[head]
         try:
             numbers = [int(a) for a in args.split(",")]
         except ValueError:
             numbers = []
-        if len(numbers) != form.count(",") + 1:
+        if len(numbers) != len(names):
             raise ValueError(
-                f"bad space selector {selector!r}: expected {form} with integer arguments"
+                f"bad space selector {selector!r}: expected {_forms(head)} with integer arguments"
             )
         try:
             return build(*numbers)
         except ValueError as exc:
             raise ValueError(f"bad space selector {selector!r}: {exc}") from exc
     raise ValueError(
-        f"unknown space selector {selector!r} (use point, P:n, quadric:d, "
-        f"Gr:d,n, or --file with a declared name)"
+        f"unknown space selector {selector!r} (use point, {_forms(*BUILTINS)}, "
+        f"or --file with a declared name)"
     )
 
 
@@ -180,7 +178,7 @@ def run(config: RunConfig) -> tuple[str, int]:
         doc["groups"] = _groups_json(ranks, periodic)
         doc["duality_ok"] = ok
         text = "\n".join(
-            [" ".join(str(t) for t in by_codim.twists)]
+            [" ".join(str(t) for t in doc["twists"])]
             + _groups_text(ranks, periodic)
             + [f"duality_ok: {'true' if ok else 'false'}"]
         )
@@ -252,7 +250,7 @@ def build_arg_parser():
     parser.add_argument(
         "--space",
         default=OPTIONS["space"],
-        help="point, P:n, quadric:d, Gr:d,n, or a name declared in --file",
+        help=f"point, {_forms(*BUILTINS)}, or a name declared in --file",
     )
     parser.add_argument("--file", help="space description file")
     parser.add_argument(

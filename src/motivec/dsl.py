@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 
 from .spaces import (
+    BUILTINS,
     POINT,
     Cell,
     Cellular,
@@ -27,17 +28,11 @@ from .spaces import (
     EquidimensionalityViolation,
     Point,
     SpaceExpr,
-    grassmannian,
-    projective_space,
-    quadric,
     walk_dag,
 )
 
 MAX_UNION_NESTING = 256  # only the parser recurses over a space, once per union(...) level
-_RESERVED = {"space", "cell", "base", "rank", "codim", "point", "union", "P", "quadric", "Gr"}
-
-# built-in expressions: keyword -> (builder, number of arguments)
-_BUILDERS = {"P": (projective_space, 1), "quadric": (quadric, 1), "Gr": (grassmannian, 2)}
+_RESERVED = {"space", "cell", "base", "rank", "codim", "point", "union", *BUILTINS}
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _NAT_RE = re.compile(r"\d+")
@@ -215,12 +210,12 @@ class _Parser:
         if word == "point":
             self.advance()
             return POINT
-        if word in _BUILDERS:
-            build, arity = _BUILDERS[word]
+        if word in BUILTINS:
+            build, names = BUILTINS[word]
             self.advance()
             self.expect("(")
             args = [self.expect("nat").value]
-            while len(args) < arity:
+            while len(args) < len(names):
                 self.expect(",")
                 args.append(self.expect("nat").value)
             self.expect(")")

@@ -19,7 +19,7 @@ from .gring import (
     convert_element,
     universal_ring,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _series, solve_by_order
 from .theory import DEFAULT_ORDER
 
 _XY = ("x", "y")
@@ -90,7 +90,7 @@ def universal_law(order: int) -> FormalGroupLaw:
     ring = universal_ring(order)
     log = universal_log(order)
     exp = log.reversion()
-    log_y = TruncatedSeries(ring, ("y",), order, log.terms).lift(_XY)
+    log_y = _series(ring, ("y",), order, log.terms).lift(_XY)
     f = exp.substitute("x", log.lift(_XY) + log_y)
     return FormalGroupLaw(f"universal({order})", f, log)
 
@@ -112,7 +112,7 @@ def check_fgl_axioms(law: FormalGroupLaw) -> None:
     zero1 = TruncatedSeries.zero(ring, ("x",), order)
     if law.apply(x1, zero1) != x1 or law.apply(zero1, x1) != x1:
         raise AssertionError(f"{law.name}: F(x,0) = x fails")
-    swapped = TruncatedSeries(ring, _XY, order, {(j, i): c for (i, j), c in f.terms.items()})
+    swapped = _series(ring, _XY, order, {(j, i): c for (i, j), c in f.terms.items()})
     if swapped != f:
         raise AssertionError(f"{law.name}: commutativity fails")
     xyz = ("x", "y", "z")
@@ -148,16 +148,13 @@ def exponential(law: FormalGroupLaw) -> TruncatedSeries:
 
 def formal_inverse(law: FormalGroupLaw) -> TruncatedSeries:
     """The series i(x) with F(x, i(x)) = 0, over the law's own ring."""
-    ring, order = law.ring, law.order
-    inv = -TruncatedSeries.variable(ring, ("x",), "x", order)
-    for k in range(2, order + 1):
-        # step k reads only the x^k coefficient: apply the law at order k
-        images = {"x": TruncatedSeries.variable(ring, ("x",), "x", k), "y": inv.truncated(k)}
-        defect = law.series.truncated(k).substitute_many(images).coefficient((k,))
-        if defect.is_zero():
-            continue
-        inv = inv - TruncatedSeries.from_terms(ring, ("x",), order, {(k,): defect})
-    return inv
+    ring = law.ring
+
+    def defect(s, k):  # F(x, s) at order k
+        images = {"x": TruncatedSeries.variable(ring, ("x",), "x", k), "y": s}
+        return law.series.truncated(k).substitute_many(images)
+
+    return solve_by_order(-TruncatedSeries.variable(ring, ("x",), "x", law.order), defect)
 
 
 def projective_space_class(law: FormalGroupLaw, n: int) -> GradedRingElement:

@@ -199,17 +199,31 @@ class GradedRingElement:
 
     __slots__ = ("ring", "_mono", "_degs", "terms")
 
-    def __init__(self, ring: RingDescriptor, terms: dict, degs: tuple | None = None):
+    def __init__(self, ring: RingDescriptor, mapping):
         width = len(ring.generators)
-        mono = {}
-        for m, c in terms.items():
-            if len(m) != width:
-                raise ValueError(f"exponent vector {m} has wrong width for ring {ring.name!r}")
-            mono[_encode(ring, m)] = c
+        bound = ring.truncation
+        terms = {}
+        for mono, coeff in dict(mapping).items():
+            mono = tuple(mono)
+            if len(mono) != width:
+                raise ValueError(
+                    f"exponent vector {mono} has wrong width for ring {ring.name!r}"
+                )
+            for e, g in zip(mono, ring.generators):
+                if e < 0 and not g.invertible:
+                    raise ValueError(f"negative exponent on non-invertible {g.symbol}")
+            coeff = _normalize_scalar(coeff, ring.field)
+            if coeff == 0:
+                continue
+            degree = ring.monomial_degree(mono)
+            if bound is not None and abs(degree) > bound:
+                continue
+            key = _encode(ring, mono)
+            terms[key] = terms.get(key, 0) + coeff
         _set_ring(self, ring)
-        _set_mono(self, mono)
+        _set_mono(self, {m: c for m, c in terms.items() if c != 0})
         # the sorted degree tuple, or None until `_degrees` first computes it
-        _set_degs(self, degs)
+        _set_degs(self, None)
 
     def __getattr__(self, name):
         # only reached while the `terms` slot is still empty
@@ -236,27 +250,7 @@ class GradedRingElement:
 
     @classmethod
     def from_terms(cls, ring: RingDescriptor, mapping) -> "GradedRingElement":
-        width = len(ring.generators)
-        bound = ring.truncation
-        terms = {}
-        for mono, coeff in dict(mapping).items():
-            mono = tuple(mono)
-            if len(mono) != width:
-                raise ValueError(
-                    f"exponent vector {mono} has wrong width for ring {ring.name!r}"
-                )
-            for e, g in zip(mono, ring.generators):
-                if e < 0 and not g.invertible:
-                    raise ValueError(f"negative exponent on non-invertible {g.symbol}")
-            coeff = _normalize_scalar(coeff, ring.field)
-            if coeff == 0:
-                continue
-            degree = ring.monomial_degree(mono)
-            if bound is not None and abs(degree) > bound:
-                continue
-            key = _encode(ring, mono)
-            terms[key] = terms.get(key, 0) + coeff
-        return _element(ring, {m: c for m, c in terms.items() if c != 0})
+        return cls(ring, mapping)
 
     @classmethod
     def zero(cls, ring: RingDescriptor) -> "GradedRingElement":

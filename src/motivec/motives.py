@@ -1,11 +1,12 @@
 """Twist multisets and graded matrix morphisms between them.
 
 A motive here is a finite multiset of nonnegative twist integers, stored
-as its histogram: sorted (twist, multiplicity) pairs.  The expanded,
-sorted twist tuple is built on first use and kept.  A morphism of degree
-c between two motives, over a theory's coefficient ring, sends twist s
-to twist t through the one ring component of degree c + s - t, so it is
-stored by twist blocks: one scalar matrix per monomial of that component.
+only as its histogram: sorted (twist, multiplicity) pairs.  A morphism of
+degree c between two motives, over a theory's coefficient ring, sends
+twist s to twist t through the one ring component of degree c + s - t, so
+it is stored only by twist blocks: one scalar matrix per monomial of that
+component.  The positional views, the expanded twist tuple and the dense
+entry matrix, are built each time they are read.
 Composition sums block products over the middle twist, duality reflects
 the blocks through the ambient dimensions, and the tensor product takes
 Kronecker products of blocks over the sums of twists.
@@ -53,17 +54,14 @@ class TateMotive:
     """A finite multiset of nonnegative twists, stored as a histogram.
 
     `histogram` holds sorted (twist, multiplicity) pairs with positive
-    multiplicities and `size` their total; `twists`, the sorted tuple with
-    one entry per generator, is expanded on first access and then stored,
-    and refused with a ValueError when `size` exceeds MAX_TWISTS.
+    multiplicities and `size` their total; nothing else is stored.
     """
 
-    __slots__ = ("histogram", "size", "twists")
+    __slots__ = ("histogram", "size")
 
     def __init__(self, twists=()):
-        tw = tuple(sorted(int(t) for t in twists))
+        tw = sorted(int(t) for t in twists)
         self._fill(tuple((t, len(list(run))) for t, run in groupby(tw)))
-        _set_twists(self, tw)
 
     @classmethod
     def from_histogram(cls, pairs) -> "TateMotive":
@@ -90,14 +88,12 @@ class TateMotive:
         _set_histogram(self, histogram)
         _set_size(self, sum(m for _, m in histogram))
 
-    def __getattr__(self, name):
-        # only reached while the `twists` slot is still empty
-        if name != "twists":
-            raise AttributeError(name)
+    @property
+    def twists(self) -> tuple:
+        """The sorted twists, one per generator, expanded from the histogram
+        on each read; refused with a ValueError past MAX_TWISTS."""
         require_listable(self)
-        tw = tuple(t for t, m in self.histogram for _ in range(m))
-        _set_twists(self, tw)
-        return tw
+        return tuple(t for t, m in self.histogram for _ in range(m))
 
     def __setattr__(self, name, value):
         raise AttributeError("TateMotive is immutable")
@@ -135,7 +131,7 @@ class TateMotive:
 
 
 # slot descriptors: they set a slot without going through __setattr__
-_set_histogram, _set_size, _set_twists = (
+_set_histogram, _set_size = (
     vars(TateMotive)[slot].__set__ for slot in TateMotive.__slots__
 )
 
@@ -155,11 +151,12 @@ class Correspondence:
     `blocks[(t, s)]` maps each packed monomial of that component (see
     `gring._packing`) to a scalar matrix, one row per generator of twist t
     and one column per generator of twist s, as lists never changed once
-    built.  Zero matrices and blocks are absent; the dense `entries`, over
-    the expanded twist tuples, are built on first read.
+    built.  Zero matrices and blocks are absent.  Only the blocks are
+    stored: the dense constructor cuts its rows into them, and `entries`,
+    the dense matrix over the expanded twist tuples, is rebuilt on each read.
     """
 
-    __slots__ = ("theory", "source", "target", "degree", "blocks", "entries")
+    __slots__ = ("theory", "source", "target", "degree", "blocks")
 
     def __init__(self, theory: OrientedTheory, source: TateMotive, target: TateMotive,
                  degree: int, entries):
@@ -189,24 +186,13 @@ class Correspondence:
                     m = block.get(k) or block.setdefault(k, [[0] * len(width) for _ in height])
                     m[j - height.start][i - width.start] = v
         _make(theory, source, target, degree, blocks, self)
-        _set_entries(self, entries)
 
-    def __getattr__(self, name):
-        # only reached while the `entries` slot is still empty
-        if name != "entries":
-            raise AttributeError(name)
-        ring = self.theory.ring
-        rows = [[GradedRingElement.zero(ring)] * self.source.size for _ in range(self.target.size)]
-        rows_at, cols_at = _spans(self.target), _spans(self.source)
-        for (t, s), block in self.blocks.items():
-            for r, j in enumerate(rows_at[t]):
-                for c, i in enumerate(cols_at[s]):
-                    terms = {k: m[r][c] for k, m in block.items() if m[r][c]}
-                    if terms:
-                        rows[j][i] = _element(ring, terms, (self.degree + s - t,))
-        entries = tuple(map(tuple, rows))
-        _set_entries(self, entries)
-        return entries
+    @property
+    def entries(self) -> tuple:
+        """The dense matrix of ring elements, one row per target generator,
+        built entry by entry from the blocks on each read."""
+        return tuple(tuple(self.entry(j, i) for i in range(self.source.size))
+                     for j in range(self.target.size))
 
     def __setattr__(self, name, value):
         raise AttributeError("Correspondence is immutable")
@@ -223,11 +209,14 @@ class Correspondence:
         return hash((self._shape(), frozenset(self.blocks)))
 
     def __repr__(self):
-        return (f"<corr {self.source.twists} -> {self.target.twists} "
+        return (f"<corr {self.source.histogram} -> {self.target.histogram} "
                 f"deg {self.degree} over {self.theory.name}>")
 
     def entry(self, j: int, i: int) -> GradedRingElement:
-        return self.entries[j][i]
+        """Entry (j, i), built from its one block alone."""
+        (t, r), (s, c) = _position(self.target, j), _position(self.source, i)
+        return _block_element(self.theory.ring, self.blocks.get((t, s), {}), r, c,
+                              self.degree + s - t)
 
     def is_zero(self) -> bool:
         return not self.blocks
@@ -253,7 +242,7 @@ class Correspondence:
 
 
 # slot descriptors: they set a slot without going through __setattr__
-_set_theory, _set_source, _set_target, _set_degree, _set_blocks, _set_entries = (
+_set_theory, _set_source, _set_target, _set_degree, _set_blocks = (
     vars(Correspondence)[slot].__set__ for slot in Correspondence.__slots__
 )
 
@@ -276,6 +265,18 @@ def _spans(motive: TateMotive) -> dict[int, range]:
     """The positions of each twist's generators in the expanded twist tuple."""
     starts = accumulate((m for _, m in motive.histogram), initial=0)
     return {t: range(a, a + m) for (t, m), a in zip(motive.histogram, starts)}
+
+
+def _position(motive: TateMotive, j: int) -> tuple:
+    """The twist of generator j and j's place among that twist's generators."""
+    j = range(motive.size)[j]  # an IndexError past the end, as for a tuple
+    return next((t, j - span.start) for t, span in _spans(motive).items() if j in span)
+
+
+def _block_element(ring, block, r: int, c: int, degree: int) -> GradedRingElement:
+    """The ring element at (r, c) of a twist block whose component has the given degree."""
+    terms = {k: m[r][c] for k, m in block.items() if m[r][c]}
+    return _element(ring, terms, (degree,)) if terms else GradedRingElement.zero(ring)
 
 
 def _pruned(ring, blocks) -> dict:
@@ -333,7 +334,7 @@ def compose(alpha: Correspondence, beta: Correspondence) -> Correspondence:
     if alpha.theory is not beta.theory and alpha.theory != beta.theory:
         raise RingMismatchError("morphisms over different theories")
     if beta.target is not alpha.source and beta.target != alpha.source:
-        raise ValueError(f"shapes do not compose: {beta.target.twists} then {alpha.source.twists}")
+        raise ValueError(f"shapes do not compose: {beta.target.histogram} then {alpha.source.histogram}")
     ring = alpha.theory.ring
     bias, bound, degree = _packing(ring)[0], ring.truncation, alpha.degree + beta.degree
     after, out = {}, {}  # beta's blocks by their target twist; the product's blocks
@@ -425,6 +426,11 @@ def split_idempotent(p: Correspondence) -> SplitCertificate:
     scalar matrix, scaled by the lcm of its denominators, has an integer
     column basis: that basis is the section, and solving against it gives
     the retraction, integral exactly when the projector is.
+
+    The rows ascend in twist and each column's leading row lies below the
+    one before, so that row holds the column's image twist, in order.
+    Columns combine only within one twist, or one residue class mod the
+    degree of a Laurent unit, so each block of the certificates has a unit.
     """
     from .linalg import integer_column_basis, solve_columns
 
@@ -437,8 +443,9 @@ def split_idempotent(p: Correspondence) -> SplitCertificate:
     for (t, s), block in p.blocks.items():
         unit = _unit_key(ring, s - t)
         if block.keys() != {unit}:
-            entry = next(e for j in at[t] for i in at[s]
-                         if (e := p.entry(j, i))._mono.keys() - {unit})
+            r, c = next((r, c) for r in range(len(at[t])) for c in range(len(at[s]))
+                        if any(m[r][c] for k, m in block.items() if k != unit))
+            entry = _block_element(ring, block, r, c, s - t)
             raise NonSplittableError(f"entry {entry} is not a scalar multiple of a unit "
                                      f"monomial of degree {s - t}")
         (m,) = block.values()
@@ -451,15 +458,10 @@ def split_idempotent(p: Correspondence) -> SplitCertificate:
     integral = all(x.denominator == 1 for row in r_mat for x in row)
     if scale == 1 and not integral:
         raise AssertionError("image lattice retraction must be integral")
-    rank = len(r_mat)  # one row per section column
-    # each column takes the twist of its first nonzero row
-    supports = [{twists[j] for j in range(n) if c_mat[j][t] != 0} for t in range(rank)]
-    if not _has_laurent_unit(ring) and any(len(twist) > 1 for twist in supports):
-        raise NonSplittableError("image column mixes twists over a ring without Laurent units")
-    order = sorted(range(rank), key=lambda t: (min(supports[t]), t))
-    image = TateMotive(min(supports[t]) for t in order)
-    section = _units(theory, image, p.source, [[row[t] for t in order] for row in c_mat])
-    retraction = _units(theory, p.source, image, [r_mat[t] for t in order])
+    image = TateMotive(twists[next(j for j, row in enumerate(c_mat) if row[t])]
+                       for t in range(len(r_mat)))  # r_mat has one row per column
+    section = _units(theory, image, p.source, c_mat)
+    retraction = _units(theory, p.source, image, r_mat)
     if compose(retraction, section) != identity_correspondence(theory, image):
         raise AssertionError("retraction o section is not the identity")
     if compose(section, retraction) != p:
@@ -487,10 +489,7 @@ def _units(theory, source: TateMotive, target: TateMotive, matrix) -> Correspond
         for s, cols in _spans(source).items():
             m = [[_normalize_scalar(matrix[j][i], ring.field) for i in cols] for j in rows]
             if any(map(any, m)):
-                key = _unit_key(ring, s - t)
-                if key is None:
-                    raise NonSplittableError(f"no unit monomial of degree {s - t} in {ring.name}")
-                blocks[t, s] = {key: m}
+                blocks[t, s] = {_unit_key(ring, s - t): m}
     return _make(theory, source, target, 0, blocks)
 
 

@@ -25,6 +25,7 @@ from .gring import GradedRingElement, random_homogeneous
 from .motives import (
     Correspondence,
     TateMotive,
+    _units,
     compose,
     decompose_by_rank,
     duality_holds,
@@ -60,10 +61,10 @@ def random_motive(rng: random.Random, max_size=3, max_twist=3) -> TateMotive:
 
 
 def random_correspondence(rng, theory, source, target, degree) -> Correspondence:
-    rows = []
+    rows, columns = [], source.twists
     for b in target.twists:
         rows.append(
-            [random_homogeneous(rng, theory.ring, degree + a - b) for a in source.twists]
+            [random_homogeneous(rng, theory.ring, degree + a - b) for a in columns]
         )
     return Correspondence(theory, source, target, degree, rows)
 
@@ -176,8 +177,8 @@ def suite_motive_category(rng, rounds=120) -> str:
 
 def random_block_idempotent(rng, theory, motive: TateMotive) -> Correspondence:
     """A twist-blocked scalar idempotent: conjugated 0/1 diagonals per block."""
-    entries = {}
-    offset = 0
+    n, offset = motive.size, 0
+    matrix = [[0] * n for _ in range(n)]
     for _, size in motive.histogram:
         diag = [[1 if (i == j and rng.random() < 0.6) else 0 for j in range(size)] for i in range(size)]
         identity = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
@@ -191,16 +192,10 @@ def random_block_idempotent(rng, theory, motive: TateMotive) -> Correspondence:
                     inverse[k][j] -= sign * inverse[k][i]
         require(_mat_mul(inverse, basis) == identity, "inverse of the unimodular basis")
         block = _mat_mul(_mat_mul(inverse, diag), basis)
-        for i in range(size):
-            for j in range(size):
-                entries[(offset + i, offset + j)] = block[i][j]
+        for i, row in enumerate(block, offset):
+            matrix[i][offset:offset + size] = row
         offset += size
-    n = motive.size
-    rows = [
-        [GradedRingElement.scalar(theory.ring, entries.get((j, i), 0)) for i in range(n)]
-        for j in range(n)
-    ]
-    return Correspondence(theory, motive, motive, 0, rows)
+    return _units(theory, motive, motive, matrix)
 
 
 def _mat_mul(a, b):

@@ -4,9 +4,11 @@ Variables all sit in degree +1; coefficients are exact ring elements.
 Terms beyond a fixed total variable degree are dropped everywhere, so all
 operations are exact statements about the quotient by that order.
 
-Substitution is Horner-like: terms are grouped by the exponent of the first
-variable and each group is multiplied by one power of its image.  Reversion
-reads one new coefficient per step, so step k composes at order k only.
+Substitution is Horner-like: terms are grouped by the exponent of the
+variable whose image has the most terms, and each group is multiplied by
+one power of that image.  Reversion and the formal inverse share one
+order-by-order solver, :func:`solve_by_order`: step k reads one new
+coefficient, so it composes at order k only.
 """
 
 from __future__ import annotations
@@ -31,17 +33,7 @@ class TruncatedSeries:
 
     __slots__ = ("ring", "variables", "order", "terms")
 
-    def __init__(self, ring, variables, order, terms):
-        _set_ring(self, ring)
-        _set_variables(self, tuple(variables))
-        _set_order(self, order)
-        _set_terms(self, terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    @classmethod
-    def from_terms(cls, ring: RingDescriptor, variables, order: int, mapping) -> "TruncatedSeries":
+    def __init__(self, ring: RingDescriptor, variables, order: int, mapping):
         if order < 0:
             raise ValueError("order must be >= 0")
         variables = tuple(variables)
@@ -65,7 +57,17 @@ class TruncatedSeries:
                 terms.pop(expo, None)
             else:
                 terms[expo] = coeff
-        return _series(ring, variables, order, terms)
+        _set_ring(self, ring)
+        _set_variables(self, variables)
+        _set_order(self, order)
+        _set_terms(self, terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TruncatedSeries is immutable")
+
+    @classmethod
+    def from_terms(cls, ring: RingDescriptor, variables, order: int, mapping) -> "TruncatedSeries":
+        return cls(ring, variables, order, mapping)
 
     @classmethod
     def zero(cls, ring, variables, order) -> "TruncatedSeries":
@@ -308,14 +310,8 @@ class TruncatedSeries:
         if self.coefficient((1,)) != one:
             raise ValueError("reversion requires linear coefficient 1 (non-unit linear coefficient)")
         var = self.variables[0]
-        g = TruncatedSeries.variable(self.ring, self.variables, var, self.order)
-        for k in range(2, self.order + 1):
-            # step k reads only the x^k coefficient: compose at order k
-            c = self.truncated(k).substitute(var, g.truncated(k)).coefficient((k,))
-            if c.is_zero():
-                continue
-            g = g - TruncatedSeries.from_terms(self.ring, self.variables, self.order, {(k,): c})
-        return g
+        x = TruncatedSeries.variable(self.ring, self.variables, var, self.order)
+        return solve_by_order(x, lambda s, k: self.truncated(k).substitute(var, s))
 
     # -- rendering ----------------------------------------------------------------
 
@@ -339,6 +335,18 @@ def _series(ring, variables: tuple, order: int, terms: dict) -> TruncatedSeries:
     _set_variables(s, variables)
     _set_order(s, order)
     _set_terms(s, terms)
+    return s
+
+
+def solve_by_order(start: TruncatedSeries, composite) -> TruncatedSeries:
+    """Correct a univariate series term by term: step k = 2..order
+    subtracts the x^k coefficient of composite(s, k), a series of order k
+    built from s, the series so far, truncated to order k."""
+    s = start
+    for k in range(2, start.order + 1):
+        c = composite(s.truncated(k), k).coefficient((k,))
+        if not c.is_zero():
+            s = s - _series(s.ring, s.variables, s.order, {(k,): c})
     return s
 
 

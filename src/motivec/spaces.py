@@ -297,3 +297,12 @@ def grassmannian(d: int, n: int) -> SpaceExpr:
             for j in range(1 if e < d else k, k + 1)
         ]
     return row[-1]
+
+
+# the built-in families: head -> (builder, argument names), the one list that
+# the command line (P:n) and the text format (P(n)) read them from
+BUILTINS = {
+    "P": (projective_space, ("n",)),
+    "quadric": (quadric, ("d",)),
+    "Gr": (grassmannian, ("d", "n")),
+}

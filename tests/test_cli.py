@@ -472,3 +472,17 @@ def test_dual_mode_refuses_a_long_motive_before_the_codim_fold(capsys, monkeypat
     assert code == 1 and out == ""
     assert err == (f"motivec: motive has {comb(60, 30)} twists, more than the {MAX_TWISTS} "
                    "it may list\n")
+
+
+def test_selector_forms_come_from_the_table_of_built_in_spaces(capsys):
+    from motivec.cli import build_arg_parser
+    from motivec.spaces import BUILTINS
+
+    assert {head: names for head, (_, names) in BUILTINS.items()} == {
+        "P": ("n",), "quadric": ("d",), "Gr": ("d", "n")}
+    code, out, err = invoke(["--space", "cube:3"], capsys)
+    assert code == 1 and out == ""
+    assert err == ("motivec: unknown space selector 'cube:3' (use point, P:n, quadric:d, "
+                   "Gr:d,n, or --file with a declared name)\n")
+    text = " ".join(build_arg_parser().format_help().split())
+    assert "--space SPACE point, P:n, quadric:d, Gr:d,n, or a name declared in --file" in text

@@ -30,7 +30,13 @@ from motivec.theory import chow, k0, universal
 
 
 def dense(theory, source, target, degree, rows):
-    return Correspondence(theory, source, target, degree, rows)
+    """The morphism built from rows, whose entries, read back from its
+    blocks, must be those rows again (element by element and entry by entry)."""
+    corr = Correspondence(theory, source, target, degree, rows)
+    rows = tuple(map(tuple, rows))
+    assert corr.entries == rows
+    assert all(corr.entry(j, i) == e for j, row in enumerate(rows) for i, e in enumerate(row))
+    return corr
 
 
 def ref_compose(alpha, beta):

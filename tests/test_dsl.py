@@ -102,8 +102,9 @@ def test_duplicate_and_reserved_names():
     text = "space a { cell { base = point; rank = 0; codim = 0 } }\n" * 2
     with pytest.raises(ParseError, match="already declared"):
         parse_document(text)
-    with pytest.raises(ParseError, match="reserved"):
-        parse_space("space cell { cell { base = point; rank = 0; codim = 0 } }")
+    for word in ("cell", "P", "quadric", "Gr"):
+        with pytest.raises(ParseError, match=f"^line 1, col 7: '{word}' is a reserved word$"):
+            parse_space(f"space {word} {{ cell {{ base = point; rank = 0; codim = 0 }} }}")
 
 
 def test_print_builtins_compactly():

@@ -289,3 +289,17 @@ def test_scalar_elements_hash_as_their_scalars():
     assert zero == 0 and {zero: "z"}[0] == "z"
     b = GradedRingElement.generator(K0_RING, "b")
     assert len({b, b * 1, GradedRingElement.generator(K0_RING, "b")}) == 1
+
+
+def test_constructor_checks_what_from_terms_checks():
+    zero = GradedRingElement(CHOW_RING, {(): 0})
+    assert zero.is_zero() and zero == 0 and str(zero) == "0"
+    with pytest.raises(ValueError, match="^non-integer scalar 1/2 in an integral ring$"):
+        GradedRingElement(CHOW_RING, {(): Fraction(1, 2)})
+    assert GradedRingElement(universal_ring(2), {(0, 5): 1}).is_zero()  # degree -10, past the bound
+    with pytest.raises(TypeError):  # degrees are read off the terms, never given
+        GradedRingElement(universal_ring(2), {(0, 1): 1}, (7,))
+    assert GradedRingElement(universal_ring(2), {(0, 1): 1}).degrees() == [-2]
+    for ring, terms in ((U3, {(1, 0, 0): 2, (0, 1, 0): Fraction(1, 3), (0, 0, 0): 0}),
+                        (K0_RING, {(-2,): 3}), (CHOW_RING, {})):
+        assert GradedRingElement(ring, terms) == GradedRingElement.from_terms(ring, terms)

@@ -258,6 +258,34 @@ def test_split_refuses_non_scalar_projector():
         split_idempotent(p)
 
 
+@pytest.mark.parametrize("case", ["universal", "laurent-and-plain"])
+def test_split_names_the_first_non_scalar_entry(case):
+    from motivec.gring import Generator, RingDescriptor
+    from motivec.theory import OrientedTheory
+
+    if case == "universal":
+        theory = universal(4)
+        gen = lambda symbol: GradedRingElement.generator(theory.ring, symbol)  # noqa: E731
+        first, m = gen("m_2") + gen("m_1") ** 2, TateMotive((0, 2))
+        rows, message = [[1, 0], [first, 0]], "entry m_2 + m_1^2 is not a scalar multiple"
+        degree = -2
+    else:
+        # a unit monomial beside a plain one of the same degree: only the
+        # second entry of the block has a term off the unit
+        ring = RingDescriptor("mixed", (Generator("u", -1, True), Generator("v", -1)), "Z")
+        theory = OrientedTheory("mixed", ring, 2, None)
+        u, v = (GradedRingElement.generator(ring, g) for g in "uv")
+        m = TateMotive((0, 1, 1))
+        rows, message = [[1, 0, 0], [u, 0, 0], [u + v, 0, 0]], "entry v + u is not a scalar multiple"
+        degree = -1
+    rows = [[e if isinstance(e, GradedRingElement) else sc(theory, e) for e in row] for row in rows]
+    p = Correspondence(theory, m, m, 0, rows)
+    assert is_idempotent(p)
+    with pytest.raises(NonSplittableError) as err:
+        split_idempotent(p)
+    assert str(err.value) == f"{message} of a unit monomial of degree {degree}"
+
+
 def test_split_randomized_blocks_reassemble():
     rng = random.Random(8)
     for _ in range(40):
@@ -551,3 +579,86 @@ def test_twist_expansion_is_refused_past_the_budget(monkeypatch):
     with pytest.raises(ValueError):
         list(big)
     assert big.size == 4 and poincare_polynomial(big) == [2, 0, 2]
+
+
+def test_a_motive_is_its_histogram_and_a_morphism_its_blocks():
+    assert TateMotive.__slots__ == ("histogram", "size")
+    assert Correspondence.__slots__ == ("theory", "source", "target", "degree", "blocks")
+    assert not any("__getattr__" in vars(cls) for cls in (TateMotive, Correspondence))
+    m = TateMotive([2, 0, 2])
+    assert m.histogram == ((0, 1), (2, 2)) and m.twists == (0, 2, 2) == tuple(m)
+    theory = k0()
+    b = GradedRingElement.generator(theory.ring, "b")
+    rows = [[sc(theory, 1), sc(theory, 0), b ** -2],
+            [sc(theory, 0), sc(theory, 3), sc(theory, -1)],
+            [sc(theory, 0), sc(theory, 0), sc(theory, 1)]]
+    p = Correspondence(theory, m, m, 0, rows)
+    assert p.entries == tuple(map(tuple, rows))
+    assert p.entry(0, 2) == b ** -2 and p.entry(1, 2) == -1 and p.entry(-2, -2) == 3
+    with pytest.raises(IndexError):
+        p.entry(0, 3)
+    # an entry is built from its block alone, never through the dense matrix
+    big = TateMotive.from_histogram([(0, 10 ** 6), (1, 10 ** 6)])
+    eye = identity_correspondence(theory, TateMotive.from_histogram([(0, 2), (1, 1)]))
+    assert zero_correspondence(theory, big, big).entry(10 ** 6 + 5, 7).is_zero()
+    assert [eye.entry(j, 1) for j in range(3)] == [0, 1, 0]
+    assert p.blocks == Correspondence(theory, m, m, 0, p.entries).blocks
+
+
+def test_repr_and_shape_errors_print_histograms():
+    huge = TateMotive.from_histogram([(0, 1 << 25)])
+    assert repr(zero_correspondence(chow(), huge, TateMotive())) == (
+        "<corr ((0, 33554432),) -> () deg 0 over chow>")
+    a, b = (TateMotive.from_histogram([(0, n)]) for n in (3000, 2999))
+    with pytest.raises(ValueError) as err:
+        compose(zero_correspondence(chow(), b, b), zero_correspondence(chow(), a, a))
+    assert str(err.value) == "shapes do not compose: ((0, 3000),) then ((0, 2999),)"
+
+
+def dense_block_idempotent(rng, theory, motive):
+    """`random_block_idempotent` as first written: the same draws, then n^2
+    scalar ring elements through the dense constructor."""
+    entries, offset = {}, 0
+    for _, size in motive.histogram:
+        diag = [[1 if (i == j and rng.random() < 0.6) else 0 for j in range(size)] for i in range(size)]
+        identity = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+        basis, inverse = [row[:] for row in identity], [row[:] for row in identity]
+        for _ in range(size):
+            i, j = rng.randrange(size), rng.randrange(size)
+            if i != j:
+                sign = rng.choice((-1, 1))
+                for k in range(size):
+                    basis[i][k] += sign * basis[j][k]
+                    inverse[k][j] -= sign * inverse[k][i]
+        mul = lambda a, b: [[sum(a[i][k] * b[k][j] for k in range(size)) for j in range(size)]  # noqa: E731
+                            for i in range(size)]
+        block = mul(mul(inverse, diag), basis)
+        for i in range(size):
+            for j in range(size):
+                entries[(offset + i, offset + j)] = block[i][j]
+        offset += size
+    n = motive.size
+    rows = [[sc(theory, entries.get((j, i), 0)) for i in range(n)] for j in range(n)]
+    return Correspondence(theory, motive, motive, 0, rows)
+
+
+def test_block_idempotent_is_built_from_blocks(monkeypatch):
+    """The same blocks and the same draws as the dense construction, for
+    seeds 0-3, without building a dense matrix of ring elements."""
+    def draws(rng, build):
+        out = []
+        for _ in range(60):
+            theory = (chow(), k0())[rng.randrange(2)]
+            motive = random_motive(rng, max_size=4, max_twist=3)
+            out.append(build(rng, theory, motive))
+        return out
+
+    for seed in range(4):
+        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        want = draws(want_rng, dense_block_idempotent)
+        with monkeypatch.context() as patch:
+            patch.setattr(Correspondence, "__init__", None)  # no dense construction
+            got = draws(got_rng, random_block_idempotent)
+        assert [(p.theory, p.source, p.blocks) for p in got] == [
+            (p.theory, p.source, p.blocks) for p in want]
+        assert got_rng.getstate() == want_rng.getstate()

@@ -129,3 +129,16 @@ def test_lift_keeps_coefficients():
     x = var(CHOW_RING, ("x",), "x")
     lifted = x.lift(("x", "y"))
     assert lifted == var(CHOW_RING, ("x", "y"), "x")
+
+
+def test_constructor_checks_what_from_terms_checks():
+    one, zero = GradedRingElement.one(CHOW_RING), GradedRingElement.zero(CHOW_RING)
+    past = TruncatedSeries(CHOW_RING, ("x",), 2, {(5,): one})
+    assert past.is_zero() and str(past) == "0"
+    assert TruncatedSeries(CHOW_RING, ("x",), 2, {(1,): zero}).is_zero()
+    terms = {(1,): one, (2,): 3, (0,): 0}
+    series = TruncatedSeries(CHOW_RING, ["x"], 2, terms)
+    assert series == TruncatedSeries.from_terms(CHOW_RING, ("x",), 2, terms)
+    assert str(series) == "x + 3*x^2" and series.variables == ("x",)
+    with pytest.raises(ValueError, match="^bad variable exponent vector"):
+        TruncatedSeries(CHOW_RING, ("x",), 2, {(1, 1): one})
