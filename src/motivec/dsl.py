@@ -1,4 +1,5 @@
-"""Text format for describing cellular spaces.
+"""Text format for describing cellular spaces, and the one tokenizer of the
+package's text syntaxes.
 
 A document is a sequence of declarations::
 
@@ -13,6 +14,12 @@ where EXPR is ``point``, ``P(n)``, ``quadric(d)``, ``Gr(d,n)``,
 free-form, ``#`` starts a line comment, and the semicolon before a closing
 brace may be omitted.  A document consisting of a single bare EXPR is also
 accepted by :func:`parse_space`.
+
+:class:`Tokens` reads both this format and the element syntax of
+:func:`motivec.gring.parse_element`.  Blanks are exactly space, tab,
+carriage return and newline; anything else that is not a name, a natural
+number or a punctuation mark of the syntax is refused.  An error in either
+syntax is a :class:`ParseError`, with a 1-based line and column.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from .spaces import (
     Cell,
     Cellular,
     DisjointUnion,
-    EquidimensionalityViolation,
     Point,
     SpaceExpr,
     walk_dag,
@@ -34,9 +40,7 @@ from .spaces import (
 MAX_UNION_NESTING = 256  # only the parser recurses over a space, once per union(...) level
 _RESERVED = {"space", "cell", "base", "rank", "codim", "point", "union", *BUILTINS}
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_NAT_RE = re.compile(r"\d+")
-_PUNCT = "{}()=;,"
+_WORD = re.compile(r"(\d+)|[A-Za-z_][A-Za-z_0-9]*")  # a natural number (group 1) or a name
 
 
 class ParseError(ValueError):
@@ -48,139 +52,120 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
+class Tokens:
+    """A cursor over the tokens of `text`.
 
-    def __init__(self, kind, value, line, col):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
+    `tokens` holds (kind, value, line, col) tuples, the last of kind
+    ``eof``.  A kind is ``nat`` (an int value), ``name`` (a str value) or
+    one of the `punct` characters (itself).  `comment` starts a comment
+    that runs to the end of its line; an end of input after it is placed
+    at the comment.  `pos` indexes the next token.
+    """
 
-    def __repr__(self):
-        return f"{self.kind}({self.value!r})@{self.line}:{self.col}"
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
+    def __init__(self, text: str, punct: str, comment: str | None = None):
+        tokens = []
+        line, start, i = 1, 0, 0  # `start` indexes the first character of the line
+        while i < len(text):
+            ch = text[i]
+            if ch in " \t\r":
                 i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _NAT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("nat", int(m.group()), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            tokens.append(_Token("name", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", None, line, col))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+            elif ch == "\n":
+                i += 1
+                line, start = line + 1, i
+            elif ch == comment:
+                newline = text.find("\n", i)
+                if newline < 0:
+                    break
+                i = newline
+            elif ch in punct:
+                tokens.append((ch, ch, line, i - start + 1))
+                i += 1
+            else:
+                m = _WORD.match(text, i)
+                if m is None:
+                    raise ParseError(f"unexpected character {ch!r}", line, i - start + 1)
+                kind, value = ("nat", int(m.group())) if m.lastindex else ("name", m.group())
+                tokens.append((kind, value, line, i - start + 1))
+                i = m.end()
+        tokens.append(("eof", None, line, i - start + 1))
+        self.tokens = tokens
         self.pos = 0
+
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
+
+    def advance(self):
+        """Consume the next token and return its value."""
+        self.pos += 1
+        return self.tokens[self.pos - 1][1]
+
+    def describe(self) -> str:
+        """The next token as an error message names it."""
+        kind, value = self.tokens[self.pos][:2]
+        return "end of input" if kind == "eof" else repr(value)
+
+    def fail(self, message: str, index: int | None = None):
+        """Raise a ParseError at token `index`, by default the next one."""
+        raise ParseError(message, *self.tokens[self.pos if index is None else index][2:])
+
+    def expect(self, kind: str, what: str | None = None):
+        """Consume a token of `kind` and return its value."""
+        if self.peek() != kind:
+            self.fail(f"expected {what or kind}, got {self.describe()}")
+        return self.advance()
+
+
+class _Parser(Tokens):
+    def __init__(self, text: str):
+        super().__init__(text, "{}()=;,", "#")
         self.env: dict[str, SpaceExpr] = {}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    @staticmethod
-    def describe(tok: _Token) -> str:
-        return "end of input" if tok.kind == "eof" else repr(tok.value)
-
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
-
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {what or kind}, got {self.describe(tok)}", tok)
-        return self.advance()
-
     def expect_keyword(self, word: str):
-        tok = self.peek()
-        if tok.kind != "name" or tok.value != word:
-            self.fail(f"expected {word!r}, got {self.describe(tok)}", tok)
-        return self.advance()
+        if self.tokens[self.pos][:2] != ("name", word):
+            self.fail(f"expected {word!r}, got {self.describe()}")
+        self.pos += 1
+
+    def checked(self, index: int, build, *args):
+        """`build(*args)`, its ValueError raised as a ParseError at token `index`."""
+        try:
+            return build(*args)
+        except ValueError as exc:  # out of range, past the cell budget, or not equidimensional
+            raise ParseError(str(exc), *self.tokens[index][2:]) from exc
 
     # -- grammar ----------------------------------------------------------
 
     def parse_document(self) -> dict[str, SpaceExpr]:
-        if self.peek().kind == "name" and self.peek().value == "space":
-            while self.peek().kind != "eof":
+        if self.tokens[0][:2] == ("name", "space"):
+            while self.peek() != "eof":
                 self.parse_declaration()
-            if not self.env:
-                self.fail("empty document")
             return dict(self.env)
         # a single bare expression is accepted as a document
-        start = self.peek()
         expr = self.parse_expr()
         self.expect("eof", "end of input")
-        self._validate(expr, start)
+        self.checked(0, expr.dim)
         return {"_": expr}
 
     def parse_declaration(self):
         self.expect_keyword("space")
-        name_tok = self.expect("name", "a space name")
-        name = name_tok.value
+        at = self.pos
+        name = self.expect("name", "a space name")
         if name in _RESERVED:
-            self.fail(f"{name!r} is a reserved word", name_tok)
+            self.fail(f"{name!r} is a reserved word", at)
         if name in self.env:
-            self.fail(f"space {name!r} is already declared", name_tok)
+            self.fail(f"space {name!r} is already declared", at)
         self.expect("{")
+        first_cell = self.pos
         cells = []
-        first_cell_tok = self.peek()
-        while not (self.peek().kind == "}"):
+        while self.peek() != "}":
             cells.append(self.parse_cell())
-        self.expect("}")
-        try:
-            space = Cellular(cells, name=name)
-        except ValueError as exc:
-            raise ParseError(str(exc), first_cell_tok.line, first_cell_tok.col) from exc
-        self._validate(space, name_tok)
+        self.advance()
+        space = self.checked(first_cell, Cellular, cells, name)
+        self.checked(at, space.dim)
         self.env[name] = space
 
-    def _validate(self, space: SpaceExpr, tok: _Token):
-        try:
-            space.dim()
-        except EquidimensionalityViolation as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from exc
-
     def parse_cell(self) -> Cell:
-        cell_tok = self.peek()
+        at = self.pos
         self.expect_keyword("cell")
         self.expect("{")
         self.expect_keyword("base")
@@ -189,44 +174,35 @@ class _Parser:
         self.expect(";")
         self.expect_keyword("rank")
         self.expect("=")
-        rank = self.expect("nat", "a nonnegative integer").value
+        rank = self.expect("nat", "a nonnegative integer")
         self.expect(";")
         self.expect_keyword("codim")
         self.expect("=")
-        codim = self.expect("nat", "a nonnegative integer").value
-        if self.peek().kind == ";":
+        codim = self.expect("nat", "a nonnegative integer")
+        if self.peek() == ";":
             self.advance()
         self.expect("}")
-        try:
-            return Cell(base, rank, codim)
-        except ValueError as exc:
-            raise ParseError(str(exc), cell_tok.line, cell_tok.col) from exc
+        return self.checked(at, Cell, base, rank, codim)
 
     def parse_expr(self, depth: int = 0) -> SpaceExpr:
-        tok = self.peek()
-        if tok.kind != "name":
-            self.fail(f"expected a space expression, got {self.describe(tok)}", tok)
-        word = tok.value
+        at = self.pos
+        if self.peek() != "name":
+            self.fail(f"expected a space expression, got {self.describe()}")
+        word = self.advance()
         if word == "point":
-            self.advance()
             return POINT
         if word in BUILTINS:
             build, names = BUILTINS[word]
-            self.advance()
             self.expect("(")
-            args = [self.expect("nat").value]
+            args = [self.expect("nat")]
             while len(args) < len(names):
                 self.expect(",")
-                args.append(self.expect("nat").value)
+                args.append(self.expect("nat"))
             self.expect(")")
-            try:
-                return build(*args)
-            except ValueError as exc:  # out of range, or past the cell budget
-                raise ParseError(str(exc), tok.line, tok.col) from exc
+            return self.checked(at, build, *args)
         if word == "union":
             if depth == MAX_UNION_NESTING:
-                self.fail(f"union(...) nested more than {MAX_UNION_NESTING} levels deep", tok)
-            self.advance()
+                self.fail(f"union(...) nested more than {MAX_UNION_NESTING} levels deep", at)
             self.expect("(")
             left = self.parse_expr(depth + 1)
             self.expect(",")
@@ -234,10 +210,9 @@ class _Parser:
             self.expect(")")
             return DisjointUnion(left, right)
         if word in _RESERVED:
-            self.fail(f"unexpected keyword {word!r} in expression", tok)
-        self.advance()
+            self.fail(f"unexpected keyword {word!r} in expression", at)
         if word not in self.env:
-            self.fail(f"reference to undeclared space {word!r}", tok)
+            self.fail(f"reference to undeclared space {word!r}", at)
         return self.env[word]
 
 
@@ -276,9 +251,8 @@ def print_space(space: SpaceExpr) -> str:
         return form if form is not None else text.get(id(s))
 
     def fresh_name(wanted: str | None) -> str:
-        base = wanted if wanted and _NAME_RE.fullmatch(wanted) and wanted not in _RESERVED else None
-        if base is None:
-            base = f"s{len(taken)}"
+        named = wanted and wanted.isascii() and wanted.isidentifier() and wanted not in _RESERVED
+        base = wanted if named else f"s{len(taken)}"
         candidate, k = base, 1
         while candidate in taken:
             candidate = f"{base}_{k}"

@@ -22,6 +22,10 @@ computes a term's degree.
 
 Integral arithmetic never loads :mod:`fractions`: it is imported on the
 first rational scalar, and a Fraction test reads ``sys.modules`` instead.
+
+`parse_element` reads its text with `motivec.dsl.Tokens`, imported on the
+first parse: blanks are exactly space, tab, carriage return and newline,
+and malformed text raises a `motivec.dsl.ParseError` with line and column.
 """
 
 from __future__ import annotations
@@ -614,19 +618,17 @@ def _degree_monomials(ring: RingDescriptor, k: int):
         )
     if k > 0:
         return []
-    out = []
-
-    def extend(prefix, idx, remaining):
-        if idx == len(gens):
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        step = -gens[idx].degree
-        for e in range(0, remaining // step + 1):
-            extend(prefix + [e], idx + 1, remaining - e * step)
-
-    extend([], 0, -k)
-    return out
+    # the partitions of -k, one generator's exponent at a time; a generator
+    # of degree below k keeps exponent 0
+    partial = [((0,) * len(gens), -k)]  # (monomial so far, degree left to fill)
+    for i, g in enumerate(gens):
+        if g.degree >= k:
+            partial = [
+                (mono[:i] + (e,) + mono[i + 1:] if e else mono, rest + e * g.degree)
+                for mono, rest in partial
+                for e in range(rest // -g.degree + 1)
+            ]
+    return [mono for mono, rest in partial if rest == 0]
 
 
 # -- text syntax -----------------------------------------------------------
@@ -669,106 +671,66 @@ def render_element(elem: GradedRingElement) -> str:
     return " ".join(pieces)
 
 
-_TOKEN = r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|/|\+|-|\(|\)))"
-
-
-def _tokenize_element(text: str):
-    import re
-
-    match = re.compile(_TOKEN).match  # compiled on the first call, then cached by `re`
-    pos, out = 0, []
-    while pos < len(text):
-        m = match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"bad character in element syntax at {text[pos:]!r}")
-            break
-        pos = m.end()
-        if m.group(1):
-            out.append(("int", int(m.group(1))))
-        elif m.group(2):
-            out.append(("name", m.group(2)))
-        else:
-            out.append((m.group(3), None))
-    return out
-
-
 def parse_element(ring: RingDescriptor, text: str) -> GradedRingElement:
-    """Parse the rendered element syntax, e.g. ``"m_2 + 2*m_1^2 - 1/3"``."""
-    tokens = _tokenize_element(text)
-    idx = 0
+    """Parse the rendered element syntax, e.g. ``"m_2 + 2*m_1^2 - 1/3"``.
 
-    def peek():
-        return tokens[idx][0] if idx < len(tokens) else None
+    Malformed text raises a `motivec.dsl.ParseError` at its line and
+    column; an unknown generator raises a KeyError.
+    """
+    from .dsl import Tokens  # the package's one tokenizer, loaded on the first parse
+
+    toks = Tokens(text, "^*/+-()")
 
     def parse_factor():
-        nonlocal idx
-        if idx >= len(tokens):
-            raise ValueError("unexpected end of element text")
-        kind, value = tokens[idx]
-        if kind == "int":
-            idx += 1
-            scalar = value
-            if peek() == "/":
-                idx += 1
-                if peek() != "int":
-                    raise ValueError("expected denominator after '/'")
+        kind = toks.peek()
+        if kind == "nat":
+            scalar = toks.advance()
+            if toks.peek() == "/":
+                toks.advance()
+                at = toks.pos
+                denominator = toks.expect("nat", "a denominator after '/'")
+                if denominator == 0:
+                    toks.fail("zero denominator", at)
                 from fractions import Fraction
 
-                scalar = Fraction(value) / tokens[idx][1]
-                idx += 1
+                scalar = Fraction(scalar, denominator)
             return GradedRingElement.scalar(ring, scalar)
         if kind == "name":
-            idx += 1
+            symbol = toks.advance()
             power = 1
-            if peek() == "^":
-                idx += 1
-                sign = 1
-                if peek() == "-":
-                    idx += 1
-                    sign = -1
-                if peek() != "int":
-                    raise ValueError("expected integer exponent after '^'")
-                power = sign * tokens[idx][1]
-                idx += 1
-            return GradedRingElement.generator(ring, value, power)
+            if toks.peek() == "^":
+                toks.advance()
+                sign = -1 if toks.peek() == "-" else 1
+                if sign == -1:
+                    toks.advance()
+                power = sign * toks.expect("nat", "an integer exponent after '^'")
+            return GradedRingElement.generator(ring, symbol, power)
         if kind == "(":
-            idx += 1
+            toks.advance()
             inner = parse_sum()
-            if peek() != ")":
-                raise ValueError("missing closing parenthesis")
-            idx += 1
+            toks.expect(")")
             return inner
-        raise ValueError(f"unexpected token {kind!r} in element syntax")
+        toks.fail(f"expected a term, got {toks.describe()}")
 
     def parse_term():
-        nonlocal idx
         acc = parse_factor()
-        while peek() == "*":
-            idx += 1
+        while toks.peek() == "*":
+            toks.advance()
             acc = acc * parse_factor()
         return acc
 
     def parse_sum():
-        nonlocal idx
         total = GradedRingElement.zero(ring)
-        sign = 1
-        if peek() in ("+", "-"):
-            sign = -1 if tokens[idx][0] == "-" else 1
-            idx += 1
+        sign = toks.advance() if toks.peek() in ("+", "-") else "+"
         while True:
             term = parse_term()
-            total = total + (term if sign == 1 else -term)
-            if peek() not in ("+", "-"):
+            total = total + (term if sign == "+" else -term)
+            if toks.peek() not in ("+", "-"):
                 return total
-            sign = -1 if tokens[idx][0] == "-" else 1
-            idx += 1
+            sign = toks.advance()
 
-    if not tokens:
-        raise ValueError("empty element text")
     result = parse_sum()
-    if idx != len(tokens):
-        raise ValueError(f"trailing tokens in element syntax near {tokens[idx]!r}")
+    toks.expect("eof", "an operator or end of input")
     return result
 
 

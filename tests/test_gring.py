@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from motivec.dsl import ParseError
 from motivec.gring import (
     CHOW_RING,
     K0_RING,
@@ -17,6 +18,7 @@ from motivec.gring import (
     substitute_generators,
     universal_ring,
 )
+from motivec.series import parse_series
 
 U3 = universal_ring(3)
 
@@ -211,12 +213,27 @@ def test_render_unit_and_fraction():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_element(U3, "m_1 + + 2")
-    with pytest.raises(ValueError):
-        parse_element(U3, "")
+    for text, message in [
+        ("m_1 + + 2", "line 1, col 7: expected a term, got '+'"),
+        ("", "line 1, col 1: expected a term, got end of input"),
+        ("(m_1 + 2", "line 1, col 9: expected ), got end of input"),
+        ("m_1^x", "line 1, col 5: expected an integer exponent after '^', got 'x'"),
+        ("2/m_1", "line 1, col 3: expected a denominator after '/', got 'm_1'"),
+        ("m_1 m_2", "line 1, col 5: expected an operator or end of input, got 'm_2'"),
+        ("m_1 $ 2", "line 1, col 5: unexpected character '$'"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_element(U3, text)
+        assert str(info.value) == message
     with pytest.raises(KeyError):
         parse_element(U3, "q_7")
+
+
+def test_a_zero_denominator_is_refused_at_the_denominator():
+    with pytest.raises(ParseError, match=r"^line 1, col 3: zero denominator$"):
+        parse_element(U3, "1/0")
+    with pytest.raises(ParseError, match=r"^line 1, col 11: zero denominator$"):
+        parse_series(U3, ("x",), 3, "m_1*x + 2/00")
 
 
 def test_substitute_generators_kills_and_maps():
