@@ -259,6 +259,8 @@ def build_arg_parser():
     parser.add_argument("--mode", default=OPTIONS["mode"], choices=MODES)
     parser.add_argument("--format", default=OPTIONS["format"], choices=FORMATS)
     parser.add_argument("--truncation", type=int, default=None)
+    # a usage error is one line, without the usage block argparse puts before it
+    parser.error = lambda message: parser.exit(2, f"{parser.prog}: error: {message}\n")
     return parser
 
 

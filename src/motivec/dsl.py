@@ -18,8 +18,9 @@ accepted by :func:`parse_space`.
 :class:`Tokens` reads both this format and the element syntax of
 :func:`motivec.gring.parse_element`.  Blanks are exactly space, tab,
 carriage return and newline; anything else that is not a name, a natural
-number or a punctuation mark of the syntax is refused.  An error in either
-syntax is a :class:`ParseError`, with a 1-based line and column.
+number of at most the digits ``int()`` converts, or a punctuation mark of
+the syntax is refused.  An error in either syntax is a :class:`ParseError`,
+with a 1-based line and column.
 """
 
 from __future__ import annotations
@@ -84,7 +85,11 @@ class Tokens:
                 m = _WORD.match(text, i)
                 if m is None:
                     raise ParseError(f"unexpected character {ch!r}", line, i - start + 1)
-                kind, value = ("nat", int(m.group())) if m.lastindex else ("name", m.group())
+                try:  # int() refuses more digits than the interpreter's limit
+                    kind, value = ("nat", int(m.group())) if m.lastindex else ("name", m.group())
+                except ValueError:
+                    raise ParseError(f"number of {m.end() - i} digits is too long",
+                                     line, i - start + 1) from None
                 tokens.append((kind, value, line, i - start + 1))
                 i = m.end()
         tokens.append(("eof", None, line, i - start + 1))

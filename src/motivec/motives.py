@@ -423,16 +423,16 @@ def split_idempotent(p: Correspondence) -> SplitCertificate:
     Entries between twists a_i and a_j must be zero or a scalar multiple of
     the unique unit monomial of degree a_i - a_j, read block by block (over
     rings without Laurent units this forces a twist-blocked matrix).  The
-    scalar matrix, scaled by the lcm of its denominators, has an integer
-    column basis: that basis is the section, and solving against it gives
-    the retraction, integral exactly when the projector is.
+    scalar matrix, scaled by the lcm of its denominators to integers, factors
+    in one elimination as C * R: the integer column basis C is the section,
+    and R / scale the retraction, integral exactly when the scale is 1.
 
     The rows ascend in twist and each column's leading row lies below the
     one before, so that row holds the column's image twist, in order.
     Columns combine only within one twist, or one residue class mod the
     degree of a Laurent unit, so each block of the certificates has a unit.
     """
-    from .linalg import integer_column_basis, solve_columns
+    from .linalg import integer_column_basis
 
     if p.source != p.target or p.degree != 0:
         raise NotIdempotentError("splitting needs a degree-0 endomorphism")
@@ -452,12 +452,13 @@ def split_idempotent(p: Correspondence) -> SplitCertificate:
         for j, row in zip(at[t], m):
             scalar[j][at[s].start:at[s].stop] = row
     scale = lcm(*(c.denominator for row in scalar for c in row))  # ints and Fractions
-    c_mat = integer_column_basis([[c.numerator * (scale // c.denominator) for c in row]
-                                  for row in scalar])
-    r_mat = solve_columns(c_mat, scalar)
-    integral = all(x.denominator == 1 for row in r_mat for x in row)
-    if scale == 1 and not integral:
-        raise AssertionError("image lattice retraction must be integral")
+    c_mat, r_mat = integer_column_basis([[c.numerator * (scale // c.denominator) for c in row]
+                                         for row in scalar])
+    integral = scale == 1  # C spans scale times the columns' lattice, which holds them only then
+    if not integral:
+        from fractions import Fraction
+
+        r_mat = [[Fraction(x, scale) for x in row] for row in r_mat]
     image = TateMotive(twists[next(j for j, row in enumerate(c_mat) if row[t])]
                        for t in range(len(r_mat)))  # r_mat has one row per column
     section = _units(theory, image, p.source, c_mat)

@@ -188,6 +188,22 @@ def test_file_parse_error_position(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_a_number_past_the_digit_limit_is_a_parse_error_at_its_position(tmp_path, capsys):
+    doc = tmp_path / "long.txt"
+    doc.write_text("space s {\n  cell { base = P(" + "9" * 5000 + "); rank = 0; codim = 0 }\n}\n")
+    code, out, err = invoke(["--file", str(doc), "--space", "s"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "motivec: line 2, col 19: number of 5000 digits is too long\n"
+
+
+@pytest.mark.parametrize("argv", [["--mode", "nope"], ["--format", "xml"], ["--spacex", "P:2"],
+                                  ["--truncation", "x"], ["--space"], ["extra"]], ids=repr)
+def test_a_usage_error_is_one_line(argv, capsys):
+    code, out, err = invoke(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("motivec: error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_check_mode_passes(capsys):
     code, out, _ = invoke(["--mode", "check"], capsys)
     assert code == 0

@@ -236,6 +236,13 @@ def test_a_zero_denominator_is_refused_at_the_denominator():
         parse_series(U3, ("x",), 3, "m_1*x + 2/00")
 
 
+def test_a_number_past_the_digit_limit_is_refused_at_its_position():
+    with pytest.raises(ParseError, match=r"^line 1, col 3: number of 5000 digits is too long$"):
+        parse_element(U3, "1/" + "7" * 5000)
+    # at the limit the number still reads
+    assert parse_element(U3, "1/" + "7" * 4300) == GradedRingElement.scalar(U3, Fraction(1, int("7" * 4300)))
+
+
 def test_substitute_generators_kills_and_maps():
     m1, m2 = gen(U3, "m_1"), gen(U3, "m_2")
     e = m1 * m1 + m2

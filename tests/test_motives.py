@@ -435,6 +435,25 @@ def test_bundle_projectors_nontrivial_base():
     assert images == [base, base.shifted(1)]
 
 
+@pytest.mark.parametrize("theory", [chow(), k0()], ids=["chow", "k0"])
+@pytest.mark.parametrize("space", [projective_space(3), quadric(2), grassmannian(2, 4),
+                                   grassmannian(4, 8)], ids=["P3", "Q2", "Gr24", "Gr48"])
+def test_bundle_projectors_decompose_real_motives(space, theory):
+    # the paper's bundle decomposition: the motive of a rank-r projective
+    # bundle over the space is the sum of r shifted copies of the space's
+    base = decompose_by_rank(space)
+    for rank in (2, 3):
+        projectors = projective_bundle_projectors(theory, base, rank)
+        total = projectors[0].source
+        acc = zero_correspondence(theory, total, total, 0)
+        for i, p in enumerate(projectors):
+            assert all(compose(p, q).is_zero() for j, q in enumerate(projectors) if j != i)
+            cert = split_idempotent(p)
+            assert cert.motive == base.shifted(i) and cert.integral
+            acc = acc + p
+        assert acc == identity_correspondence(theory, total)
+
+
 # -- decomposition routes -----------------------------------------------------------
 
 

@@ -1,7 +1,8 @@
 """Projector splitting against the supports-and-sort algorithm it replaced.
 
 The reference below reads the scalar matrix off the dense entries, takes
-the same integer column basis and solution, gives each column the lowest
+an integer column basis and solves against it by forward substitution
+(the two-pass linear algebra of `test_linalg`), gives each column the lowest
 twist among its nonzero rows, refuses a column that mixes twists over a
 ring without Laurent units, sorts the columns by that twist, and builds
 the section and retraction entry by entry from unit monomials.  The
@@ -16,7 +17,6 @@ import random
 import pytest
 
 from motivec.gring import Generator, GradedRingElement, RingDescriptor
-from motivec.linalg import integer_column_basis, solve_columns
 from motivec.motives import (
     Correspondence,
     NonSplittableError,
@@ -27,6 +27,7 @@ from motivec.motives import (
 )
 from motivec.theory import OrientedTheory, chow, k0, universal
 
+from test_linalg import ref_column_basis, ref_solve_columns
 from test_motives import rational_inverse
 
 LAURENT2 = OrientedTheory(
@@ -65,9 +66,9 @@ def ref_split(p):
     ring, twists = p.theory.ring, p.source.twists
     scalar = [[next(iter(e.terms.values()), 0) for e in row] for row in p.entries]
     scale = lcm(*(c.denominator for row in scalar for c in row))
-    c_mat = integer_column_basis([[c.numerator * (scale // c.denominator) for c in row]
-                                  for row in scalar])
-    r_mat = solve_columns(c_mat, scalar)
+    c_mat = ref_column_basis([[c.numerator * (scale // c.denominator) for c in row]
+                              for row in scalar])
+    r_mat = ref_solve_columns(c_mat, scalar)
     integral = all(x.denominator == 1 for row in r_mat for x in row)
     rank = len(r_mat)
     supports = [{twists[j] for j in range(len(twists)) if c_mat[j][t]} for t in range(rank)]
