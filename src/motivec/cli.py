@@ -3,7 +3,7 @@
 Select a space (built in, or by name from a text file), pick a theory, and
 either print the twist decomposition, the graded groups, the twist
 generating polynomial, the codimension-route cross-check, or run the
-randomized invariant suites.
+randomized invariant suites (check mode ignores --space and --file).
 
 JSON output schema (stable, keys sorted)::
 
@@ -79,17 +79,7 @@ class RunConfig(namedtuple("RunConfig", "space theory mode format file truncatio
             raise ValueError(f"unknown mode {mode!r}")
         if format not in FORMATS:
             raise ValueError(f"unknown format {format!r}")
-        if not theory.startswith("universal"):
-            if truncation is not None:
-                raise ValueError("truncation only applies to the universal theory")
-        elif truncation is not None:
-            # N must be valid and agree with the truncation; builds no law
-            theory_from_selector(theory, truncation)
-        elif theory == "universal":
-            raise ValueError(
-                "the universal theory needs a truncation bound "
-                "(universal:N, --truncation, or MOTIVEC_TRUNCATION)"
-            )
+        theory_from_selector(theory, truncation)  # refuses a bad selector; builds no law
         return super().__new__(cls, space, theory, mode, format, file, truncation)
 
 

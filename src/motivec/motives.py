@@ -423,14 +423,15 @@ def split_idempotent(p: Correspondence) -> SplitCertificate:
     Entries between twists a_i and a_j must be zero or a scalar multiple of
     the unique unit monomial of degree a_i - a_j, read block by block (over
     rings without Laurent units this forces a twist-blocked matrix).  The
-    scalar matrix, scaled by the lcm of its denominators to integers, factors
-    in one elimination as C * R: the integer column basis C is the section,
-    and R / scale the retraction, integral exactly when the scale is 1.
+    scalar matrix is block-diagonal over the classes of twists that present
+    blocks link.  Scaled by the lcm of its denominators to integers, each
+    class's matrix factors in one elimination as C * R: C, an integer column
+    basis, gives the section, and R / scale the retraction.
 
-    The rows ascend in twist and each column's leading row lies below the
-    one before, so that row holds the column's image twist, in order.
-    Columns combine only within one twist, or one residue class mod the
-    degree of a Laurent unit, so each block of the certificates has a unit.
+    Within a class the rows ascend in twist and each column's leading row
+    lies below the one before, so that row holds the column's image twist,
+    in order.  Unit monomials link the twists of a class, so each block of
+    the certificates has a unit.
     """
     from .linalg import integer_column_basis
 
@@ -438,8 +439,10 @@ def split_idempotent(p: Correspondence) -> SplitCertificate:
         raise NotIdempotentError("splitting needs a degree-0 endomorphism")
     if compose(p, p) != p:
         raise NotIdempotentError("morphism does not square to itself")
-    theory, ring, twists, n = p.theory, p.theory.ring, p.source.twists, p.source.size
-    at, scalar = _spans(p.source), [[0] * n for _ in range(n)]
+    theory, ring, at = p.theory, p.theory.ring, _spans(p.source)
+    scale = lcm(*(c.denominator for block in p.blocks.values() for m in block.values()
+                  for row in m for c in row))  # ints and Fractions
+    scaled, linked = {}, {}  # the blocks' scaled matrices; each twist's class
     for (t, s), block in p.blocks.items():
         unit = _unit_key(ring, s - t)
         if block.keys() != {unit}:
@@ -448,25 +451,31 @@ def split_idempotent(p: Correspondence) -> SplitCertificate:
             entry = _block_element(ring, block, r, c, s - t)
             raise NonSplittableError(f"entry {entry} is not a scalar multiple of a unit "
                                      f"monomial of degree {s - t}")
-        (m,) = block.values()
-        for j, row in zip(at[t], m):
-            scalar[j][at[s].start:at[s].stop] = row
-    scale = lcm(*(c.denominator for row in scalar for c in row))  # ints and Fractions
-    c_mat, r_mat = integer_column_basis([[c.numerator * (scale // c.denominator) for c in row]
-                                         for row in scalar])
-    integral = scale == 1  # C spans scale times the columns' lattice, which holds them only then
-    if not integral:
-        from fractions import Fraction
-
-        r_mat = [[Fraction(x, scale) for x in row] for row in r_mat]
-    image = TateMotive(twists[next(j for j, row in enumerate(c_mat) if row[t])]
-                       for t in range(len(r_mat)))  # r_mat has one row per column
-    section = _units(theory, image, p.source, c_mat)
-    retraction = _units(theory, p.source, image, r_mat)
+        scaled[t, s] = [[c.numerator * (scale // c.denominator) for c in row] for row in block[unit]]
+        joined = linked.get(t, {t}) | linked.get(s, {s})  # one set, shared by a class's twists
+        linked.update(dict.fromkeys(joined, joined))
+    image, section, retraction = [], {}, {}
+    for twists in {id(c): c for c in linked.values()}.values():
+        part = TateMotive._of(tuple((t, len(at[t])) for t in sorted(twists)))
+        spans, matrix = _spans(part), [[0] * part.size for _ in range(part.size)]
+        for (t, rows), (s, cols) in product(spans.items(), repeat=2):
+            for j, row in zip(rows, scaled.get((t, s), ())):
+                matrix[j][cols.start:cols.stop] = row
+        c_mat, r_mat = integer_column_basis(matrix)
+        heads = TateMotive(part.twists[next(j for j, row in enumerate(c_mat) if row[i])]
+                           for i in range(len(r_mat)))  # r_mat has one row per column
+        image += heads.histogram
+        for (t, rows), (s, cols) in product(spans.items(), _spans(heads).items()):
+            section[t, s] = [row[cols.start:cols.stop] for row in c_mat[rows.start:rows.stop]]
+            retraction[s, t] = [row[rows.start:rows.stop] for row in r_mat[cols.start:cols.stop]]
+    image = TateMotive.from_histogram(image)
+    section = _units(theory, image, p.source, section)
+    retraction = _units(theory, p.source, image, retraction, scale)
     if compose(retraction, section) != identity_correspondence(theory, image):
         raise AssertionError("retraction o section is not the identity")
     if compose(section, retraction) != p:
         raise AssertionError("section o retraction does not rebuild the projector")
+    integral = scale == 1  # C spans scale times the columns' lattice, which holds them only then
     return SplitCertificate(image, section, retraction, integral)
 
 
@@ -482,15 +491,17 @@ def _unit_key(ring, degree: int):
     return _encode(ring, tuple(degree // g.degree if g.invertible else 0 for g in ring.generators))
 
 
-def _units(theory, source: TateMotive, target: TateMotive, matrix) -> Correspondence:
-    """The degree-0 morphism whose (j, i) entry is matrix[j][i] times the
-    unit monomial of degree s - t, cut into twist blocks."""
+def _units(theory, source: TateMotive, target: TateMotive, scalars, scale=1) -> Correspondence:
+    """The degree-0 morphism whose block (t, s) is scalars[t, s] / scale times
+    the unit monomial of degree s - t; zero matrices are dropped."""
+    if scale != 1:
+        from fractions import Fraction
+        scalars = {ts: [[Fraction(x, scale) for x in row] for row in m] for ts, m in scalars.items()}
     ring, blocks = theory.ring, {}
-    for t, rows in _spans(target).items():
-        for s, cols in _spans(source).items():
-            m = [[_normalize_scalar(matrix[j][i], ring.field) for i in cols] for j in rows]
-            if any(map(any, m)):
-                blocks[t, s] = {_unit_key(ring, s - t): m}
+    for (t, s), m in scalars.items():
+        m = [[_normalize_scalar(x, ring.field) for x in row] for row in m]
+        if any(map(any, m)):
+            blocks[t, s] = {_unit_key(ring, s - t): m}
     return _make(theory, source, target, 0, blocks)
 
 

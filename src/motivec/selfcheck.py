@@ -177,9 +177,8 @@ def suite_motive_category(rng, rounds=120) -> str:
 
 def random_block_idempotent(rng, theory, motive: TateMotive) -> Correspondence:
     """A twist-blocked scalar idempotent: conjugated 0/1 diagonals per block."""
-    n, offset = motive.size, 0
-    matrix = [[0] * n for _ in range(n)]
-    for _, size in motive.histogram:
+    blocks = {}
+    for t, size in motive.histogram:
         diag = [[1 if (i == j and rng.random() < 0.6) else 0 for j in range(size)] for i in range(size)]
         identity = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
         basis, inverse = [row[:] for row in identity], [row[:] for row in identity]
@@ -191,11 +190,8 @@ def random_block_idempotent(rng, theory, motive: TateMotive) -> Correspondence:
                     basis[i][k] += sign * basis[j][k]
                     inverse[k][j] -= sign * inverse[k][i]
         require(_mat_mul(inverse, basis) == identity, "inverse of the unimodular basis")
-        block = _mat_mul(_mat_mul(inverse, diag), basis)
-        for i, row in enumerate(block, offset):
-            matrix[i][offset:offset + size] = row
-        offset += size
-    return _units(theory, motive, motive, matrix)
+        blocks[t, t] = _mat_mul(_mat_mul(inverse, diag), basis)
+    return _units(theory, motive, motive, blocks)
 
 
 def _mat_mul(a, b):

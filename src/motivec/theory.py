@@ -127,10 +127,10 @@ def universal(n: int) -> OrientedTheory:
 def theory_from_selector(selector: str, truncation: int | None = None) -> OrientedTheory:
     """Build a theory from a CLI selector: chow, k0, or universal:N with N at
     most MAX_TRUNCATION (:func:`universal` itself takes any N)."""
-    if selector == "chow":
-        return chow()
-    if selector == "k0":
-        return k0()
+    if selector in ("chow", "k0"):
+        if truncation is not None:
+            raise ValueError("truncation only applies to the universal theory")
+        return chow() if selector == "chow" else k0()
     if selector.startswith("universal"):
         rest = selector[len("universal"):]
         if rest.startswith(":"):
@@ -144,7 +144,8 @@ def theory_from_selector(selector: str, truncation: int | None = None) -> Orient
                 )
         elif rest == "":
             if truncation is None:
-                raise ValueError("the universal theory needs a truncation bound")
+                raise ValueError("the universal theory needs a truncation bound "
+                                 "(universal:N, --truncation, or MOTIVEC_TRUNCATION)")
             if truncation < 1:
                 raise ValueError(
                     f"the universal theory needs a truncation bound >= 1, got {truncation}"

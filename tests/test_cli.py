@@ -293,7 +293,7 @@ def test_answers_never_build_the_law(mode, monkeypatch):
     assert code == 0 and out
 
 
-def test_run_config_is_an_immutable_checked_record():
+def test_run_config_is_an_immutable_checked_record(capsys):
     config = RunConfig(space="P:3", theory="chow")
     assert repr(config) == (
         "RunConfig(space='P:3', theory='chow', mode='motive', format='text', "
@@ -311,6 +311,11 @@ def test_run_config_is_an_immutable_checked_record():
         RunConfig(space="point", theory="k0", truncation=2)
     with pytest.raises(ValueError, match="^the universal theory needs a truncation bound"):
         RunConfig(space="point", theory="universal")
+    with pytest.raises(ValueError, match="^unknown theory selector 'bogus'$"):
+        RunConfig(space="point", theory="bogus", truncation=3)
+    for theory in ("k1", "universal:0"):  # check mode reads no space, but checks the theory
+        code, out, err = invoke(["--mode", "check", "--theory", theory], capsys)
+        assert (code, out) == (1, "") and err.startswith("motivec: ") and err.count("\n") == 1
 
 
 # Runs the CLI as `python -m motivec.cli` would and reports, on stderr, the

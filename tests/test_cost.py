@@ -17,10 +17,12 @@ import random
 
 import pytest
 
-from motivec import motives, selfcheck
+from motivec import linalg, motives, selfcheck
 from motivec.fgl import universal_law
 from motivec.gring import GradedRingElement
 from motivec.series import TruncatedSeries
+from motivec.spaces import grassmannian
+from motivec.theory import chow, k0
 
 MARGIN = 1.05
 
@@ -80,6 +82,37 @@ def test_motive_category_product_counts(products, block_products):
     assert products[GradedRingElement] == 0
     assert block_products["_matmul_into"] <= 1408 * MARGIN
     assert block_products["_kron_into"] <= 1016 * MARGIN
+
+
+# Splitting: `split_idempotent` eliminates each class of twists that the
+# projector's blocks link on its own, and `_units` normalizes the scalars of
+# the certificates' blocks alone.  The rank-3 bundle projectors over Gr(4,8)
+# have 210 generators in 19 twists, at most 22 of them in one twist, and only
+# diagonal blocks.  Eliminating the whole motive at once took 210 rows, and
+# scanning every twist pair of both certificates 88 200 normalizations.
+
+
+@pytest.mark.parametrize("theory", [chow(), k0()], ids=["chow", "k0"])
+def test_bundle_splits_eliminate_one_class_of_twists_at_a_time(theory, monkeypatch):
+    base = motives.decompose_by_rank(grassmannian(4, 8))
+    projectors = motives.projective_bundle_projectors(theory, base, 3)
+    rows, normalized = [], []
+    eliminate, normalize = linalg.integer_column_basis, motives._normalize_scalar
+
+    def counting_elimination(matrix):
+        rows.append(len(matrix))
+        return eliminate(matrix)
+
+    def counting_normalization(*args):
+        normalized.append(1)
+        return normalize(*args)
+
+    monkeypatch.setattr(linalg, "integer_column_basis", counting_elimination)
+    monkeypatch.setattr(motives, "_normalize_scalar", counting_normalization)
+    for i, p in enumerate(projectors):
+        assert motives.split_idempotent(p).motive == base.shifted(i)
+    assert rows and max(rows) <= 22
+    assert len(normalized) <= 6808
 
 
 @pytest.fixture

@@ -9,7 +9,9 @@ the section and retraction entry by entry from unit monomials.  The
 package reads each image twist off the column's leading row instead, and
 must give an equal image, section and retraction on random projectors
 over chow, k0, universal(3) and a ring with one Laurent generator of
-degree -2, whose projectors mix twists of one parity.
+degree -2, whose projectors mix twists of one parity.  One more k0 input
+links only the even twists, so each odd twist is a class of its own,
+between the twists of the even class.
 """
 
 import random
@@ -96,14 +98,16 @@ def unimodular(rng, size):
     return a, inverse
 
 
-def random_projector(rng, theory, motive):
+def random_projector(rng, theory, motive, link=None):
     """A D A^-1 on each class of twists that unit monomials link: one twist
-    without a Laurent unit, one residue class mod its degree with one."""
+    without a Laurent unit, one residue class mod its degree with one, or
+    the classes of `link(twist)` when given."""
     ring, twists = theory.ring, motive.twists
     laurent = [g.degree for g in ring.generators if g.invertible]
     classes = {}
     for j, t in enumerate(twists):
-        classes.setdefault(t % laurent[0] if laurent else t, []).append(j)
+        key = link(t) if link else (t % laurent[0] if laurent else t)
+        classes.setdefault(key, []).append(j)
     matrix = [[0] * len(twists) for _ in twists]
     for places in classes.values():
         size = len(places)
@@ -121,14 +125,23 @@ def random_projector(rng, theory, motive):
     return units_morphism(theory, motive, motive, matrix)
 
 
-@pytest.mark.parametrize("theory", [chow(), k0(), universal(3), LAURENT2],
-                         ids=["chow", "k0", "universal3", "laurent2"])
-def test_split_matches_the_supports_and_sort_reference(theory):
+def even_twists_linked(t):
+    """One class of the even twists, and one of each odd twist."""
+    return t % 2 and t
+
+
+@pytest.mark.parametrize("theory, link", [
+    (chow(), None), (k0(), None), (universal(3), None), (LAURENT2, None),
+    (k0(), even_twists_linked),
+], ids=["chow", "k0", "universal3", "laurent2", "k0-even-linked"])
+def test_split_matches_the_supports_and_sort_reference(theory, link):
     rng = random.Random(15)
     mixed = 0
     for _ in range(40):
         motive = TateMotive(rng.randint(0, 4) for _ in range(rng.randint(0, 6)))
-        p = random_projector(rng, theory, motive)
+        p = random_projector(rng, theory, motive, link)
+        if link:  # blocks link no odd twist to another twist
+            assert all(t == s or not t % 2 and not s % 2 for t, s in p.blocks)
         assert is_idempotent(p)
         for q in (p, identity_correspondence(theory, motive) - p):
             image, section, retraction, integral = ref_split(q)
