@@ -3,7 +3,8 @@
 Select a space (built in, or by name from a text file), pick a theory, and
 either print the twist decomposition, the graded groups, the twist
 generating polynomial, the codimension-route cross-check, or run the
-randomized invariant suites (check mode ignores --space and --file).
+randomized invariant suites (check mode ignores --space, --file and
+--format: it always writes PASS/FAIL rows).
 
 JSON output schema (stable, keys sorted)::
 
@@ -16,6 +17,10 @@ JSON output schema (stable, keys sorted)::
       "poincare": [c0, c1, ...],          # poincare mode
       "duality_ok": bool                  # dual mode only
     }
+
+The text output renders the same document, its keys in a fixed order: the
+``twists`` or ``poincare`` line, one line per group (``rank r`` for ``*``,
+``k: r`` otherwise), then ``duality_ok: true|false``.
 
 Exit codes: 0 on success, 1 on configuration or parse errors, 2 when an
 internal invariant fails (check mode failures, or a dual-mode mismatch)
@@ -118,18 +123,6 @@ def resolve_space(config: RunConfig) -> SpaceExpr:
     )
 
 
-def _groups_json(ranks: dict[int, int], periodic: bool) -> dict:
-    if periodic:
-        return {"*": ranks[0]}
-    return {str(k): r for k, r in ranks.items()}
-
-
-def _groups_text(ranks: dict[int, int], periodic: bool) -> list[str]:
-    if periodic:
-        return [f"rank {ranks[0]}"]
-    return [f"{k}: {r}" for k, r in ranks.items()]
-
-
 def run(config: RunConfig) -> tuple[str, int]:
     """Execute one request; returns (output document, exit code)."""
     if config.mode == "check":
@@ -145,39 +138,31 @@ def run(config: RunConfig) -> tuple[str, int]:
     space = resolve_space(config)
     theory = theory_from_selector(config.theory, config.truncation)
     doc: dict = {"space": config.space, "theory": theory.name, "dim": space.dim()}
-    exit_code = 0
-
-    if config.mode == "motive":
-        doc["twists"] = decompose_by_rank(space).as_json()
-        text = " ".join(str(t) for t in doc["twists"])
-    elif config.mode == "poincare":
-        doc["poincare"] = poincare_polynomial(decompose_by_rank(space))
-        text = " ".join(str(c) for c in doc["poincare"])
-    elif config.mode == "groups":
-        ranks, periodic = group_ranks(decompose_by_rank(space), theory)
-        doc["groups"] = _groups_json(ranks, periodic)
-        text = "\n".join(_groups_text(ranks, periodic))
-    else:  # dual
-        by_rank = decompose_by_rank(space)
-        require_listable(by_rank)  # both routes have its size; refuse before the codim fold
+    motive = decompose_by_rank(space)
+    if config.mode == "dual":
+        require_listable(motive)  # both routes have its size; refuse before the codim fold
         by_codim = decompose_by_codim(space)
         # the codim route mirrors the rank route through the dimension
-        ok = by_codim == by_rank.dual(doc["dim"])
-        ranks, periodic = group_ranks(by_codim, theory)
-        doc["twists"] = by_codim.as_json()
-        doc["groups"] = _groups_json(ranks, periodic)
-        doc["duality_ok"] = ok
-        text = "\n".join(
-            [" ".join(str(t) for t in doc["twists"])]
-            + _groups_text(ranks, periodic)
-            + [f"duality_ok: {'true' if ok else 'false'}"]
-        )
-        if not ok:
-            exit_code = 2
+        doc["duality_ok"] = by_codim == motive.dual(doc["dim"])
+        motive = by_codim
+    if config.mode == "poincare":
+        doc["poincare"] = poincare_polynomial(motive)
+    if config.mode in ("groups", "dual"):
+        ranks, periodic = group_ranks(motive, theory)
+        doc["groups"] = {"*": ranks[0]} if periodic else {str(k): r for k, r in ranks.items()}
+    if config.mode in ("motive", "dual"):
+        doc["twists"] = motive.as_json()
+    exit_code = 2 if doc.get("duality_ok") is False else 0
+    return (_json(doc) if config.format == "json" else _text(doc)) + "\n", exit_code
 
-    if config.format == "json":
-        return _json(doc) + "\n", exit_code
-    return text + "\n", exit_code
+
+def _text(doc: dict) -> str:
+    """A document as text: its keys in the order the module docstring gives."""
+    lines = [" ".join(map(str, doc[key])) for key in ("twists", "poincare") if key in doc]
+    lines += [f"rank {r}" if k == "*" else f"{k}: {r}" for k, r in doc.get("groups", {}).items()]
+    if "duality_ok" in doc:
+        lines.append(f"duality_ok: {_json(doc['duality_ok'])}")
+    return "\n".join(lines)
 
 
 def _json(value, indent="\n") -> str:
@@ -265,7 +250,7 @@ def main(argv=None) -> int:
             # argparse already printed a message; --help exits with 0
             return 0 if exc.code == 0 else 1
     truncation = args["truncation"]
-    if truncation is None and args["theory"].startswith("universal") and os.environ.get(ENV_TRUNCATION):
+    if truncation is None and args["theory"] == "universal" and os.environ.get(ENV_TRUNCATION):
         try:
             truncation = int(os.environ[ENV_TRUNCATION])
         except ValueError:

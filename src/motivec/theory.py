@@ -131,34 +131,28 @@ def theory_from_selector(selector: str, truncation: int | None = None) -> Orient
         if truncation is not None:
             raise ValueError("truncation only applies to the universal theory")
         return chow() if selector == "chow" else k0()
-    if selector.startswith("universal"):
-        rest = selector[len("universal"):]
-        if rest.startswith(":"):
-            try:
-                n = int(rest[1:])
-            except ValueError:
-                n = 0
-            if n < 1:
-                raise ValueError(
-                    f"bad theory selector {selector!r}: N must be an integer >= 1"
-                )
-        elif rest == "":
-            if truncation is None:
-                raise ValueError("the universal theory needs a truncation bound "
-                                 "(universal:N, --truncation, or MOTIVEC_TRUNCATION)")
-            if truncation < 1:
-                raise ValueError(
-                    f"the universal theory needs a truncation bound >= 1, got {truncation}"
-                )
-            n = truncation
-        else:
-            raise ValueError(f"unknown theory selector {selector!r}")
-        if truncation is not None and rest.startswith(":") and truncation != n:
+    head, colon, bound = selector.partition(":")
+    if head != "universal":
+        raise ValueError(f"unknown theory selector {selector!r}")
+    if colon:
+        try:
+            n = int(bound)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise ValueError(f"bad theory selector {selector!r}: N must be an integer >= 1")
+        if truncation is not None and truncation != n:
             raise ValueError("conflicting truncation bounds for the universal theory")
-        if n > MAX_TRUNCATION:
-            raise ValueError(f"universal truncation {n} is more than the {MAX_TRUNCATION} allowed")
-        return universal(n)
-    raise ValueError(f"unknown theory selector {selector!r}")
+    elif truncation is None:
+        raise ValueError("the universal theory needs a truncation bound "
+                         "(universal:N, --truncation, or MOTIVEC_TRUNCATION)")
+    elif truncation < 1:
+        raise ValueError(f"the universal theory needs a truncation bound >= 1, got {truncation}")
+    else:
+        n = truncation
+    if n > MAX_TRUNCATION:
+        raise ValueError(f"universal truncation {n} is more than the {MAX_TRUNCATION} allowed")
+    return universal(n)
 
 
 class ProjectiveSpaceElement:

@@ -507,3 +507,40 @@ def test_selector_forms_come_from_the_table_of_built_in_spaces(capsys):
                    "Gr:d,n, or --file with a declared name)\n")
     text = " ".join(build_arg_parser().format_help().split())
     assert "--space SPACE point, P:n, quadric:d, Gr:d,n, or a name declared in --file" in text
+
+
+@pytest.mark.parametrize("env", ["5", "abc", "0"])
+def test_env_truncation_is_a_fallback_for_a_bare_universal_only(env, capsys, monkeypatch):
+    monkeypatch.setenv(ENV_TRUNCATION, env)
+    code, out, err = invoke(
+        ["--space", "P:1", "--theory", "universal:3", "--mode", "poincare"], capsys
+    )
+    assert (code, out, err) == (0, "1 1\n", "")
+    code, out, err = invoke(["--space", "P:1", "--theory", "universal", "--mode", "poincare"],
+                            capsys)
+    if env == "abc":
+        assert (code, out, err) == (1, "", f"motivec: bad {ENV_TRUNCATION} value\n")
+    elif env == "0":
+        assert (code, out) == (1, "") and err.endswith("bound >= 1, got 0\n")
+    else:
+        assert (code, out, err) == (0, "1 1\n", "")
+
+
+@pytest.mark.parametrize("theory, groups, text", [
+    ("chow", {"1": 1, "2": 2, "3": 1}, "1: 1\n2: 2\n3: 1\n"),
+    ("k0", {"*": 4}, "rank 4\n"),
+])
+def test_a_dual_mismatch_is_exit_2_in_both_formats(theory, groups, text, capsys, monkeypatch):
+    """A codimension route that is not the rank route's mirror: both formats
+    still write the whole document, and the verdict is false with exit 2."""
+    codim = motivec.cli.decompose_by_codim
+    monkeypatch.setattr(motivec.cli, "decompose_by_codim", lambda space: codim(space).shifted(1))
+    argv = ["--space", "quadric:1", "--theory", theory, "--mode", "dual"]
+    code, out, err = invoke(argv, capsys)
+    assert (code, err) == (2, "")
+    assert out == "1 2 2 3\n" + text + "duality_ok: false\n"
+    code, out, err = invoke(argv + ["--format", "json"], capsys)
+    assert (code, err) == (2, "")
+    assert out == json.dumps({"dim": 2, "duality_ok": False, "groups": groups, "space": "quadric:1",
+                              "theory": theory, "twists": [1, 2, 2, 3]},
+                             sort_keys=True, indent=2) + "\n"
