@@ -14,6 +14,7 @@ from fractions import Fraction
 from .gring import (
     CHOW_RING,
     K0_RING,
+    Frozen,
     GradedRingElement,
     TruncationError,
     convert_element,
@@ -25,7 +26,7 @@ from .theory import DEFAULT_ORDER
 _XY = ("x", "y")
 
 
-class FormalGroupLaw:
+class FormalGroupLaw(Frozen):
     """A commutative one-dimensional formal group law, truncated.
 
     `log`, the law's :func:`logarithm`, is given when the law is built
@@ -34,26 +35,15 @@ class FormalGroupLaw:
     """
 
     __slots__ = ("name", "ring", "series", "log")
+    _lazy = {"log": "_logarithm"}
 
     def __init__(self, name: str, series: TruncatedSeries, log: TruncatedSeries | None = None):
         if series.variables != _XY:
             raise ValueError("a formal group law lives in variables (x, y)")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ring", series.ring)
-        object.__setattr__(self, "series", series)
-        if log is not None:
-            object.__setattr__(self, "log", log)
+        self._fill(name, series.ring, series, *(() if log is None else (log,)))
 
-    def __getattr__(self, name):
-        # only reached while the `log` slot is still empty
-        if name != "log":
-            raise AttributeError(name)
-        log = logarithm(self)
-        object.__setattr__(self, "log", log)
-        return log
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalGroupLaw is immutable")
+    def _logarithm(self) -> TruncatedSeries:
+        return logarithm(self)
 
     @property
     def order(self) -> int:

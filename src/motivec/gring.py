@@ -23,6 +23,9 @@ computes a term's degree.
 Integral arithmetic never loads :mod:`fractions`: it is imported on the
 first rational scalar, and a Fraction test reads ``sys.modules`` instead.
 
+`Frozen` is the one base of the package's immutable values, in every
+module: it refuses assignment and builds each `_lazy` slot on first read.
+
 `parse_element` reads its text with `motivec.dsl.Tokens`, imported on the
 first parse: blanks are exactly space, tab, carriage return and newline,
 and malformed text raises a `motivec.dsl.ParseError` with line and column.
@@ -42,6 +45,36 @@ class RingMismatchError(ValueError):
 
 class TruncationError(ValueError):
     """Raised when a query reaches beyond the ring's degree bound."""
+
+
+class Frozen:
+    """An immutable slotted value: `_fill` (or, in a hot builder, `_setters`)
+    sets the class's own `__slots__` in order, any other assignment raises
+    AttributeError, and a slot named in the class's `_lazy` map (slot ->
+    method name) is built on its first read by that method, then kept."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._setters = tuple(vars(cls)[slot].__set__ for slot in vars(cls).get("__slots__", ()))
+        if "_lazy" in vars(cls):
+            # only where needed: a class with __getattr__ loses fast attribute reads
+            cls.__getattr__ = Frozen._build_lazy
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fill(self, *values):
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def _build_lazy(self, name):
+        """The `__getattr__` of a `_lazy` class: reached for an empty slot or no attribute."""
+        if name not in self._lazy:
+            raise AttributeError(name)
+        value = getattr(self, self._lazy[name])()
+        object.__setattr__(self, name, value)
+        return value
 
 
 class Generator(namedtuple("Generator", "symbol degree invertible", defaults=(False,))):
@@ -191,7 +224,7 @@ def _overflow_error(ring: RingDescriptor, key: int) -> ValueError:
     return _exponent_error(ring, i)
 
 
-class GradedRingElement:
+class GradedRingElement(Frozen):
     """A sparse exact element of a :class:`RingDescriptor`.
 
     Immutable after construction; the term map never stores zeros and never
@@ -202,6 +235,7 @@ class GradedRingElement:
     """
 
     __slots__ = ("ring", "_mono", "_degs", "terms")
+    _lazy = {"terms": "_view"}
 
     def __init__(self, ring: RingDescriptor, mapping):
         width = len(ring.generators)
@@ -224,18 +258,10 @@ class GradedRingElement:
                 continue
             key = _encode(ring, mono)
             terms[key] = terms.get(key, 0) + coeff
-        _set_ring(self, ring)
-        _set_mono(self, {m: c for m, c in terms.items() if c != 0})
-        # the sorted degree tuple, or None until `_degrees` first computes it
-        _set_degs(self, None)
+        self._fill(ring, {m: c for m, c in terms.items() if c != 0}, None)  # degrees: on first read
 
-    def __getattr__(self, name):
-        # only reached while the `terms` slot is still empty
-        if name != "terms":
-            raise AttributeError(name)
-        view = MappingProxyType(dict(self._pairs()))
-        _set_terms(self, view)
-        return view
+    def _view(self) -> MappingProxyType:
+        return MappingProxyType(dict(self._pairs()))
 
     def _pairs(self) -> list:
         """(exponent tuple, scalar) for each term, in term order."""
@@ -248,9 +274,6 @@ class GradedRingElement:
             degs = tuple(sorted(set(_key_degrees(self.ring, self._mono))))
             _set_degs(self, degs)
         return degs
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedRingElement is immutable")
 
     @classmethod
     def from_terms(cls, ring: RingDescriptor, mapping) -> "GradedRingElement":
@@ -486,10 +509,7 @@ class GradedRingElement:
         return render_element(self)
 
 
-# slot descriptors: they set a slot without going through __setattr__
-_set_ring, _set_mono, _set_degs, _set_terms = (
-    vars(GradedRingElement)[slot].__set__ for slot in GradedRingElement.__slots__
-)
+_set_ring, _set_mono, _set_degs = GradedRingElement._setters[:3]
 
 
 _new = object.__new__

@@ -25,6 +25,7 @@ from itertools import accumulate, chain, groupby, product
 from math import lcm
 
 from .gring import (
+    Frozen,
     GradedRingElement,
     ModuleDescription,
     RingMismatchError,
@@ -50,7 +51,7 @@ class NonSplittableError(ValueError):
     """The degree-0 part is not a scalar-field matrix; refusing to guess."""
 
 
-class TateMotive:
+class TateMotive(Frozen):
     """A finite multiset of nonnegative twists, stored as a histogram.
 
     `histogram` holds sorted (twist, multiplicity) pairs with positive
@@ -59,9 +60,9 @@ class TateMotive:
 
     __slots__ = ("histogram", "size")
 
-    def __init__(self, twists=()):
+    def __new__(cls, twists=()):
         tw = sorted(int(t) for t in twists)
-        self._fill(tuple((t, len(list(run))) for t, run in groupby(tw)))
+        return cls._of(tuple((t, len(list(run))) for t, run in groupby(tw)))
 
     @classmethod
     def from_histogram(cls, pairs) -> "TateMotive":
@@ -78,15 +79,11 @@ class TateMotive:
     @classmethod
     def _of(cls, histogram) -> "TateMotive":
         """Wrap a histogram that is already sorted, merged and positive."""
-        motive = object.__new__(cls)
-        motive._fill(histogram)
-        return motive
-
-    def _fill(self, histogram):
         if histogram and histogram[0][0] < 0:
             raise ValueError(f"negative twist {histogram[0][0]}")
-        _set_histogram(self, histogram)
-        _set_size(self, sum(m for _, m in histogram))
+        motive = object.__new__(cls)
+        motive._fill(histogram, sum(m for _, m in histogram))
+        return motive
 
     @property
     def twists(self) -> tuple:
@@ -94,9 +91,6 @@ class TateMotive:
         on each read; refused with a ValueError past MAX_TWISTS."""
         require_listable(self)
         return tuple(t for t, m in self.histogram for _ in range(m))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TateMotive is immutable")
 
     def __len__(self):
         return self.size
@@ -130,12 +124,6 @@ class TateMotive:
         return list(self.twists)
 
 
-# slot descriptors: they set a slot without going through __setattr__
-_set_histogram, _set_size = (
-    vars(TateMotive)[slot].__set__ for slot in TateMotive.__slots__
-)
-
-
 def require_listable(*motives: TateMotive) -> None:
     """Refuse, with a ValueError, a motive of more than MAX_TWISTS twists."""
     for m in motives:
@@ -143,7 +131,7 @@ def require_listable(*motives: TateMotive) -> None:
             raise ValueError(f"motive has {m.size} twists, more than the {MAX_TWISTS} it may list")
 
 
-class Correspondence:
+class Correspondence(Frozen):
     """A graded matrix morphism between twist multisets over a theory.
 
     Its (j, i) entry lies in A^(degree + s - t), s and t the twists of
@@ -185,7 +173,7 @@ class Correspondence:
                 for k, v in e._mono.items():
                     m = block.get(k) or block.setdefault(k, [[0] * len(width) for _ in height])
                     m[j - height.start][i - width.start] = v
-        _make(theory, source, target, degree, blocks, self)
+        self._fill(theory, source, target, degree, blocks)  # a nonempty row listed both twists
 
     @property
     def entries(self) -> tuple:
@@ -193,9 +181,6 @@ class Correspondence:
         built entry by entry from the blocks on each read."""
         return tuple(tuple(self.entry(j, i) for i in range(self.source.size))
                      for j in range(self.target.size))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Correspondence is immutable")
 
     def _shape(self) -> tuple:
         return self.theory, self.source, self.target, self.degree
@@ -241,18 +226,14 @@ class Correspondence:
         return compose(self, other)
 
 
-# slot descriptors: they set a slot without going through __setattr__
-_set_theory, _set_source, _set_target, _set_degree, _set_blocks = (
-    vars(Correspondence)[slot].__set__ for slot in Correspondence.__slots__
-)
+_set_theory, _set_source, _set_target, _set_degree, _set_blocks = Correspondence._setters
 
 
-def _make(theory, source: TateMotive, target: TateMotive, degree: int, blocks,
-          corr=None) -> Correspondence:
-    """`corr` (or a new one) holding blocks that already lie in their components."""
+def _make(theory, source: TateMotive, target: TateMotive, degree: int, blocks) -> Correspondence:
+    """A morphism holding blocks that already lie in their components."""
     if source.size and target.size and max(source.size, target.size) > MAX_TWISTS:
         require_listable(source, target)
-    corr = object.__new__(Correspondence) if corr is None else corr
+    corr = object.__new__(Correspondence)
     _set_theory(corr, theory)
     _set_source(corr, source)
     _set_target(corr, target)
@@ -569,9 +550,13 @@ def _fold(space: SpaceExpr, field: str) -> dict[int, int]:
 
 
 def poincare_polynomial(motive: TateMotive) -> list[int]:
-    """Coefficient k is the multiplicity of twist k."""
+    """Coefficient k is the multiplicity of twist k; refused past MAX_TWISTS of them."""
     hist = dict(motive.histogram)
-    return [hist.get(k, 0) for k in range(max(hist, default=-1) + 1)]
+    size = max(hist, default=-1) + 1
+    if size > MAX_TWISTS:
+        raise ValueError(f"poincare polynomial has {size} coefficients, "
+                         f"more than the {MAX_TWISTS} it may list")
+    return [hist.get(k, 0) for k in range(size)]
 
 
 def duality_holds(space: SpaceExpr) -> bool:

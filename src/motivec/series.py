@@ -17,6 +17,7 @@ from fractions import Fraction
 from operator import add
 
 from .gring import (
+    Frozen,
     GradedRingElement,
     RingDescriptor,
     RingMismatchError,
@@ -28,7 +29,7 @@ class SubstitutionError(ValueError):
     """Raised when a substitution target has a nonzero constant term."""
 
 
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """A sparse series in named variables, truncated in total degree."""
 
     __slots__ = ("ring", "variables", "order", "terms")
@@ -57,13 +58,7 @@ class TruncatedSeries:
                 terms.pop(expo, None)
             else:
                 terms[expo] = coeff
-        _set_ring(self, ring)
-        _set_variables(self, variables)
-        _set_order(self, order)
-        _set_terms(self, terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
+        self._fill(ring, variables, order, terms)
 
     @classmethod
     def from_terms(cls, ring: RingDescriptor, variables, order: int, mapping) -> "TruncatedSeries":
@@ -322,10 +317,7 @@ class TruncatedSeries:
         return render_series(self)
 
 
-# slot descriptors: they set a slot without going through __setattr__
-_set_ring, _set_variables, _set_order, _set_terms = (
-    vars(TruncatedSeries)[slot].__set__ for slot in TruncatedSeries.__slots__
-)
+_set_ring, _set_variables, _set_order, _set_terms = TruncatedSeries._setters
 
 
 def _series(ring, variables: tuple, order: int, terms: dict) -> TruncatedSeries:

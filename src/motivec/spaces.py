@@ -20,6 +20,8 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
+from .gring import Frozen
+
 
 MAX_CELLS = 20_000  # cells a built-in space may have, over its distinct nodes
 
@@ -28,9 +30,10 @@ class EquidimensionalityViolation(ValueError):
     """The per-cell dimensions codim + rank + dim(base) disagree."""
 
 
-class SpaceExpr:
+class SpaceExpr(Frozen):
     """Base class for space expressions."""
 
+    __slots__ = ()
     _dim: int | None = None  # cached once known; see _settle
     _hash: int | None = None
 
@@ -101,6 +104,7 @@ def _settle(space: SpaceExpr, slot: str) -> int:
 
 
 class Point(SpaceExpr):
+    __slots__ = ()
     _dim = 0
     _hash = hash("point")
 
@@ -144,14 +148,7 @@ class Cellular(SpaceExpr):
                 raise ValueError(
                     f"cell codims must strictly increase, got {prev.codim} then {cur.codim}"
                 )
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "expr_form", expr_form)
-        object.__setattr__(self, "_dim", None)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cellular is immutable")
+        self._fill(cells, name, expr_form, None, None)
 
     def dim(self) -> int:
         return self._dim if self._dim is not None else _settle(self, "_dim")
@@ -181,13 +178,7 @@ class DisjointUnion(SpaceExpr):
     __slots__ = ("left", "right", "_dim", "_hash")
 
     def __init__(self, left: SpaceExpr, right: SpaceExpr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "_dim", None)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DisjointUnion is immutable")
+        self._fill(left, right, None, None)
 
     def dim(self) -> int:
         return self._dim if self._dim is not None else _settle(self, "_dim")

@@ -17,6 +17,7 @@ from functools import lru_cache
 from .gring import (
     CHOW_RING,
     K0_RING,
+    Frozen,
     GradedRingElement,
     RingDescriptor,
     RingMismatchError,
@@ -47,7 +48,7 @@ def universal_law(order: int):
     return universal_law(order)
 
 
-class OrientedTheory:
+class OrientedTheory(Frozen):
     """A named coefficient ring together with its group law.
 
     `build(order)` makes the law over `ring`; `law` is built on first access
@@ -56,25 +57,16 @@ class OrientedTheory:
     """
 
     __slots__ = ("name", "ring", "order", "build", "law")
+    _lazy = {"law": "_build_law"}
 
     def __init__(self, name: str, ring: RingDescriptor, order: int, build):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "build", build)
+        self._fill(name, ring, order, build)
 
-    def __getattr__(self, name):
-        # only reached while the `law` slot is still empty
-        if name != "law":
-            raise AttributeError(name)
+    def _build_law(self):
         law = self.build(self.order)
         if law.ring != self.ring or law.order != self.order:
             raise ValueError(f"{self.name}: the built law has another ring or order")
-        object.__setattr__(self, "law", law)
         return law
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrientedTheory is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, OrientedTheory):
@@ -155,7 +147,7 @@ def theory_from_selector(selector: str, truncation: int | None = None) -> Orient
     return universal(n)
 
 
-class ProjectiveSpaceElement:
+class ProjectiveSpaceElement(Frozen):
     """An element sum a_i t^i of the theory on P^m, as a coordinate vector."""
 
     __slots__ = ("theory", "m", "coords")
@@ -171,12 +163,7 @@ class ProjectiveSpaceElement:
             if a.ring != theory.ring:
                 raise RingMismatchError("coordinate over the wrong coefficient ring")
             fixed.append(a)
-        object.__setattr__(self, "theory", theory)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coords", tuple(fixed))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjectiveSpaceElement is immutable")
+        self._fill(theory, m, tuple(fixed))
 
     @classmethod
     def unit(cls, theory: OrientedTheory, m: int) -> "ProjectiveSpaceElement":

@@ -11,7 +11,8 @@ Deep, shared and long documents are run the same way, in every mode:
 ``union(...)`` nested to the parser's limit and one level past it,
 ``union(s, s)`` towers whose motives have up to 3 * 2**100 twists (their
 groups and Poincaré coefficients are counted, their twists refused past
-``MAX_TWISTS``), and a chain of 600 declarations.
+``MAX_TWISTS``), a chain of 600 declarations, and one cell of rank 10**8,
+whose Poincaré coefficients are refused past ``MAX_TWISTS``.
 """
 
 import random
@@ -118,6 +119,9 @@ def chain_document(length: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+HIGH_CELL = "space high { cell { base = point; rank = 100000000; codim = 0 } }\n"
+
+
 def deep_and_shared_cases(seed: int) -> list[tuple]:
     """(document, name, mode, refusal, floor) for deep, shared and long
     documents: `refusal` is a part of the one stderr line the case must give,
@@ -142,6 +146,9 @@ def deep_and_shared_cases(seed: int) -> list[tuple]:
     for name in ("c600", f"c{rng.randint(1, 599)}"):
         for mode in MODES:
             cases.append((chain, name, mode, None, 0))
+    # one twist, but 10**8 + 1 Poincaré coefficients
+    cases.append((HIGH_CELL, "high", "poincare",
+                  f"has 100000001 coefficients, more than the {MAX_TWISTS} it may list", 0))
     return cases
 
 

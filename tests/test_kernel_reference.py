@@ -145,22 +145,57 @@ def test_product_at_the_field_boundary():
         f"a product exponent of v leaves the packed range [0, {LIMIT})")
 
 
-def test_kernel_objects_stay_immutable():
+def test_kernel_objects_stay_immutable(monkeypatch):
+    from motivec import fgl
+    from motivec.fgl import additive_law
     from motivec.motives import TateMotive, identity_correspondence
     from motivec.series import TruncatedSeries
-    from motivec.theory import k0
+    from motivec.spaces import POINT, grassmannian, quadric
+    from motivec.theory import OrientedTheory, ProjectiveSpaceElement, k0
 
     b = GradedRingElement.generator(K0_RING, "b", -2) * 3
     series = TruncatedSeries.variable(K0_RING, ("x",), "x", 3) * 2
     motive = TateMotive([0, 1, 1])
     corr = identity_correspondence(k0(), motive)
+    gr, pair = grassmannian(2, 4), quadric(0)
+    builds, logs = [], []
+
+    def build(order):
+        builds.append(order)
+        return additive_law(order)
+
+    theory = OrientedTheory("counted", CHOW_RING, 4, build)
+    element = ProjectiveSpaceElement.unit(theory, 2)
     for obj, names in ((b, ("ring", "terms", "_mono", "_degs", "extra")),
                        (series, ("ring", "variables", "order", "terms", "extra")),
                        (motive, ("histogram", "size", "twists", "extra")),
-                       (corr, ("theory", "source", "target", "degree", "entries", "extra"))):
+                       (corr, ("theory", "source", "target", "degree", "entries", "extra")),
+                       (gr, ("cells", "name", "expr_form", "_dim", "_hash", "extra")),
+                       (pair, ("left", "right", "_dim", "_hash", "extra")),
+                       (POINT, ("_dim", "_hash", "extra")),
+                       (theory, ("name", "ring", "order", "build", "law", "extra")),
+                       (element, ("theory", "m", "coords", "extra"))):
         for name in names:
-            with pytest.raises(AttributeError):
+            with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
                 setattr(obj, name, None)
+    assert builds == []  # neither setting `law` nor the element built the law
+    for node in (gr, pair, POINT):  # a space node has no instance dict to take a new name
+        with pytest.raises(AttributeError):
+            object.__setattr__(node, "extra", 1)
+        with pytest.raises(AttributeError):
+            node.extra
+    # a lazy slot is built once, on its first read, and then kept
+    logarithm = fgl.logarithm
+    monkeypatch.setattr(fgl, "logarithm", lambda law: logs.append(law) or logarithm(law))
+    law = theory.law
+    assert law is theory.law and builds == [4]
+    with pytest.raises(AttributeError, match="^FormalGroupLaw is immutable$"):
+        law.log = None
+    assert law.log is law.log and logs == [law]
+    with pytest.raises(AttributeError, match="^extra$"):
+        law.extra
+    with pytest.raises(AttributeError, match="^extra$"):
+        theory.extra
     assert b.terms == {(-2,): 3}  # built on first read, then kept
     assert b.terms is b.terms
     with pytest.raises(TypeError):

@@ -600,6 +600,24 @@ def test_twist_expansion_is_refused_past_the_budget(monkeypatch):
     assert big.size == 4 and poincare_polynomial(big) == [2, 0, 2]
 
 
+def test_poincare_coefficients_are_refused_past_the_budget(monkeypatch, tmp_path, capsys):
+    from motivec.cli import main
+
+    monkeypatch.setattr(motives, "MAX_TWISTS", 3)
+    assert poincare_polynomial(TateMotive([2, 2])) == [0, 0, 2]
+    assert poincare_polynomial(TateMotive()) == []
+    with pytest.raises(ValueError) as refused:
+        poincare_polynomial(TateMotive([3]))  # one twist, four coefficients
+    assert str(refused.value) == "poincare polynomial has 4 coefficients, more than the 3 it may list"
+    path = tmp_path / "high.txt"
+    path.write_text("space high { cell { base = point; rank = 5; codim = 0 } }\n")
+    argv = ["--file", str(path), "--space", "high", "--mode"]
+    assert main(argv + ["poincare"]) == 1
+    assert capsys.readouterr() == (
+        "", "motivec: poincare polynomial has 6 coefficients, more than the 3 it may list\n")
+    assert main(argv + ["motive"]) == 0 and capsys.readouterr() == ("5\n", "")
+
+
 def test_a_motive_is_its_histogram_and_a_morphism_its_blocks():
     assert TateMotive.__slots__ == ("histogram", "size")
     assert Correspondence.__slots__ == ("theory", "source", "target", "degree", "blocks")

@@ -3,6 +3,7 @@ each the object its defining module holds, loaded on first access."""
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -70,3 +71,34 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         motivec.no_such_name
     assert not hasattr(motivec, "selfcheck_suites")
+
+
+def package_classes() -> list[type]:
+    """Every class defined at the top level of a `motivec` submodule."""
+    classes = []
+    for info in pkgutil.iter_modules(motivec.__path__):
+        module = importlib.import_module(f"motivec.{info.name}")
+        classes += [value for value in vars(module).values()
+                    if isinstance(value, type) and value.__module__ == module.__name__]
+    return classes
+
+
+def test_immutability_is_decided_in_one_base_class():
+    """A slotted value, other than a namedtuple record, derives from
+    `gring.Frozen`; only `Frozen` defines `__setattr__`, and every
+    `__getattr__` is the lazy-slot filler `Frozen` gives a `_lazy` class."""
+    from motivec.gring import Frozen
+
+    classes = package_classes()
+    slotted = {cls.__name__ for cls in classes if vars(cls).get("__slots__")
+               and not (issubclass(cls, tuple) and hasattr(cls, "_fields"))}
+    assert slotted >= {"GradedRingElement", "TruncatedSeries", "TateMotive", "Correspondence",
+                       "Cellular", "DisjointUnion", "OrientedTheory", "ProjectiveSpaceElement",
+                       "FormalGroupLaw"}
+    assert [cls.__name__ for cls in classes
+            if cls.__name__ in slotted and not issubclass(cls, Frozen)] == []
+    assert [cls.__name__ for cls in classes if cls is not Frozen and "__setattr__" in vars(cls)] == []
+    lazy = {cls.__name__ for cls in classes if "__getattr__" in vars(cls)}
+    assert lazy == {cls.__name__ for cls in classes if "_lazy" in vars(cls)} == {
+        "GradedRingElement", "OrientedTheory", "FormalGroupLaw"}
+    assert all(cls.__getattr__ is Frozen._build_lazy for cls in classes if cls.__name__ in lazy)
