@@ -24,7 +24,15 @@ The text output renders the same document, its keys in a fixed order: the
 
 Exit codes: 0 on success, 1 on configuration or parse errors, 2 when an
 internal invariant fails (check mode failures, or a dual-mode mismatch)
-and for any other error, reported as one ``internal error`` line.
+and for any other error, reported as one ``internal error`` line.  An
+answer that cannot be written (stdout closed, or full as ``/dev/full``
+is) is one ``cannot write the answer`` line and exit 1, and is dropped
+rather than retried at exit.
+
+:func:`main` returns the exit code; it never exits or freezes the
+collector.  The process entry of ``python -m motivec.cli`` and the
+``motivec`` script calls it, then ``gc.freeze()``, so that the shutdown
+collections scan no loaded module, then ``sys.exit``.
 
 The ``groups`` and ``dual`` ranks are counted from the twist histogram and
 the coefficient ring's Hilbert series (:func:`motivec.motives.group_ranks`);
@@ -45,6 +53,7 @@ than a check builds a group law.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from collections import namedtuple
@@ -264,9 +273,25 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"motivec: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(output)
+    try:
+        if sys.stdout is None:  # the process started with file descriptor 1 closed
+            raise OSError("stdout is closed")
+        sys.stdout.write(output)
+        sys.stdout.flush()
+    except OSError as exc:
+        sys.stdout = None  # drops the unwritten answer, which the final flush would retry
+        if sys.stderr:
+            print(f"motivec: cannot write the answer: {exc}", file=sys.stderr)
+        return 1
     return code
 
 
+def _process():
+    """The process entry: `main`, then skip the shutdown collections, then exit."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _process()

@@ -24,7 +24,8 @@ Integral arithmetic never loads :mod:`fractions`: it is imported on the
 first rational scalar, and a Fraction test reads ``sys.modules`` instead.
 
 `Frozen` is the one base of the package's immutable values, in every
-module: it refuses assignment and builds each `_lazy` slot on first read.
+module: it refuses assignment and deletion and builds each `_lazy` slot on
+first read.
 
 `parse_element` reads its text with `motivec.dsl.Tokens`, imported on the
 first parse: blanks are exactly space, tab, carriage return and newline,
@@ -49,9 +50,9 @@ class TruncationError(ValueError):
 
 class Frozen:
     """An immutable slotted value: `_fill` (or, in a hot builder, `_setters`)
-    sets the class's own `__slots__` in order, any other assignment raises
-    AttributeError, and a slot named in the class's `_lazy` map (slot ->
-    method name) is built on its first read by that method, then kept."""
+    sets the class's own `__slots__` in order, any other assignment or
+    deletion raises AttributeError, and a slot named in the class's `_lazy`
+    map (slot -> method name) is built by that method on first read, then kept."""
 
     __slots__ = ()
 
@@ -61,8 +62,10 @@ class Frozen:
             # only where needed: a class with __getattr__ loses fast attribute reads
             cls.__getattr__ = Frozen._build_lazy
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def _fill(self, *values):
         for setter, value in zip(self._setters, values):

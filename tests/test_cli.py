@@ -544,3 +544,89 @@ def test_a_dual_mismatch_is_exit_2_in_both_formats(theory, groups, text, capsys,
     assert out == json.dumps({"dim": 2, "duality_ok": False, "groups": groups, "space": "quadric:1",
                               "theory": theory, "twists": [1, 2, 2, 3]},
                              sort_keys=True, indent=2) + "\n"
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(motivec.__file__)))
+
+# Runs `main` through the process entry (as `python -m motivec.cli` does) or
+# in-process, and reports the exit code and the collector's frozen count.
+ENTRY_PROBE = """
+import gc, runpy, sys
+sys.argv[0] = "motivec"
+code = None
+try:
+    runpy.run_module("motivec.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write(f"{code} {gc.get_freeze_count()}")
+"""
+
+MAIN_PROBE = """
+import gc, sys
+from motivec.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write(f"{code} {gc.get_freeze_count()}")
+"""
+
+
+def run_probe(probe, argv):
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    code, frozen = proc.stderr.decode().split()
+    return code, int(frozen), proc.stdout
+
+
+def test_the_process_entry_freezes_the_collector_and_main_does_not():
+    code, frozen, out = run_probe(ENTRY_PROBE, ["--space", "P:3"])
+    assert code == "0" and frozen > 0 and out == b"0 1 2 3\n"
+    assert run_probe(MAIN_PROBE, ["--space", "P:3"]) == ("0", 0, out)
+
+
+def test_one_process_entry_for_the_script_and_the_module():
+    """The `motivec` script names the function the `__main__` block calls,
+    and no process ends through `os._exit`, which skips `atexit` handlers."""
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as handle:
+        scripts = handle.read().split("[project.scripts]")[1].split("\n[")[0]
+    command, equals, target = scripts.split()
+    module, _, entry = target.strip('"').partition(":")
+    assert (command, equals, module) == ("motivec", "=", "motivec.cli")
+    with open(motivec.cli.__file__, encoding="utf-8") as handle:
+        guard = ast.parse(handle.read()).body[-1]
+    assert ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert [ast.unparse(line) for line in guard.body] == [f"{entry}()"]
+    assert getattr(motivec.cli, entry) is not main  # `main` neither freezes nor exits
+    package = os.path.dirname(motivec.cli.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                assert "os._exit" not in handle.read(), name
+
+
+def run_closing(argv, unbuffered, close=(), stdout=None):
+    """`python -m motivec.cli argv`, with or without `PYTHONUNBUFFERED` and
+    with the given file descriptors closed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update({"PYTHONPATH": SRC, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})})
+    return subprocess.run([sys.executable, "-m", "motivec.cli", *argv], stdout=stdout,
+                          stderr=None if 2 in close else subprocess.PIPE, text=True, env=env,
+                          preexec_fn=lambda: [os.close(fd) for fd in close])
+
+
+WRITTEN = ["--space", "Gr:2,4", "--mode", "groups"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_an_answer_to_a_full_device_is_one_line_exit_1(unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = run_closing(WRITTEN, unbuffered, stdout=full)
+    assert (proc.returncode, proc.stderr) == (
+        1, "motivec: cannot write the answer: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_an_answer_to_a_closed_stdout_is_one_line_exit_1(unbuffered):
+    proc = run_closing(WRITTEN, unbuffered, close=(1,))
+    assert (proc.returncode, proc.stderr) == (1, "motivec: cannot write the answer: stdout is closed\n")
+    assert run_closing(WRITTEN, unbuffered, close=(1, 2)).returncode == 1  # and silent

@@ -151,7 +151,7 @@ def test_kernel_objects_stay_immutable(monkeypatch):
     from motivec.motives import TateMotive, identity_correspondence
     from motivec.series import TruncatedSeries
     from motivec.spaces import POINT, grassmannian, quadric
-    from motivec.theory import OrientedTheory, ProjectiveSpaceElement, k0
+    from motivec.theory import OrientedTheory, ProjectiveSpaceElement, chow, k0
 
     b = GradedRingElement.generator(K0_RING, "b", -2) * 3
     series = TruncatedSeries.variable(K0_RING, ("x",), "x", 3) * 2
@@ -178,7 +178,14 @@ def test_kernel_objects_stay_immutable(monkeypatch):
         for name in names:
             with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
                 setattr(obj, name, None)
-    assert builds == []  # neither setting `law` nor the element built the law
+            with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
+                delattr(obj, name)
+    assert builds == []  # neither setting nor deleting `law`, nor the element, built the law
+    # a refused deletion leaves the process-wide cached theory whole
+    ring = chow().ring
+    with pytest.raises(AttributeError, match="^OrientedTheory is immutable$"):
+        del chow().ring
+    assert chow().ring is ring
     for node in (gr, pair, POINT):  # a space node has no instance dict to take a new name
         with pytest.raises(AttributeError):
             object.__setattr__(node, "extra", 1)
