@@ -25,9 +25,9 @@ The text output renders the same document, its keys in a fixed order: the
 Exit codes: 0 on success, 1 on configuration or parse errors, 2 when an
 internal invariant fails (check mode failures, or a dual-mode mismatch)
 and for any other error, reported as one ``internal error`` line.  An
-answer that cannot be written (stdout closed, or full as ``/dev/full``
-is) is one ``cannot write the answer`` line and exit 1, and is dropped
-rather than retried at exit.
+answer, the ``--help`` text included, that cannot be written (stdout
+closed, or full as ``/dev/full`` is) is one ``cannot write the answer``
+line and exit 1, and is dropped rather than retried at exit.
 
 :func:`main` returns the exit code; it never exits or freezes the
 collector.  The process entry of ``python -m motivec.cli`` and the
@@ -42,8 +42,8 @@ A request imports the ring, space, theory and motive modules.  An argv of
 distinct ``--name value`` pairs of the six options, with a valid mode and
 format and a truncation of ASCII digits, is read directly; ``argparse``
 loads only for anything else (help, abbreviations, ``--name=value``,
-repeated options and every error), so that it alone writes help, usage and
-error text.  The parser :mod:`motivec.dsl` loads only for ``--file``,
+repeated options and every error), so that it alone writes usage and error
+text.  The parser :mod:`motivec.dsl` loads only for ``--file``,
 ``json`` only to escape a string that is not printable ASCII (``_json``
 writes the flat document itself), and :mod:`motivec.selfcheck` (with the
 series, group-law and linear-algebra modules) only for ``--mode check``.
@@ -224,7 +224,8 @@ def read_plain_argv(argv) -> dict | None:
 
 
 def build_arg_parser():
-    """The argparse parser: the one writer of help, usage and error text."""
+    """The argparse parser: the one writer of usage and error text.  Its help
+    text is the code of the SystemExit it raises, for `main` to write."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -245,6 +246,8 @@ def build_arg_parser():
     parser.add_argument("--truncation", type=int, default=None)
     # a usage error is one line, without the usage block argparse puts before it
     parser.error = lambda message: parser.exit(2, f"{parser.prog}: error: {message}\n")
+    # help is an answer, which `main` writes as it writes any other
+    parser.print_help = lambda file=None: sys.exit(parser.format_help())
     return parser
 
 
@@ -255,9 +258,8 @@ def main(argv=None) -> int:
     if args is None:
         try:
             args = vars(build_arg_parser().parse_args(argv))
-        except SystemExit as exc:
-            # argparse already printed a message; --help exits with 0
-            return 0 if exc.code == 0 else 1
+        except SystemExit as exc:  # the help text, or the exit after argparse wrote an error
+            return _write(exc.code, 0) if isinstance(exc.code, str) else 1
     truncation = args["truncation"]
     if truncation is None and args["theory"] == "universal" and os.environ.get(ENV_TRUNCATION):
         try:
@@ -273,6 +275,11 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"motivec: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    return _write(output, code)
+
+
+def _write(output: str, code: int) -> int:
+    """Write an answer and return its exit code, or 1 if it cannot be written."""
     try:
         if sys.stdout is None:  # the process started with file descriptor 1 closed
             raise OSError("stdout is closed")

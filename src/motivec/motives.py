@@ -9,7 +9,8 @@ component.  The positional views, the expanded twist tuple and the dense
 entry matrix, are built each time they are read.
 Composition sums block products over the middle twist, duality reflects
 the blocks through the ambient dimensions, and the tensor product takes
-Kronecker products of blocks over the sums of twists.
+Kronecker products of blocks over the sums of twists; the projectors of
+the projective bundle theorem are tensor products with an identity.
 
 The module also carries the two decomposition routes for cellular spaces
 (accumulating bundle ranks or stratum codimensions, by one fold over the
@@ -280,13 +281,13 @@ def zero_correspondence(theory, source: TateMotive, target: TateMotive, degree: 
 
 def identity_correspondence(theory, motive: TateMotive) -> Correspondence:
     one = _packing(theory.ring)[0]  # the key of the empty monomial
-    blocks = {(t, t): {one: _eye(m, range(m))} for t, m in motive.histogram}
+    blocks = {(t, t): {one: _eye(m)} for t, m in motive.histogram}
     return _make(theory, motive, motive, 0, blocks)
 
 
-def _eye(n: int, places) -> list:
-    """The n x n matrix with 1 at the diagonal places given, 0 elsewhere."""
-    return [[int(r == c and r in places) for c in range(n)] for r in range(n)]
+def _eye(n: int) -> list:
+    """The n x n identity matrix."""
+    return [[int(r == c) for c in range(n)] for r in range(n)]
 
 
 def _matmul_into(block, key, a, b):
@@ -356,7 +357,8 @@ def tensor_product(alpha: Correspondence, beta: Correspondence) -> Correspondenc
     ring = alpha.theory.ring
     bias, bound, degree = _packing(ring)[0], ring.truncation, alpha.degree + beta.degree
     source, col_at = _pair_sums(alpha.source, beta.source)
-    target, row_at = _pair_sums(alpha.target, beta.target)
+    endo = alpha.target == alpha.source and beta.target == beta.source
+    target, row_at = (source, col_at) if endo else _pair_sums(alpha.target, beta.target)
     height, width, out = dict(target.histogram), dict(source.histogram), {}
     for (t1, s1), a in alpha.blocks.items():
         for (t2, s2), b in beta.blocks.items():
@@ -466,6 +468,8 @@ def _has_laurent_unit(ring) -> bool:
 
 def _unit_key(ring, degree: int):
     """The packed key of the unique unit monomial of a given degree, or None."""
+    if not degree:
+        return _packing(ring)[0]  # the key of the empty monomial
     units = [g for g in ring.generators if g.invertible]
     if degree and (len(units) != 1 or degree % units[0].degree):
         return None
@@ -487,22 +491,17 @@ def _units(theory, source: TateMotive, target: TateMotive, scalars, scale=1) -> 
 
 
 def projective_bundle_projectors(theory, base: TateMotive, bundle_rank: int):
-    """The diagonal block projectors of the free bundle model.
-
-    On the sum of `bundle_rank` copies of the base, shifted by 0..rank-1,
-    the i-th projector fixes the i-shifted copy and kills the others.
+    """The projectors of the projective bundle theorem: a rank-r bundle over
+    the base has the motive of P^(r-1) tensor the base's, and the i-th
+    projector is the one onto twist i of P^(r-1), tensor the identity.
     They are orthogonal, sum to the identity, and split to the shifted
-    copies.  Within one twist the copies come in order.
+    copies of the base.  Within one twist the copies come in order.
     """
     if bundle_rank < 1:
         raise ValueError("bundle rank must be >= 1")
-    # the copies add up to the twist sums of (0, ..., rank-1) and the base
-    total, start = _pair_sums(TateMotive(range(bundle_rank)), base)
-    size, one = dict(total.histogram), _packing(theory.ring)[0]
-    return [_make(theory, total, total, 0, {
-        (i + t, i + t): {one: _eye(size[i + t], range(start[i, t], start[i, t] + m))}
-        for t, m in base.histogram
-    }) for i in range(bundle_rank)]
+    fibre, identity = TateMotive(range(bundle_rank)), identity_correspondence(theory, base)
+    return [tensor_product(_units(theory, fibre, fibre, {(i, i): [[1]]}), identity)
+            for i in range(bundle_rank)]
 
 
 # -- decomposition of cellular spaces ----------------------------------------

@@ -38,7 +38,7 @@ class SpaceExpr(Frozen):
     _hash: int | None = None
 
     def dim(self) -> int:
-        raise NotImplementedError
+        return self._dim if self._dim is not None else _settle(self, "_dim")
 
     def parts(self) -> tuple["SpaceExpr", ...]:
         """The sub-spaces this node is built from, in order."""
@@ -108,9 +108,6 @@ class Point(SpaceExpr):
     _dim = 0
     _hash = hash("point")
 
-    def dim(self) -> int:
-        return 0
-
     def parts(self) -> tuple:
         return ()
 
@@ -150,9 +147,6 @@ class Cellular(SpaceExpr):
                 )
         self._fill(cells, name, expr_form, None, None)
 
-    def dim(self) -> int:
-        return self._dim if self._dim is not None else _settle(self, "_dim")
-
     def parts(self) -> tuple[SpaceExpr, ...]:
         return tuple(c.base for c in self.cells)
 
@@ -179,9 +173,6 @@ class DisjointUnion(SpaceExpr):
 
     def __init__(self, left: SpaceExpr, right: SpaceExpr):
         self._fill(left, right, None, None)
-
-    def dim(self) -> int:
-        return self._dim if self._dim is not None else _settle(self, "_dim")
 
     def parts(self) -> tuple[SpaceExpr, ...]:
         return (self.left, self.right)

@@ -3,11 +3,11 @@
 A theory bundles a coefficient ring with its formal group law.  The law is
 built the first time it is read: the twist decomposition and the graded
 groups need only the ring, and only push-forward classes such as [P^n]
-read the law.  Elements of the rank-(m+1) free module over the coefficient
-ring model the theory on m-dimensional projective space with basis
-1, t, ..., t^m where t is the first Chern class of the tautological line
-bundle; t^(m+1) = 0 is imposed.  Push-forward to the point sends t^i to
-the class of P^(m-i).
+read the law.  By the projective bundle theorem the theory on
+m-dimensional projective space is A(pt)[t]/(t^(m+1)), t the first Chern
+class of the tautological line bundle, so an element is a
+`series.TruncatedSeries` in t of order m, whose truncation imposes
+t^(m+1) = 0.  Push-forward to the point sends t^i to the class of P^(m-i).
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class OrientedTheory(Frozen):
         )
 
     def __hash__(self):
-        return hash((self.name, self.ring, self.order))
+        return hash((self.name, self.order))  # the ring, hashed field by field, is slow
 
     def __repr__(self):
         return f"<theory {self.name}>"
@@ -89,16 +89,12 @@ class OrientedTheory(Frozen):
     def one(self) -> GradedRingElement:
         return GradedRingElement.one(self.ring)
 
+    @lru_cache(maxsize=None)
     def point_class(self, n: int) -> GradedRingElement:
         """The coefficient-ring class of n-dimensional projective space."""
-        return _point_class(self, n)
+        from .fgl import projective_space_class
 
-
-@lru_cache(maxsize=None)
-def _point_class(theory: OrientedTheory, n: int) -> GradedRingElement:
-    from .fgl import projective_space_class
-
-    return projective_space_class(theory.law, n)
+        return projective_space_class(self.law, n)
 
 
 @lru_cache(maxsize=None)
@@ -148,22 +144,37 @@ def theory_from_selector(selector: str, truncation: int | None = None) -> Orient
 
 
 class ProjectiveSpaceElement(Frozen):
-    """An element sum a_i t^i of the theory on P^m, as a coordinate vector."""
+    """An element sum a_i t^i of the theory on P^m, held as `series`, a series
+    in t of order m, truncated at t^(m+1) = 0; its arithmetic is the series'."""
 
-    __slots__ = ("theory", "m", "coords")
+    __slots__ = ("theory", "m", "series")
 
     def __init__(self, theory: OrientedTheory, m: int, coords):
-        coords = tuple(coords)
+        from . import series  # loaded by the first element, never by a CLI answer
+
+        coords, ring = tuple(coords), theory.ring
         if m < 0 or len(coords) != m + 1:
             raise ValueError(f"need {m + 1} coordinates for P^{m}, got {len(coords)}")
-        fixed = []
-        for a in coords:
+        terms = {}
+        for i, a in enumerate(coords):
             if not isinstance(a, GradedRingElement):
-                a = GradedRingElement.scalar(theory.ring, a)
-            if a.ring != theory.ring:
+                a = GradedRingElement.scalar(ring, a)
+            if a.ring is not ring and a.ring != ring:
                 raise RingMismatchError("coordinate over the wrong coefficient ring")
-            fixed.append(a)
-        self._fill(theory, m, tuple(fixed))
+            if a._mono:
+                terms[(i,)] = a
+        self._fill(theory, m, series._series(ring, ("t",), m, terms))
+
+    def _with(self, series) -> "ProjectiveSpaceElement":
+        """The element of the same P^m with the given series in t."""
+        element = object.__new__(ProjectiveSpaceElement)
+        element._fill(self.theory, self.m, series)
+        return element
+
+    @property
+    def coords(self) -> tuple:
+        """The coefficients a_0, ..., a_m, zeros included."""
+        return tuple(self.series.coefficient((i,)) for i in range(self.m + 1))
 
     @classmethod
     def unit(cls, theory: OrientedTheory, m: int) -> "ProjectiveSpaceElement":
@@ -172,16 +183,12 @@ class ProjectiveSpaceElement(Frozen):
     @classmethod
     def hyperplane_power(cls, theory: OrientedTheory, m: int, i: int) -> "ProjectiveSpaceElement":
         """The basis element t^i (zero when i > m)."""
-        coords = [theory.zero()] * (m + 1)
-        if 0 <= i <= m:
-            coords[i] = theory.one()
-        return cls(theory, m, coords)
+        return cls(theory, m, [int(j == i) for j in range(m + 1)])
 
     @classmethod
     def pullback(cls, theory: OrientedTheory, m: int, value: GradedRingElement) -> "ProjectiveSpaceElement":
         """The image of a coefficient-ring element under the structural pull-back."""
-        coords = [value] + [theory.zero()] * m
-        return cls(theory, m, coords)
+        return cls(theory, m, [value] + [theory.zero()] * m)
 
     def _check(self, other: "ProjectiveSpaceElement"):
         if self.theory != other.theory or self.m != other.m:
@@ -191,12 +198,10 @@ class ProjectiveSpaceElement(Frozen):
         if not isinstance(other, ProjectiveSpaceElement):
             return NotImplemented
         self._check(other)
-        return ProjectiveSpaceElement(
-            self.theory, self.m, [a + b for a, b in zip(self.coords, other.coords)]
-        )
+        return self._with(self.series + other.series)
 
     def __neg__(self):
-        return ProjectiveSpaceElement(self.theory, self.m, [-a for a in self.coords])
+        return self._with(-self.series)
 
     def __sub__(self, other):
         if not isinstance(other, ProjectiveSpaceElement):
@@ -210,38 +215,30 @@ class ProjectiveSpaceElement(Frozen):
         if not isinstance(other, ProjectiveSpaceElement):
             return NotImplemented
         self._check(other)
-        out = [self.theory.zero() for _ in range(self.m + 1)]
-        for i, a in enumerate(self.coords):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coords):
-                if i + j > self.m or b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return ProjectiveSpaceElement(self.theory, self.m, out)
+        return self._with(self.series * other.series)
 
     def scale(self, value: GradedRingElement) -> "ProjectiveSpaceElement":
-        return ProjectiveSpaceElement(self.theory, self.m, [a * value for a in self.coords])
+        if isinstance(value, GradedRingElement):
+            self.theory.zero()._check_ring(value)  # refused even where no coefficient meets it
+        return self._with(self.series.scale(value))
 
     def __eq__(self, other):
         if not isinstance(other, ProjectiveSpaceElement):
             return NotImplemented
-        return self.theory == other.theory and self.m == other.m and self.coords == other.coords
+        return self.theory == other.theory and self.series == other.series
 
     def __hash__(self):
-        return hash((self.theory, self.m, self.coords))
+        return hash((self.theory, self.series))
 
     def is_homogeneous(self, degree: int) -> bool:
         """Whether every coordinate a_i is homogeneous of degree (degree - i)."""
-        return all(a.is_homogeneous(degree - i) for i, a in enumerate(self.coords))
+        return self.series.is_homogeneous_of_degree(degree)
 
     def pushforward_to_point(self) -> GradedRingElement:
         """sum a_i * [P^(m-i)]; lowers homogeneous degree by m."""
-        total = self.theory.zero()
-        for i, a in enumerate(self.coords):
-            if a.is_zero():
-                continue
-            total = total + a * self.theory.point_class(self.m - i)
+        total, point_class = self.theory.zero(), self.theory.point_class
+        for (i,), a in self.series.terms.items():
+            total = total + a * point_class(self.m - i)
         return total
 
     def __repr__(self):

@@ -630,3 +630,32 @@ def test_an_answer_to_a_closed_stdout_is_one_line_exit_1(unbuffered):
     proc = run_closing(WRITTEN, unbuffered, close=(1,))
     assert (proc.returncode, proc.stderr) == (1, "motivec: cannot write the answer: stdout is closed\n")
     assert run_closing(WRITTEN, unbuffered, close=(1, 2)).returncode == 1  # and silent
+
+
+# help is an answer: written once by the same write, and refused as an answer is
+HELP = ["--help"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_help_is_written_whole_to_a_writable_stdout(unbuffered, monkeypatch):
+    from motivec.cli import build_arg_parser
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the same width in both processes
+    proc = run_closing(HELP, unbuffered, stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, build_arg_parser().format_help(), "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_help_to_a_full_device_is_one_line_exit_1(unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = run_closing(HELP, unbuffered, stdout=full)
+    assert (proc.returncode, proc.stderr) == (
+        1, "motivec: cannot write the answer: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_help_to_a_closed_stdout_is_one_line_exit_1(unbuffered):
+    proc = run_closing(HELP, unbuffered, close=(1,))
+    assert (proc.returncode, proc.stderr) == (1, "motivec: cannot write the answer: stdout is closed\n")
+    assert run_closing(HELP, unbuffered, close=(1, 2)).returncode == 1  # and silent

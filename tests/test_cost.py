@@ -54,6 +54,19 @@ def test_universal_law_product_counts(products):
     assert products[GradedRingElement] <= 5758 * MARGIN
 
 
+# An element of the theory on P^m is a series in t, so the products of P^m
+# elements in the theory suite are series products: 90 of them on a warm
+# run, with the same 659 ring products as the coordinate model asked for.
+
+
+def test_theory_suite_product_counts(products):
+    selfcheck.suite_theory(random.Random(0))  # builds the laws and the point classes
+    products.update(dict.fromkeys(products, 0))
+    selfcheck.suite_theory(random.Random(0))
+    assert products[TruncatedSeries] == 90
+    assert products[GradedRingElement] == 659
+
+
 # Twist blocks: `compose` and `tensor_product` multiply the scalar matrices of
 # the blocks that are present, one product per pair of their monomials, and
 # never a ring element.  The motive-category suite asks for 1 408 block

@@ -179,6 +179,16 @@ def test_top_level_union_of_user_spaces_is_unprintable():
         print_space(DisjointUnion(user, user))
 
 
+def test_distinct_declarations_of_one_name_print_under_distinct_names():
+    first = Cellular([Cell(POINT, 1, 0)], name="a")
+    second = Cellular([Cell(POINT, 1, 0), Cell(POINT, 0, 1)], name="a")
+    outer = Cellular([Cell(first, 1, 0), Cell(second, 0, 1)])
+    text = print_space(outer)
+    assert "space a {" in text and "space a_1 {" in text
+    assert "base = a;" in text and "base = a_1;" in text
+    assert parse_space(text) == outer
+
+
 def test_shared_subspace_prints_one_declaration():
     shared = Cellular([Cell(POINT, 1, 0)], name="rung")
     outer = Cellular([Cell(shared, 1, 0), Cell(shared, 0, 1)])

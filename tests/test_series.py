@@ -22,6 +22,14 @@ def test_substitute_square_of_sum():
     assert got == want
 
 
+def test_substitute_one_variable_of_two_keeps_the_other():
+    x, y = (var(CHOW_RING, ("x", "y"), v) for v in "xy")
+    got = (x * y).substitute("x", x + y)
+    assert got == y * y + x * y and str(got) == "y^2 + x*y"
+    with pytest.raises(ValueError, match="^variable 'y' is absent from the substitution target$"):
+        (x * y).substitute("x", var(CHOW_RING, ("x",), "x"))
+
+
 def test_substitute_zero():
     x = var(CHOW_RING, ("x",), "x")
     zero = TruncatedSeries.zero(CHOW_RING, ("x",), 6)
