@@ -10,10 +10,10 @@ A document is a sequence of declarations::
     }
 
 where EXPR is ``point``, ``P(n)``, ``quadric(d)``, ``Gr(d,n)``,
-``union(EXPR, EXPR)`` or the NAME of an earlier declaration.  Whitespace is
-free-form, ``#`` starts a line comment, and the semicolon before a closing
-brace may be omitted.  A document consisting of a single bare EXPR is also
-accepted by :func:`parse_space`.
+``union(EXPR, EXPR)``, nested to any depth, or the NAME of an earlier
+declaration.  Whitespace is free-form, ``#`` starts a line comment, and the
+semicolon before a closing brace may be omitted.  A document consisting of a
+single bare EXPR is also accepted by :func:`parse_space`.
 
 :class:`Tokens` reads both this format and the element syntax of
 :func:`motivec.gring.parse_element`.  Blanks are exactly space, tab,
@@ -38,7 +38,6 @@ from .spaces import (
     walk_dag,
 )
 
-MAX_UNION_NESTING = 256  # only the parser recurses over a space, once per union(...) level
 _RESERVED = {"space", "cell", "base", "rank", "codim", "point", "union", *BUILTINS}
 
 _WORD = re.compile(r"(\d+)|[A-Za-z_][A-Za-z_0-9]*")  # a natural number (group 1) or a name
@@ -173,52 +172,51 @@ class _Parser(Tokens):
         at = self.pos
         self.expect_keyword("cell")
         self.expect("{")
-        self.expect_keyword("base")
-        self.expect("=")
-        base = self.parse_expr()
-        self.expect(";")
-        self.expect_keyword("rank")
-        self.expect("=")
-        rank = self.expect("nat", "a nonnegative integer")
-        self.expect(";")
-        self.expect_keyword("codim")
-        self.expect("=")
-        codim = self.expect("nat", "a nonnegative integer")
-        if self.peek() == ";":
-            self.advance()
+        fields = []
+        for key in ("base", "rank", "codim"):
+            self.expect_keyword(key)
+            self.expect("=")
+            fields.append(self.parse_expr() if key == "base" else self.expect("nat", "a nonnegative integer"))
+            if key != "codim" or self.peek() == ";":  # the last ";" is optional
+                self.expect(";")
         self.expect("}")
-        return self.checked(at, Cell, base, rank, codim)
+        return self.checked(at, Cell, *fields)
 
-    def parse_expr(self, depth: int = 0) -> SpaceExpr:
-        at = self.pos
-        if self.peek() != "name":
-            self.fail(f"expected a space expression, got {self.describe()}")
-        word = self.advance()
-        if word == "point":
-            return POINT
-        if word in BUILTINS:
-            build, names = BUILTINS[word]
-            self.expect("(")
-            args = [self.expect("nat")]
-            while len(args) < len(names):
-                self.expect(",")
-                args.append(self.expect("nat"))
-            self.expect(")")
-            return self.checked(at, build, *args)
-        if word == "union":
-            if depth == MAX_UNION_NESTING:
-                self.fail(f"union(...) nested more than {MAX_UNION_NESTING} levels deep", at)
-            self.expect("(")
-            left = self.parse_expr(depth + 1)
+    def parse_expr(self) -> SpaceExpr:
+        lefts = []  # one slot per open union(: its left operand once read, else None
+        while True:
+            at = self.pos
+            if self.peek() != "name":
+                self.fail(f"expected a space expression, got {self.describe()}")
+            word = self.advance()
+            if word == "union":
+                self.expect("(")
+                lefts.append(None)
+                continue
+            if word == "point":
+                expr = POINT
+            elif word in BUILTINS:
+                build, names = BUILTINS[word]
+                self.expect("(")
+                args = [self.expect("nat")]
+                while len(args) < len(names):
+                    self.expect(",")
+                    args.append(self.expect("nat"))
+                self.expect(")")
+                expr = self.checked(at, build, *args)
+            elif word in _RESERVED:
+                self.fail(f"unexpected keyword {word!r} in expression", at)
+            elif word not in self.env:
+                self.fail(f"reference to undeclared space {word!r}", at)
+            else:
+                expr = self.env[word]
+            while lefts and lefts[-1] is not None:  # `expr` is a right operand
+                self.expect(")")
+                expr = DisjointUnion(lefts.pop(), expr)
+            if not lefts:
+                return expr
             self.expect(",")
-            right = self.parse_expr(depth + 1)
-            self.expect(")")
-            return DisjointUnion(left, right)
-        if word in _RESERVED:
-            self.fail(f"unexpected keyword {word!r} in expression", at)
-        if word not in self.env:
-            self.fail(f"reference to undeclared space {word!r}", at)
-        return self.env[word]
+            lefts[-1] = expr
 
 
 def parse_document(text: str) -> dict[str, SpaceExpr]:

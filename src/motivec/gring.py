@@ -697,15 +697,24 @@ def render_element(elem: GradedRingElement) -> str:
 def parse_element(ring: RingDescriptor, text: str) -> GradedRingElement:
     """Parse the rendered element syntax, e.g. ``"m_2 + 2*m_1^2 - 1/3"``.
 
-    Malformed text raises a `motivec.dsl.ParseError` at its line and
-    column; an unknown generator raises a KeyError.
+    Parentheses nest to any depth.  Malformed text raises a
+    `motivec.dsl.ParseError` at its line and column, an unknown generator a
+    KeyError.
     """
     from .dsl import Tokens  # the package's one tokenizer, loaded on the first parse
 
     toks = Tokens(text, "^*/+-()")
-
-    def parse_factor():
+    outer = []  # one (total, sign, product) per open "("; a sign of None starts a sum
+    total, sign, product = GradedRingElement.zero(ring), None, None
+    while True:
+        if sign is None:
+            sign = toks.advance() if toks.peek() in ("+", "-") else "+"
         kind = toks.peek()
+        if kind == "(":
+            toks.advance()
+            outer.append((total, sign, product))
+            total, sign, product = GradedRingElement.zero(ring), None, None
+            continue
         if kind == "nat":
             scalar = toks.advance()
             if toks.peek() == "/":
@@ -717,44 +726,32 @@ def parse_element(ring: RingDescriptor, text: str) -> GradedRingElement:
                 from fractions import Fraction
 
                 scalar = Fraction(scalar, denominator)
-            return GradedRingElement.scalar(ring, scalar)
-        if kind == "name":
-            symbol = toks.advance()
-            power = 1
+            factor = GradedRingElement.scalar(ring, scalar)
+        elif kind == "name":
+            symbol, power = toks.advance(), 1
             if toks.peek() == "^":
                 toks.advance()
-                sign = -1 if toks.peek() == "-" else 1
-                if sign == -1:
+                power = -1 if toks.peek() == "-" else 1
+                if power < 0:
                     toks.advance()
-                power = sign * toks.expect("nat", "an integer exponent after '^'")
-            return GradedRingElement.generator(ring, symbol, power)
-        if kind == "(":
-            toks.advance()
-            inner = parse_sum()
-            toks.expect(")")
-            return inner
-        toks.fail(f"expected a term, got {toks.describe()}")
-
-    def parse_term():
-        acc = parse_factor()
-        while toks.peek() == "*":
-            toks.advance()
-            acc = acc * parse_factor()
-        return acc
-
-    def parse_sum():
-        total = GradedRingElement.zero(ring)
-        sign = toks.advance() if toks.peek() in ("+", "-") else "+"
-        while True:
-            term = parse_term()
-            total = total + (term if sign == "+" else -term)
-            if toks.peek() not in ("+", "-"):
+                power *= toks.expect("nat", "an integer exponent after '^'")
+            factor = GradedRingElement.generator(ring, symbol, power)
+        else:
+            toks.fail(f"expected a term, got {toks.describe()}")
+        while True:  # `factor` extends the product; a ")" makes a sum the next factor
+            product = factor if product is None else product * factor
+            if toks.peek() == "*":
+                toks.advance()
+                break
+            total = total + (product if sign == "+" else -product)
+            if toks.peek() in ("+", "-"):
+                sign, product = toks.advance(), None
+                break
+            if not outer:
+                toks.expect("eof", "an operator or end of input")
                 return total
-            sign = toks.advance()
-
-    result = parse_sum()
-    toks.expect("eof", "an operator or end of input")
-    return result
+            toks.expect(")")
+            factor, (total, sign, product) = total, outer.pop()
 
 
 def random_homogeneous(rng, ring: RingDescriptor, degree: int, span: int = 3) -> GradedRingElement:

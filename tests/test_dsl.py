@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from motivec.dsl import MAX_UNION_NESTING, ParseError, parse_document, parse_space, print_space
+from motivec.dsl import ParseError, parse_document, parse_space, print_space
 from motivec.spaces import (
     POINT,
     Cell,
@@ -221,7 +221,7 @@ def nested_unions(depth: int) -> str:
 
 
 def test_union_nesting_at_the_limit_answers():
-    text = nested_unions(MAX_UNION_NESTING)
+    text = nested_unions(256)
     space = parse_space(text)
     assert space.dim() == 0
     assert print_space(space) == text
@@ -229,15 +229,30 @@ def test_union_nesting_at_the_limit_answers():
     assert hash(normalize(space)) == hash(space)
 
 
-def test_union_nesting_past_the_limit_is_a_positioned_error():
-    # the refused union is the innermost one, after MAX_UNION_NESTING "union(" openers
-    with pytest.raises(ParseError, match="nested more than") as exc:
-        parse_space(nested_unions(MAX_UNION_NESTING + 1))
-    assert (exc.value.line, exc.value.col) == (1, 6 * MAX_UNION_NESTING + 1)
-    right = "union(point, " * (MAX_UNION_NESTING + 1) + "point" + ")" * (MAX_UNION_NESTING + 1)
+def test_deep_union_nesting_answers_and_keeps_error_positions():
+    left = nested_unions(1200)
+    right = "union(point, " * 1200 + "point" + ")" * 1200
+    for text in (left, right):
+        space = parse_space(text)
+        assert space.dim() == 0
+        assert print_space(space) == text
+        assert parse_space(print_space(space)) == space
+    with pytest.raises(ParseError, match=r"expected \), got end of input") as exc:
+        parse_space(left[:-1])
+    assert (exc.value.line, exc.value.col) == (1, len(left))
+    undeclared = right.replace("point)", "nowhere)", 1)
+    with pytest.raises(ParseError, match="reference to undeclared space 'nowhere'") as exc:
+        parse_space(f"space s {{\n  cell {{ base = {undeclared}; rank = 0; codim = 0 }}\n}}\n")
+    assert (exc.value.line, exc.value.col) == (2, 17 + 13 * 1200)
+
+
+def test_reserved_words_are_refused_as_expressions():
     with pytest.raises(ParseError) as exc:
-        parse_space(f"space s {{\n  cell {{ base = {right}; rank = 0; codim = 0 }}\n}}\n")
-    assert (exc.value.line, exc.value.col) == (2, 17 + 13 * MAX_UNION_NESTING)
+        parse_space("space s {\n  cell { base = cell; rank = 0; codim = 0 }\n}\n")
+    assert str(exc.value) == "line 2, col 17: unexpected keyword 'cell' in expression"
+    with pytest.raises(ParseError) as exc:
+        parse_space("union(point, rank)")
+    assert str(exc.value) == "line 1, col 14: unexpected keyword 'rank' in expression"
 
 
 def tower_document(levels: int) -> str:

@@ -229,6 +229,16 @@ def test_parse_rejects_garbage():
         parse_element(U3, "q_7")
 
 
+def test_parentheses_nest_to_any_depth():
+    assert parse_element(CHOW_RING, "(" * 1000 + "1" + ")" * 1000) == 1
+    with pytest.raises(ParseError) as info:
+        parse_element(CHOW_RING, "(" * 1000 + "1")
+    assert str(info.value) == "line 1, col 1002: expected ), got end of input"
+    m1, m2 = gen(U3, "m_1"), gen(U3, "m_2")
+    text = "-(m_1 - (2*m_2 + (-1/3)))*m_1 + (m_2)*(-m_1^-0 + 2) - 3"
+    assert parse_element(U3, text) == -(m1 - (2 * m2 - Fraction(1, 3))) * m1 + m2 - 3
+
+
 def test_a_zero_denominator_is_refused_at_the_denominator():
     with pytest.raises(ParseError, match=r"^line 1, col 3: zero denominator$"):
         parse_element(U3, "1/0")

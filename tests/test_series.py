@@ -133,6 +133,17 @@ def test_render_parse_round_trip():
     assert parse_series(ring, ("x", "y"), order, text) == s
 
 
+def test_parentheses_nest_to_any_depth_in_series_text():
+    ring = universal_ring(2)
+    text = "(" * 1000 + "x" + ")" * 1000
+    assert parse_series(ring, ("x",), 3, text) == var(ring, ("x",), "x", 3)
+
+
+def test_render_series_brackets_a_sum_coefficient_and_subtracts_a_negative_term():
+    s = parse_series(universal_ring(3), ("x",), 3, "(m_1 + m_2) - x + m_1*x^2")
+    assert render_series(s) == "(m_2 + m_1) - x + m_1*x^2"
+
+
 def test_lift_keeps_coefficients():
     x = var(CHOW_RING, ("x",), "x")
     lifted = x.lift(("x", "y"))
