@@ -244,14 +244,24 @@ def print_space(space: SpaceExpr) -> str:
     user-shaped cellular spaces come out as a document whose last
     declaration is the space itself.
     """
-    text: dict[int, str] = {}  # node id -> its expression or declared name
+    text: dict[int, str | None] = {}  # node id -> "point", a declared name, or None for a union
     taken: set[str] = set()  # one declared name per declaration
     lines: list[str] = []
 
-    def expr_str(s: SpaceExpr) -> str | None:
+    def settled(s: SpaceExpr) -> bool:
         # built-ins print as themselves and are not walked into
-        form = getattr(s, "expr_form", None)
-        return form if form is not None else text.get(id(s))
+        return getattr(s, "expr_form", None) is not None or id(s) in text
+
+    def expr_str(s: SpaceExpr) -> str:
+        """The text of a settled node; a union's is written here, once, from pieces."""
+        pieces, stack = [], [s]
+        while stack:
+            s = stack.pop()
+            if isinstance(s, DisjointUnion):
+                stack += (")", s.right, ", ", s.left, "union(")
+            else:
+                pieces.append(s if isinstance(s, str) else text.get(id(s)) or s.expr_form)
+        return "".join(pieces)
 
     def fresh_name(wanted: str | None) -> str:
         named = wanted and wanted.isascii() and wanted.isidentifier() and wanted not in _RESERVED
@@ -267,7 +277,7 @@ def print_space(space: SpaceExpr) -> str:
         if isinstance(s, Point):
             text[id(s)] = "point"
         elif isinstance(s, DisjointUnion):
-            text[id(s)] = f"union({expr_str(s.left)}, {expr_str(s.right)})"
+            text[id(s)] = None
         elif isinstance(s, Cellular):
             name = text[id(s)] = fresh_name(s.name)
             lines.append(f"space {name} {{")
@@ -279,7 +289,7 @@ def print_space(space: SpaceExpr) -> str:
         else:
             raise TypeError(f"cannot print {type(s).__name__}")
 
-    walk_dag(space, lambda s: expr_str(s) is not None, visit)
+    walk_dag(space, settled, visit)
     if not isinstance(space, Cellular) or space.expr_form is not None:
         if lines:
             raise ValueError(

@@ -29,21 +29,23 @@ _XY = ("x", "y")
 class FormalGroupLaw(Frozen):
     """A commutative one-dimensional formal group law, truncated.
 
-    `log`, the law's :func:`logarithm`, is given when the law is built
-    from a known logarithm, and otherwise computed on first access and
-    then stored.
+    `log`, the law's :func:`logarithm`, is kept in `_log`: given when the
+    law is built from a known logarithm, and otherwise computed on first
+    access.
     """
 
-    __slots__ = ("name", "ring", "series", "log")
-    _lazy = {"log": "_logarithm"}
+    __slots__ = ("name", "ring", "series", "_log")
 
     def __init__(self, name: str, series: TruncatedSeries, log: TruncatedSeries | None = None):
         if series.variables != _XY:
             raise ValueError("a formal group law lives in variables (x, y)")
-        self._fill(name, series.ring, series, *(() if log is None else (log,)))
+        self._fill(name, series.ring, series, log)
 
-    def _logarithm(self) -> TruncatedSeries:
-        return logarithm(self)
+    @property
+    def log(self) -> TruncatedSeries:
+        if self._log is None:
+            object.__setattr__(self, "_log", logarithm(self))
+        return self._log
 
     @property
     def order(self) -> int:

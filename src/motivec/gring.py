@@ -12,7 +12,7 @@ int addition, and a monomial's degree comes from a per-ring cache.  The
 top bit of each field is a guard: a product that takes an exponent out of
 its field sets it, and raises one ValueError line.  An exponent lies in
 [0, 2^31), or in [-2^30, 2^30) for an invertible generator.  The public
-`terms` map, keyed by exponent tuples, is a read-only view built on first
+`terms` map, keyed by exponent tuples, is a read-only view built on each
 read; the package's own code never builds it.
 
 An element carries its sorted degree tuple, filled on first read or handed
@@ -24,8 +24,8 @@ Integral arithmetic never loads :mod:`fractions`: it is imported on the
 first rational scalar, and a Fraction test reads ``sys.modules`` instead.
 
 `Frozen` is the one base of the package's immutable values, in every
-module: it refuses assignment and deletion and builds each `_lazy` slot on
-first read.
+module: it refuses assignment and deletion.  No package class defines
+`__getattr__`, so CPython specializes every slot read.
 
 `parse_element` reads its text with `motivec.dsl.Tokens`, imported on the
 first parse: blanks are exactly space, tab, carriage return and newline,
@@ -50,17 +50,14 @@ class TruncationError(ValueError):
 
 class Frozen:
     """An immutable slotted value: `_fill` (or, in a hot builder, `_setters`)
-    sets the class's own `__slots__` in order, any other assignment or
-    deletion raises AttributeError, and a slot named in the class's `_lazy`
-    map (slot -> method name) is built by that method on first read, then kept."""
+    sets the class's own `__slots__` in order, and any other assignment or
+    deletion raises AttributeError.  A value built on first read is a
+    property that keeps it in its own slot, filled with None until then."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._setters = tuple(vars(cls)[slot].__set__ for slot in vars(cls).get("__slots__", ()))
-        if "_lazy" in vars(cls):
-            # only where needed: a class with __getattr__ loses fast attribute reads
-            cls.__getattr__ = Frozen._build_lazy
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -70,14 +67,6 @@ class Frozen:
     def _fill(self, *values):
         for setter, value in zip(self._setters, values):
             setter(self, value)
-
-    def _build_lazy(self, name):
-        """The `__getattr__` of a `_lazy` class: reached for an empty slot or no attribute."""
-        if name not in self._lazy:
-            raise AttributeError(name)
-        value = getattr(self, self._lazy[name])()
-        object.__setattr__(self, name, value)
-        return value
 
 
 class Generator(namedtuple("Generator", "symbol degree invertible", defaults=(False,))):
@@ -233,12 +222,11 @@ class GradedRingElement(Frozen):
     Immutable after construction; the term map never stores zeros and never
     stores monomials beyond the ring's truncation bound.  The terms live in
     `_mono`, keyed by packed monomials (see :func:`_packing`); `terms`, the
-    same map keyed by exponent tuples, is a read-only view built on first
+    same map keyed by exponent tuples, is a read-only view built on each
     read.  Package code reads `_mono` and never builds the view.
     """
 
-    __slots__ = ("ring", "_mono", "_degs", "terms")
-    _lazy = {"terms": "_view"}
+    __slots__ = ("ring", "_mono", "_degs")
 
     def __init__(self, ring: RingDescriptor, mapping):
         width = len(ring.generators)
@@ -263,7 +251,8 @@ class GradedRingElement(Frozen):
             terms[key] = terms.get(key, 0) + coeff
         self._fill(ring, {m: c for m, c in terms.items() if c != 0}, None)  # degrees: on first read
 
-    def _view(self) -> MappingProxyType:
+    @property
+    def terms(self) -> MappingProxyType:
         return MappingProxyType(dict(self._pairs()))
 
     def _pairs(self) -> list:
@@ -512,7 +501,7 @@ class GradedRingElement(Frozen):
         return render_element(self)
 
 
-_set_ring, _set_mono, _set_degs = GradedRingElement._setters[:3]
+_set_ring, _set_mono, _set_degs = GradedRingElement._setters
 
 
 _new = object.__new__
@@ -657,13 +646,13 @@ def _degree_monomials(ring: RingDescriptor, k: int):
 # -- text syntax -----------------------------------------------------------
 
 
+def _power_product(symbols, exponents) -> str:
+    """The text ``a*b^2`` of the nonzero powers, empty when there are none."""
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(symbols, exponents) if e)
+
+
 def render_monomial(ring: RingDescriptor, mono: tuple[int, ...]) -> str:
-    parts = []
-    for e, g in zip(mono, ring.generators):
-        if e == 0:
-            continue
-        parts.append(g.symbol if e == 1 else f"{g.symbol}^{e}")
-    return "*".join(parts) if parts else "1"
+    return _power_product((g.symbol for g in ring.generators), mono) or "1"
 
 
 def _render_scalar(value) -> str:

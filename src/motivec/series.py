@@ -21,6 +21,7 @@ from .gring import (
     GradedRingElement,
     RingDescriptor,
     RingMismatchError,
+    _power_product,
     render_element,
 )
 
@@ -347,12 +348,7 @@ def render_series(s: TruncatedSeries) -> str:
         return "0"
     pieces = []
     for expo, coeff in sorted(s.terms.items(), key=lambda ec: (sum(ec[0]), ec[0])):
-        var_parts = []
-        for e, v in zip(expo, s.variables):
-            if e == 0:
-                continue
-            var_parts.append(v if e == 1 else f"{v}^{e}")
-        var_str = "*".join(var_parts)
+        var_str = _power_product(s.variables, expo)
         coeff_str = render_element(coeff)
         if not var_str:
             body = f"({coeff_str})" if len(coeff._mono) > 1 else coeff_str

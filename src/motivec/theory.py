@@ -28,45 +28,43 @@ DEFAULT_ORDER = 10  # series order of the Chow and K0 laws
 MAX_TRUNCATION = 4000  # the largest N a selector may ask of the universal theory
 
 
+def _law_loader(name: str):
+    def build(order: int):
+        from . import fgl
+
+        return getattr(fgl, name)(order)
+
+    return build
+
+
 # The laws live in `fgl`, loaded on the first build.  These names are looked
 # up when a theory is made, so a caller may replace them.
-def additive_law(order: int):
-    from .fgl import additive_law
-
-    return additive_law(order)
-
-
-def multiplicative_law(order: int):
-    from .fgl import multiplicative_law
-
-    return multiplicative_law(order)
-
-
-def universal_law(order: int):
-    from .fgl import universal_law
-
-    return universal_law(order)
+additive_law = _law_loader("additive_law")
+multiplicative_law = _law_loader("multiplicative_law")
+universal_law = _law_loader("universal_law")
 
 
 class OrientedTheory(Frozen):
     """A named coefficient ring together with its group law.
 
     `build(order)` makes the law over `ring`; `law` is built on first access
-    and then stored.  Equality, hashing and `repr` use the name, the ring
-    and the order, so they never build it.
+    and then kept in `_law`.  Equality, hashing and `repr` use the name, the
+    ring and the order, so they never build it.
     """
 
-    __slots__ = ("name", "ring", "order", "build", "law")
-    _lazy = {"law": "_build_law"}
+    __slots__ = ("name", "ring", "order", "build", "_law")
 
     def __init__(self, name: str, ring: RingDescriptor, order: int, build):
-        self._fill(name, ring, order, build)
+        self._fill(name, ring, order, build, None)
 
-    def _build_law(self):
-        law = self.build(self.order)
-        if law.ring != self.ring or law.order != self.order:
-            raise ValueError(f"{self.name}: the built law has another ring or order")
-        return law
+    @property
+    def law(self):
+        if self._law is None:
+            law = self.build(self.order)
+            if law.ring != self.ring or law.order != self.order:
+                raise ValueError(f"{self.name}: the built law has another ring or order")
+            object.__setattr__(self, "_law", law)
+        return self._law
 
     def __eq__(self, other):
         if not isinstance(other, OrientedTheory):

@@ -131,14 +131,13 @@ def test_bundle_splits_eliminate_one_class_of_twists_at_a_time(theory, monkeypat
 @pytest.fixture
 def views(monkeypatch):
     built = []
-    original = GradedRingElement.__getattr__
+    original = GradedRingElement.terms.fget
 
-    def counting(self, name):
-        value = original(self, name)
-        built.append(name)
-        return value
+    def counting(self):
+        built.append("terms")
+        return original(self)
 
-    monkeypatch.setattr(GradedRingElement, "__getattr__", counting)
+    monkeypatch.setattr(GradedRingElement, "terms", property(counting))
     return built
 
 

@@ -246,6 +246,19 @@ def test_deep_union_nesting_answers_and_keeps_error_positions():
     assert (exc.value.line, exc.value.col) == (2, 17 + 13 * 1200)
 
 
+def test_deep_unshared_nest_prints_in_linear_length_and_time():
+    depth = 20_000
+    space = POINT
+    for _ in range(depth):
+        space = DisjointUnion(POINT, space)
+    start = time.perf_counter()
+    text = print_space(space)
+    assert time.perf_counter() - start < 1  # copying each operand's text took 1.4-1.8 s
+    assert len(text) == 14 * depth + 5
+    assert text == "union(point, " * depth + "point" + ")" * depth
+    assert parse_space(text) == space
+
+
 def test_reserved_words_are_refused_as_expressions():
     with pytest.raises(ParseError) as exc:
         parse_space("space s {\n  cell { base = cell; rank = 0; codim = 0 }\n}\n")

@@ -191,7 +191,7 @@ def test_kernel_objects_stay_immutable(monkeypatch):
             object.__setattr__(node, "extra", 1)
         with pytest.raises(AttributeError):
             node.extra
-    # a lazy slot is built once, on its first read, and then kept
+    # a law and its logarithm are built once, on first read, and then kept
     logarithm = fgl.logarithm
     monkeypatch.setattr(fgl, "logarithm", lambda law: logs.append(law) or logarithm(law))
     law = theory.law
@@ -199,12 +199,12 @@ def test_kernel_objects_stay_immutable(monkeypatch):
     with pytest.raises(AttributeError, match="^FormalGroupLaw is immutable$"):
         law.log = None
     assert law.log is law.log and logs == [law]
-    with pytest.raises(AttributeError, match="^extra$"):
+    with pytest.raises(AttributeError, match="has no attribute 'extra'$"):
         law.extra
-    with pytest.raises(AttributeError, match="^extra$"):
+    with pytest.raises(AttributeError, match="has no attribute 'extra'$"):
         theory.extra
-    assert b.terms == {(-2,): 3}  # built on first read, then kept
-    assert b.terms is b.terms
+    assert b.terms == {(-2,): 3}  # built on each read
+    assert b.terms == b.terms
     with pytest.raises(TypeError):
         b.terms[(1,)] = 1
     with pytest.raises(AttributeError):

@@ -85,8 +85,8 @@ def package_classes() -> list[type]:
 
 def test_immutability_is_decided_in_one_base_class():
     """A slotted value, other than a namedtuple record, derives from
-    `gring.Frozen`; only `Frozen` defines `__setattr__`, and every
-    `__getattr__` is the lazy-slot filler `Frozen` gives a `_lazy` class."""
+    `gring.Frozen`; only `Frozen` defines `__setattr__`, and no class
+    defines `__getattr__`, which would stop CPython specializing slot reads."""
     from motivec.gring import Frozen
 
     classes = package_classes()
@@ -98,7 +98,4 @@ def test_immutability_is_decided_in_one_base_class():
     assert [cls.__name__ for cls in classes
             if cls.__name__ in slotted and not issubclass(cls, Frozen)] == []
     assert [cls.__name__ for cls in classes if cls is not Frozen and "__setattr__" in vars(cls)] == []
-    lazy = {cls.__name__ for cls in classes if "__getattr__" in vars(cls)}
-    assert lazy == {cls.__name__ for cls in classes if "_lazy" in vars(cls)} == {
-        "GradedRingElement", "OrientedTheory", "FormalGroupLaw"}
-    assert all(cls.__getattr__ is Frozen._build_lazy for cls in classes if cls.__name__ in lazy)
+    assert [cls.__name__ for cls in classes if hasattr(cls, "__getattr__")] == []
