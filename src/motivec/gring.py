@@ -24,8 +24,10 @@ Integral arithmetic never loads :mod:`fractions`: it is imported on the
 first rational scalar, and a Fraction test reads ``sys.modules`` instead.
 
 `Frozen` is the one base of the package's immutable values, in every
-module: it refuses assignment and deletion.  No package class defines
-`__getattr__`, so CPython specializes every slot read.
+module: it refuses assignment and deletion.  `Frozen._new` builds a value
+from parts already known to be valid; the one unrolled builder is
+`_element`, with its copy in `__mul__`, the products' hot path.  No package
+class defines `__getattr__`, so CPython specializes every slot read.
 
 `parse_element` reads its text with `motivec.dsl.Tokens`, imported on the
 first parse: blanks are exactly space, tab, carriage return and newline,
@@ -49,8 +51,8 @@ class TruncationError(ValueError):
 
 
 class Frozen:
-    """An immutable slotted value: `_fill` (or, in a hot builder, `_setters`)
-    sets the class's own `__slots__` in order, and any other assignment or
+    """An immutable slotted value: `_fill` (from `__init__`) and `_new` set
+    the class's own `__slots__` in order, and any other assignment or
     deletion raises AttributeError.  A value built on first read is a
     property that keeps it in its own slot, filled with None until then."""
 
@@ -67,6 +69,14 @@ class Frozen:
     def _fill(self, *values):
         for setter, value in zip(self._setters, values):
             setter(self, value)
+
+    @classmethod
+    def _new(cls, *values):
+        """A value holding the given slot values, without `__init__` or its checks."""
+        obj = object.__new__(cls)
+        for setter, value in zip(cls._setters, values):
+            setter(obj, value)
+        return obj
 
 
 class Generator(namedtuple("Generator", "symbol degree invertible", defaults=(False,))):
@@ -436,7 +446,7 @@ class GradedRingElement(Frozen):
         for mono in out:
             if mono & guard:
                 raise _overflow_error(ring, mono)
-        elem = _new(GradedRingElement)
+        elem = _alloc(GradedRingElement)
         _set_ring(elem, ring)
         _set_mono(elem, out)
         _set_degs(elem, degs)
@@ -504,12 +514,12 @@ class GradedRingElement(Frozen):
 _set_ring, _set_mono, _set_degs = GradedRingElement._setters
 
 
-_new = object.__new__
+_alloc = object.__new__
 
 
 def _element(ring: RingDescriptor, mono: dict, degs: tuple | None = None) -> GradedRingElement:
     """An element from packed terms, without checks."""
-    elem = _new(GradedRingElement)
+    elem = _alloc(GradedRingElement)
     _set_ring(elem, ring)
     _set_mono(elem, mono)
     _set_degs(elem, degs)
@@ -743,7 +753,7 @@ def parse_element(ring: RingDescriptor, text: str) -> GradedRingElement:
             factor, (total, sign, product) = total, outer.pop()
 
 
-def random_homogeneous(rng, ring: RingDescriptor, degree: int, span: int = 3) -> GradedRingElement:
+def random_homogeneous(rng, ring: RingDescriptor, degree: int) -> GradedRingElement:
     """A random element concentrated in one degree (possibly zero)."""
     try:
         basis = _component_keys(ring, degree)
@@ -753,7 +763,7 @@ def random_homogeneous(rng, ring: RingDescriptor, degree: int, span: int = 3) ->
 
     terms = {}
     for key in basis:
-        c = rng.randint(-span, span)
+        c = rng.randint(-3, 3)
         if c:
             if ring.field != "Z":
                 c = _normalize_scalar(Fraction(c, rng.randint(1, 3)), ring.field)

@@ -22,7 +22,7 @@ ring's Hilbert series without listing a basis.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate, chain, groupby, product
+from itertools import accumulate, chain, product
 from math import lcm
 
 from .gring import (
@@ -62,8 +62,7 @@ class TateMotive(Frozen):
     __slots__ = ("histogram", "size")
 
     def __new__(cls, twists=()):
-        tw = sorted(int(t) for t in twists)
-        return cls._of(tuple((t, len(list(run))) for t, run in groupby(tw)))
+        return cls.from_histogram((t, 1) for t in twists)
 
     @classmethod
     def from_histogram(cls, pairs) -> "TateMotive":
@@ -82,9 +81,7 @@ class TateMotive(Frozen):
         """Wrap a histogram that is already sorted, merged and positive."""
         if histogram and histogram[0][0] < 0:
             raise ValueError(f"negative twist {histogram[0][0]}")
-        motive = object.__new__(cls)
-        motive._fill(histogram, sum(m for _, m in histogram))
-        return motive
+        return cls._new(histogram, sum(m for _, m in histogram))
 
     @property
     def twists(self) -> tuple:
@@ -227,20 +224,11 @@ class Correspondence(Frozen):
         return compose(self, other)
 
 
-_set_theory, _set_source, _set_target, _set_degree, _set_blocks = Correspondence._setters
-
-
 def _make(theory, source: TateMotive, target: TateMotive, degree: int, blocks) -> Correspondence:
     """A morphism holding blocks that already lie in their components."""
     if source.size and target.size and max(source.size, target.size) > MAX_TWISTS:
         require_listable(source, target)
-    corr = object.__new__(Correspondence)
-    _set_theory(corr, theory)
-    _set_source(corr, source)
-    _set_target(corr, target)
-    _set_degree(corr, degree)
-    _set_blocks(corr, blocks)
-    return corr
+    return Correspondence._new(theory, source, target, degree, blocks)
 
 
 def _spans(motive: TateMotive) -> dict[int, range]:
@@ -471,7 +459,7 @@ def _unit_key(ring, degree: int):
     if not degree:
         return _packing(ring)[0]  # the key of the empty monomial
     units = [g for g in ring.generators if g.invertible]
-    if degree and (len(units) != 1 or degree % units[0].degree):
+    if len(units) != 1 or degree % units[0].degree:
         return None
     return _encode(ring, tuple(degree // g.degree if g.invertible else 0 for g in ring.generators))
 

@@ -9,6 +9,7 @@ seeded, so a run is reproducible.
 from __future__ import annotations
 
 import random
+from itertools import product
 from math import comb
 
 from .fgl import (
@@ -25,6 +26,7 @@ from .gring import GradedRingElement, random_homogeneous
 from .motives import (
     Correspondence,
     TateMotive,
+    _make,
     _units,
     compose,
     decompose_by_rank,
@@ -61,12 +63,17 @@ def random_motive(rng: random.Random, max_size=3, max_twist=3) -> TateMotive:
 
 
 def random_correspondence(rng, theory, source, target, degree) -> Correspondence:
-    rows, columns = [], source.twists
-    for b in target.twists:
-        rows.append(
-            [random_homogeneous(rng, theory.ring, degree + a - b) for a in columns]
-        )
-    return Correspondence(theory, source, target, degree, rows)
+    """A random morphism, drawn entry by entry into its twist blocks: target
+    generator by target generator, then source generator by source generator."""
+    ring, blocks = theory.ring, {}
+    for t, height in target.histogram:
+        for r, (s, width) in product(range(height), source.histogram):
+            for c in range(width):
+                for k, v in random_homogeneous(rng, ring, degree + s - t)._mono.items():
+                    block = blocks.setdefault((t, s), {})
+                    m = block.get(k) or block.setdefault(k, [[0] * width for _ in range(height)])
+                    m[r][c] = v
+    return _make(theory, source, target, degree, blocks)
 
 
 def random_theories():
@@ -148,9 +155,9 @@ def suite_spaces(rng) -> str:
     return "builder dimensions, route duality, text round-trip"
 
 
-def suite_motive_category(rng, rounds=120) -> str:
+def suite_motive_category(rng) -> str:
     theories = random_theories()
-    for _ in range(rounds):
+    for _ in range(120):
         theory = theories[rng.randrange(len(theories))]
         a, b, c, d = (random_motive(rng) for _ in range(4))
         degrees = [rng.randint(-1, 2) for _ in range(3)]
@@ -199,9 +206,9 @@ def _mat_mul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(len(b[0]))] for i in range(n)]
 
 
-def suite_idempotents(rng, rounds=40) -> str:
+def suite_idempotents(rng) -> str:
     theories = (chow(), k0())
-    for _ in range(rounds):
+    for _ in range(40):
         theory = theories[rng.randrange(2)]
         motive = random_motive(rng, max_size=4, max_twist=3)
         p = random_block_idempotent(rng, theory, motive)

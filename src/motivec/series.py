@@ -318,17 +318,7 @@ class TruncatedSeries(Frozen):
         return render_series(self)
 
 
-_set_ring, _set_variables, _set_order, _set_terms = TruncatedSeries._setters
-
-
-def _series(ring, variables: tuple, order: int, terms: dict) -> TruncatedSeries:
-    """A series from checked parts, without copying or checks."""
-    s = object.__new__(TruncatedSeries)
-    _set_ring(s, ring)
-    _set_variables(s, variables)
-    _set_order(s, order)
-    _set_terms(s, terms)
-    return s
+_series = TruncatedSeries._new  # a series from checked parts, without copying or checks
 
 
 def solve_by_order(start: TruncatedSeries, composite) -> TruncatedSeries:
@@ -379,12 +369,8 @@ def parse_series(ring: RingDescriptor, variables, order: int, text: str) -> Trun
         None,
     )
     flat = parse_element(extended, text)
-    n = len(ring.generators)
-    terms: dict = {}
+    n, groups = len(ring.generators), {}  # the ring terms of each variable monomial
     for mono, coeff in flat._pairs():
-        ring_part, var_part = mono[:n], mono[n:]
-        elem = GradedRingElement.from_terms(ring, {ring_part: coeff})
-        prev = terms.get(var_part)
-        elem = elem if prev is None else prev + elem
-        terms[var_part] = elem
-    return TruncatedSeries.from_terms(ring, variables, order, terms)
+        groups.setdefault(mono[n:], {})[mono[:n]] = coeff
+    terms = {expo: GradedRingElement(ring, group) for expo, group in groups.items()}
+    return TruncatedSeries(ring, variables, order, terms)

@@ -165,9 +165,7 @@ class ProjectiveSpaceElement(Frozen):
 
     def _with(self, series) -> "ProjectiveSpaceElement":
         """The element of the same P^m with the given series in t."""
-        element = object.__new__(ProjectiveSpaceElement)
-        element._fill(self.theory, self.m, series)
-        return element
+        return ProjectiveSpaceElement._new(self.theory, self.m, series)
 
     @property
     def coords(self) -> tuple:

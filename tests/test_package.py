@@ -99,3 +99,21 @@ def test_immutability_is_decided_in_one_base_class():
             if cls.__name__ in slotted and not issubclass(cls, Frozen)] == []
     assert [cls.__name__ for cls in classes if cls is not Frozen and "__setattr__" in vars(cls)] == []
     assert [cls.__name__ for cls in classes if hasattr(cls, "__getattr__")] == []
+
+
+def test_values_from_valid_parts_are_built_by_frozen_new():
+    """Only `gring` reads a class's `_setters` or calls `object.__new__`, for
+    its unrolled ring-element builders; every other module builds a value
+    from valid parts with `Frozen._new`."""
+    import ast
+
+    hits = {}
+    for info in pkgutil.iter_modules(motivec.__path__):
+        path = importlib.import_module(f"motivec.{info.name}").__file__
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        hits[info.name] = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                           and (node.attr == "_setters" or node.attr == "__new__"
+                                and isinstance(node.value, ast.Name) and node.value.id == "object")]
+    assert hits.pop("gring")  # the check sees the kernel's own builders
+    assert {name: lines for name, lines in hits.items() if lines} == {}

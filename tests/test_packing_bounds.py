@@ -1,0 +1,56 @@
+"""The bounds of the packed-monomial kernel: the packing cache and each
+ring's degree cache empty past their sizes and keep every answer, and a
+morphism product whose exponent leaves its packed field is refused."""
+
+import random
+
+import pytest
+
+from motivec import gring
+from motivec.gring import K0_RING, Generator, GradedRingElement, RingDescriptor, random_homogeneous
+from motivec.motives import Correspondence, TateMotive, compose
+from motivec.theory import k0
+
+
+def test_packing_cache_empties_past_its_bound_and_keeps_products():
+    rings = [RingDescriptor(f"r{i}", (Generator("x", -1),), "Z")
+             for i in range(gring.MAX_PACKINGS + 10)]
+    for i, ring in enumerate(rings):  # kept alive, so no two share an id
+        x = GradedRingElement.generator(ring, "x")
+        product = (x + 1) * (x + i)
+        want = {(2,): 1, (1,): i + 1, (0,): i}
+        assert product.terms == {m: c for m, c in want.items() if c}
+        assert len(gring._PACKINGS) <= gring.MAX_PACKINGS
+    assert id(rings[-1]) in gring._PACKINGS
+
+
+def _truncated_products(ring):
+    """Products of mixed-degree elements in a truncated ring, with their degrees."""
+    rng = random.Random(7)
+    out = []
+    for _ in range(20):
+        a, b = (sum(random_homogeneous(rng, ring, -d) for d in range(5)) for _ in range(2))
+        product = a * b
+        out.append((product, product.degrees()))
+    return out
+
+
+def test_degree_cache_empties_past_its_bound_and_keeps_degrees(monkeypatch):
+    generators = gring.universal_ring(5).generators
+    expected = _truncated_products(RingDescriptor("u", generators, "Q", 5))
+    monkeypatch.setattr(gring, "MAX_DEGREE_CACHE", 4)
+    ring = RingDescriptor("u", generators, "Q", 5)  # a new ring, so a new degree cache
+    assert _truncated_products(ring) == expected
+    assert len(gring._packing(ring)[3]) <= 4
+    assert len({m for p, _ in expected for m in p._mono}) > 4  # so the cache emptied
+
+
+def test_compose_refuses_a_product_exponent_out_of_its_field():
+    m = TateMotive((0,))
+    b = GradedRingElement.generator(K0_RING, "b", 2**30 - 1)
+    f = Correspondence(k0(), m, m, -(2**30 - 1), [[b]])
+    with pytest.raises(ValueError) as err:
+        compose(f, f)
+    assert str(err.value) == (
+        "a product exponent of b leaves the packed range [-1073741824, 1073741824)"
+    )
