@@ -102,7 +102,7 @@ def resolve_space(config: RunConfig) -> SpaceExpr:
         from .dsl import parse_document
 
         with open(config.file, "r", encoding="utf-8") as handle:
-            documents = parse_document(handle.read())
+            documents = parse_document(handle)  # read as it is lexed
         if config.space not in documents:
             raise ValueError(
                 f"file {config.file!r} declares no space named {config.space!r}"

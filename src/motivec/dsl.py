@@ -16,16 +16,19 @@ semicolon before a closing brace may be omitted.  A document consisting of a
 single bare EXPR is also accepted by :func:`parse_space`.
 
 :class:`Tokens` reads both this format and the element syntax of
-:func:`motivec.gring.parse_element`.  Blanks are exactly space, tab,
-carriage return and newline; anything else that is not a name, a natural
-number of at most the digits ``int()`` converts, or a punctuation mark of
-the syntax is refused.  An error in either syntax is a :class:`ParseError`,
-with a 1-based line and column.
+:func:`motivec.gring.parse_element`, lexing a token when the parser asks
+for it, from a str or from a file read as it is lexed, so a text is
+refused at its first error.  Blanks are exactly space, tab, carriage
+return and newline; anything else that is not a name, a natural number of
+at most the digits ``int()`` converts, or a punctuation mark of the syntax
+is refused.  An error in either syntax is a :class:`ParseError`, with a
+1-based line and column.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import repeat
 
 from .spaces import (
     BUILTINS,
@@ -41,6 +44,7 @@ from .spaces import (
 _RESERVED = {"space", "cell", "base", "rank", "codim", "point", "union", *BUILTINS}
 
 _WORD = re.compile(r"(\d+)|[A-Za-z_][A-Za-z_0-9]*")  # a natural number (group 1) or a name
+_READ_SIZE = 1 << 16  # characters a file is read in
 
 
 class ParseError(ValueError):
@@ -53,18 +57,46 @@ class ParseError(ValueError):
 
 
 class Tokens:
-    """A cursor over the tokens of `text`.
+    """A cursor that holds only the next token of `source`: its `kind`,
+    `value` and `at`, the 1-based (line, col) where it starts.  A kind is
+    ``nat`` (an int value), ``name`` (a str value), one of the `punct`
+    characters (itself) or, from the end of input on, ``eof`` (None).
+    `comment` starts a comment that runs to the end of its line; an end of
+    input after it is placed at the comment."""
 
-    `tokens` holds (kind, value, line, col) tuples, the last of kind
-    ``eof``.  A kind is ``nat`` (an int value), ``name`` (a str value) or
-    one of the `punct` characters (itself).  `comment` starts a comment
-    that runs to the end of its line; an end of input after it is placed
-    at the comment.  `pos` indexes the next token.
-    """
+    def __init__(self, source, punct: str, comment: str | None = None):
+        self._next = _lex(source, punct, comment).__next__
+        self.kind, self.value, self.at = self._next()
 
-    def __init__(self, text: str, punct: str, comment: str | None = None):
-        tokens = []
-        line, start, i = 1, 0, 0  # `start` indexes the first character of the line
+    def advance(self):
+        """Consume the next token and return its value."""
+        value = self.value
+        self.kind, self.value, self.at = self._next()
+        return value
+
+    def describe(self) -> str:
+        """The next token as an error message names it."""
+        return "end of input" if self.kind == "eof" else repr(self.value)
+
+    def fail(self, message: str, at: tuple[int, int] | None = None):
+        """Raise a ParseError at `at`, by default at the next token."""
+        raise ParseError(message, *(at or self.at))
+
+    def expect(self, kind: str, what: str | None = None):
+        """Consume a token of `kind` and return its value."""
+        if self.kind != kind:
+            self.fail(f"expected {what or kind}, got {self.describe()}")
+        return self.advance()
+
+
+def _lex(source, punct: str, comment: str | None):
+    """(kind, value, (line, col)) for each token of `source`, a str or a
+    file open for reading text, then for ``eof`` forever.  A file is read
+    _READ_SIZE characters at a time; a name or number that a read may have
+    cut is finished from the next one, and a comment is not kept."""
+    text, read = (source, None) if isinstance(source, str) else ("", source.read)
+    line, start, i = 1, 0, 0  # `start` indexes the first character of the line
+    while True:
         while i < len(text):
             ch = text[i]
             if ch in " \t\r":
@@ -74,94 +106,76 @@ class Tokens:
                 line, start = line + 1, i
             elif ch == comment:
                 newline = text.find("\n", i)
-                if newline < 0:
+                if newline < 0:  # keep only its first character for the next read
+                    text = text[:i + 1]
                     break
                 i = newline
             elif ch in punct:
-                tokens.append((ch, ch, line, i - start + 1))
+                yield ch, ch, (line, i - start + 1)
                 i += 1
             else:
                 m = _WORD.match(text, i)
                 if m is None:
                     raise ParseError(f"unexpected character {ch!r}", line, i - start + 1)
+                if read and m.end() == len(text):
+                    break
                 try:  # int() refuses more digits than the interpreter's limit
                     kind, value = ("nat", int(m.group())) if m.lastindex else ("name", m.group())
                 except ValueError:
                     raise ParseError(f"number of {m.end() - i} digits is too long",
                                      line, i - start + 1) from None
-                tokens.append((kind, value, line, i - start + 1))
+                yield kind, value, (line, i - start + 1)
                 i = m.end()
-        tokens.append(("eof", None, line, i - start + 1))
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str:
-        """The kind of the next token."""
-        return self.tokens[self.pos][0]
-
-    def advance(self):
-        """Consume the next token and return its value."""
-        self.pos += 1
-        return self.tokens[self.pos - 1][1]
-
-    def describe(self) -> str:
-        """The next token as an error message names it."""
-        kind, value = self.tokens[self.pos][:2]
-        return "end of input" if kind == "eof" else repr(value)
-
-    def fail(self, message: str, index: int | None = None):
-        """Raise a ParseError at token `index`, by default the next one."""
-        raise ParseError(message, *self.tokens[self.pos if index is None else index][2:])
-
-    def expect(self, kind: str, what: str | None = None):
-        """Consume a token of `kind` and return its value."""
-        if self.peek() != kind:
-            self.fail(f"expected {what or kind}, got {self.describe()}")
-        return self.advance()
+        if not read:
+            yield from repeat(("eof", None, (line, i - start + 1)))
+        chunk = read(max(_READ_SIZE, len(text) - i))  # a cut name doubles per read: linear time
+        read = read if chunk else None
+        text, start, i = text[i:] + chunk, start - i, 0
 
 
 class _Parser(Tokens):
-    def __init__(self, text: str):
-        super().__init__(text, "{}()=;,", "#")
+    def __init__(self, source):
+        super().__init__(source, "{}()=;,", "#")
         self.env: dict[str, SpaceExpr] = {}
 
     def expect_keyword(self, word: str):
-        if self.tokens[self.pos][:2] != ("name", word):
+        if self.value != word:  # only a name's value can be a word
             self.fail(f"expected {word!r}, got {self.describe()}")
-        self.pos += 1
+        self.advance()
 
-    def checked(self, index: int, build, *args):
-        """`build(*args)`, its ValueError raised as a ParseError at token `index`."""
+    def checked(self, at: tuple[int, int], build, *args):
+        """`build(*args)`, its ValueError raised as a ParseError at `at`."""
         try:
             return build(*args)
         except ValueError as exc:  # out of range, past the cell budget, or not equidimensional
-            raise ParseError(str(exc), *self.tokens[index][2:]) from exc
+            raise ParseError(str(exc), *at) from exc
 
     # -- grammar ----------------------------------------------------------
 
     def parse_document(self) -> dict[str, SpaceExpr]:
-        if self.tokens[0][:2] == ("name", "space"):
-            while self.peek() != "eof":
+        if self.value == "space":
+            while self.kind != "eof":
                 self.parse_declaration()
             return dict(self.env)
         # a single bare expression is accepted as a document
+        at = self.at
         expr = self.parse_expr()
         self.expect("eof", "end of input")
-        self.checked(0, expr.dim)
+        self.checked(at, expr.dim)
         return {"_": expr}
 
     def parse_declaration(self):
         self.expect_keyword("space")
-        at = self.pos
+        at = self.at
         name = self.expect("name", "a space name")
         if name in _RESERVED:
             self.fail(f"{name!r} is a reserved word", at)
         if name in self.env:
             self.fail(f"space {name!r} is already declared", at)
         self.expect("{")
-        first_cell = self.pos
+        first_cell = self.at
         cells = []
-        while self.peek() != "}":
+        while self.kind != "}":
             cells.append(self.parse_cell())
         self.advance()
         space = self.checked(first_cell, Cellular, cells, name)
@@ -169,7 +183,7 @@ class _Parser(Tokens):
         self.env[name] = space
 
     def parse_cell(self) -> Cell:
-        at = self.pos
+        at = self.at
         self.expect_keyword("cell")
         self.expect("{")
         fields = []
@@ -177,7 +191,7 @@ class _Parser(Tokens):
             self.expect_keyword(key)
             self.expect("=")
             fields.append(self.parse_expr() if key == "base" else self.expect("nat", "a nonnegative integer"))
-            if key != "codim" or self.peek() == ";":  # the last ";" is optional
+            if key != "codim" or self.kind == ";":  # the last ";" is optional
                 self.expect(";")
         self.expect("}")
         return self.checked(at, Cell, *fields)
@@ -185,8 +199,8 @@ class _Parser(Tokens):
     def parse_expr(self) -> SpaceExpr:
         lefts = []  # one slot per open union(: its left operand once read, else None
         while True:
-            at = self.pos
-            if self.peek() != "name":
+            at = self.at
+            if self.kind != "name":
                 self.fail(f"expected a space expression, got {self.describe()}")
             word = self.advance()
             if word == "union":
@@ -219,8 +233,8 @@ class _Parser(Tokens):
             lefts[-1] = expr
 
 
-def parse_document(text: str) -> dict[str, SpaceExpr]:
-    """Parse a document of declarations; returns name -> space in file order."""
+def parse_document(text) -> dict[str, SpaceExpr]:
+    """Parse a document (a str or a text file); returns name -> space in file order."""
     return _Parser(text).parse_document()
 
 
@@ -278,7 +292,7 @@ def print_space(space: SpaceExpr) -> str:
             text[id(s)] = "point"
         elif isinstance(s, DisjointUnion):
             text[id(s)] = None
-        elif isinstance(s, Cellular):
+        else:  # a cellular space
             name = text[id(s)] = fresh_name(s.name)
             lines.append(f"space {name} {{")
             lines.extend(
@@ -286,8 +300,6 @@ def print_space(space: SpaceExpr) -> str:
                 for c in s.cells
             )
             lines.append("}")
-        else:
-            raise TypeError(f"cannot print {type(s).__name__}")
 
     walk_dag(space, settled, visit)
     if not isinstance(space, Cellular) or space.expr_form is not None:

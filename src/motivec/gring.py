@@ -707,8 +707,8 @@ def parse_element(ring: RingDescriptor, text: str) -> GradedRingElement:
     total, sign, product = GradedRingElement.zero(ring), None, None
     while True:
         if sign is None:
-            sign = toks.advance() if toks.peek() in ("+", "-") else "+"
-        kind = toks.peek()
+            sign = toks.advance() if toks.kind in ("+", "-") else "+"
+        kind = toks.kind
         if kind == "(":
             toks.advance()
             outer.append((total, sign, product))
@@ -716,9 +716,9 @@ def parse_element(ring: RingDescriptor, text: str) -> GradedRingElement:
             continue
         if kind == "nat":
             scalar = toks.advance()
-            if toks.peek() == "/":
+            if toks.kind == "/":
                 toks.advance()
-                at = toks.pos
+                at = toks.at
                 denominator = toks.expect("nat", "a denominator after '/'")
                 if denominator == 0:
                     toks.fail("zero denominator", at)
@@ -728,9 +728,9 @@ def parse_element(ring: RingDescriptor, text: str) -> GradedRingElement:
             factor = GradedRingElement.scalar(ring, scalar)
         elif kind == "name":
             symbol, power = toks.advance(), 1
-            if toks.peek() == "^":
+            if toks.kind == "^":
                 toks.advance()
-                power = -1 if toks.peek() == "-" else 1
+                power = -1 if toks.kind == "-" else 1
                 if power < 0:
                     toks.advance()
                 power *= toks.expect("nat", "an integer exponent after '^'")
@@ -739,11 +739,11 @@ def parse_element(ring: RingDescriptor, text: str) -> GradedRingElement:
             toks.fail(f"expected a term, got {toks.describe()}")
         while True:  # `factor` extends the product; a ")" makes a sum the next factor
             product = factor if product is None else product * factor
-            if toks.peek() == "*":
+            if toks.kind == "*":
                 toks.advance()
                 break
             total = total + (product if sign == "+" else -product)
-            if toks.peek() in ("+", "-"):
+            if toks.kind in ("+", "-"):
                 sign, product = toks.advance(), None
                 break
             if not outer:

@@ -38,7 +38,7 @@ from .gring import (
     check_enumerable,
     component_rank,
 )
-from .spaces import Cellular, DisjointUnion, Point, SpaceExpr, walk_dag
+from .spaces import DisjointUnion, Point, SpaceExpr, walk_dag
 from .theory import OrientedTheory
 
 MAX_TWISTS = 1 << 24  # the largest motive whose twist tuple may be expanded
@@ -522,10 +522,8 @@ def _fold(space: SpaceExpr, field: str) -> dict[int, int]:
             return
         if isinstance(node, DisjointUnion):
             pieces = ((0, node.left), (0, node.right))
-        elif isinstance(node, Cellular):
+        else:  # a cellular space
             pieces = ((getattr(cell, field), cell.base) for cell in node.cells)
-        else:
-            raise TypeError(f"not a space expression: {node!r}")
         hist: dict[int, int] = {}
         for shift, base in pieces:
             for t, m in memo[id(base)].items():
@@ -601,10 +599,14 @@ def realize_table(motive: TateMotive, theory: OrientedTheory) -> GradedModuleTab
         return GradedModuleTable(entries=((0, desc),), periodic=True)
     if not motive.histogram:
         return GradedModuleTable(entries=())
-    high = motive.histogram[-1][0]
-    low = motive.histogram[0][0] if ring.truncation is None else high - ring.truncation
-    descs = ((k, realize(motive, theory, k)) for k in range(low, high + 1))
+    descs = ((k, realize(motive, theory, k)) for k in _window(motive.histogram, ring))
     return GradedModuleTable(entries=tuple((k, desc) for k, desc in descs if desc.rank))
+
+
+def _window(hist, ring) -> range:
+    """The degrees that a table of the nonempty histogram `hist` covers."""
+    high = hist[-1][0]
+    return range(hist[0][0] if ring.truncation is None else high - ring.truncation, high + 1)
 
 
 def group_ranks(motive: TateMotive, theory: OrientedTheory) -> tuple[dict[int, int], bool]:
@@ -628,14 +630,13 @@ def group_ranks(motive: TateMotive, theory: OrientedTheory) -> tuple[dict[int, i
     if periodic:
         (g,) = ring.generators
         return {0: sum(m for t, m in hist if t % g.degree == 0)}, True
-    high = hist[-1][0]
-    low = hist[0][0] if ring.truncation is None else high - ring.truncation
-    ranks = {t: m for t, m in hist if t >= low}
+    window = _window(hist, ring)
+    ranks = {t: m for t, m in hist if t in window}
     if ring.generators:
-        counts = [ranks.get(k, 0) for k in range(low, high + 1)]
+        counts = [ranks.get(k, 0) for k in window]
         for g in ring.generators:
             step = -g.degree
             for i in range(len(counts) - 1 - step, -1, -1):
                 counts[i] += counts[i + step]
-        ranks = {k: c for k, c in enumerate(counts, low) if c}
+        ranks = {k: c for k, c in enumerate(counts, window.start) if c}
     return ranks, False

@@ -7,11 +7,11 @@ Codimensions strictly increase from 0.  Equality between spaces is
 structural and ignores display names.
 
 Spaces are immutable DAGs whose sub-spaces are often shared (the
-Grassmannian recursion, references in the text format).  Every walk over
-them (dimension, hash, equality, :func:`normalize`, printing) goes
+Grassmannian recursion, references in the text format).  A node is given
+its dimension and hash when it is built, from those of its parts.  Every
+walk over them (equality, :func:`normalize`, printing, folding) goes
 through :func:`walk_dag`, which visits each shared node once and keeps
-its own stack, so deep chains do not hit the recursion limit; the
-dimension and hash of each node are computed once and cached on it.  The
+its own stack, so deep chains do not hit the recursion limit.  The
 built-in families count their cells first and refuse more than MAX_CELLS.
 """
 
@@ -31,25 +31,31 @@ class EquidimensionalityViolation(ValueError):
 
 
 class SpaceExpr(Frozen):
-    """Base class for space expressions."""
+    """Base class for space expressions.  A node's `_dim` and `_hash` are
+    set when it is built; `_dim` holds the first violation under the node,
+    in walk order, if there is one."""
 
     __slots__ = ()
-    _dim: int | None = None  # cached once known; see _settle
-    _hash: int | None = None
+    _dim: int | EquidimensionalityViolation
+    _hash: int
 
     def dim(self) -> int:
-        return self._dim if self._dim is not None else _settle(self, "_dim")
+        """The dimension; raises the first violation under this node."""
+        dim = self._dim
+        if isinstance(dim, EquidimensionalityViolation):
+            raise dim.with_traceback(None)  # each raise would lengthen a kept traceback
+        return dim
 
     def parts(self) -> tuple["SpaceExpr", ...]:
-        """The sub-spaces this node is built from, in order."""
-        raise NotImplementedError
+        """The sub-spaces this node is built from, in order; a point has none."""
+        return ()
 
     def __hash__(self):
-        return self._hash if self._hash is not None else _settle(self, "_hash")
+        return self._hash
 
     def __eq__(self, other):
         """Structural equality, names ignored.  Each pair of nodes is
-        compared once, without recursion; unequal cached hashes reject."""
+        compared once, without recursion; unequal hashes reject."""
         if not isinstance(other, SpaceExpr):
             return NotImplemented
         todo, seen = [(self, other)], set()
@@ -76,11 +82,10 @@ def walk_dag(space: SpaceExpr, settled, visit) -> None:
     recursion limit, and takes parts left to right, so errors surface in
     the order a recursive walk would meet them.
     """
+    _violation((space,))  # refuses a non-space; the parts of a built node are spaces
     stack = [space]
     while stack:
         node = stack[-1]
-        if not isinstance(node, SpaceExpr):
-            raise TypeError(f"not a space expression: {node!r}")
         if settled(node):
             stack.pop()
             continue
@@ -92,24 +97,18 @@ def walk_dag(space: SpaceExpr, settled, visit) -> None:
             visit(node)
 
 
-def _settle(space: SpaceExpr, slot: str) -> int:
-    """Fill the cached `slot` ("_dim" or "_hash") of every node under
-    `space` from its `_own<slot>` method; returns the value at `space`."""
-    walk_dag(
-        space,
-        lambda node: getattr(node, slot) is not None,
-        lambda node: object.__setattr__(node, slot, getattr(node, "_own" + slot)()),
-    )
-    return getattr(space, slot)
+def _violation(parts) -> EquidimensionalityViolation | None:
+    """The first violation under `parts`, if any; refuses a part that is not a space."""
+    for part in parts:
+        if not isinstance(part, SpaceExpr):
+            raise TypeError(f"not a space expression: {part!r}")
+    return next((p._dim for p in parts if isinstance(p._dim, EquidimensionalityViolation)), None)
 
 
 class Point(SpaceExpr):
     __slots__ = ()
     _dim = 0
     _hash = hash("point")
-
-    def parts(self) -> tuple:
-        return ()
 
     def __repr__(self):
         return "Point()"
@@ -145,21 +144,15 @@ class Cellular(SpaceExpr):
                 raise ValueError(
                     f"cell codims must strictly increase, got {prev.codim} then {cur.codim}"
                 )
-        self._fill(cells, name, expr_form, None, None)
+        dim = _violation([c.base for c in cells])
+        if dim is None:
+            values = [c.codim + c.rank + c.base._dim for c in cells]
+            dim = values[0] if len(set(values)) == 1 else EquidimensionalityViolation(
+                f"cells of {name or 'space'} give dimensions {values}")
+        self._fill(cells, name, expr_form, dim, hash(cells))
 
     def parts(self) -> tuple[SpaceExpr, ...]:
         return tuple(c.base for c in self.cells)
-
-    def _own_dim(self) -> int:
-        values = [c.codim + c.rank + c.base._dim for c in self.cells]
-        if len(set(values)) != 1:
-            raise EquidimensionalityViolation(
-                f"cells of {self.name or 'space'} give dimensions {values}"
-            )
-        return values[0]
-
-    def _own_hash(self) -> int:
-        return hash(self.cells)
 
     def __repr__(self):
         label = self.expr_form or self.name or f"{len(self.cells)} cells"
@@ -172,21 +165,14 @@ class DisjointUnion(SpaceExpr):
     __slots__ = ("left", "right", "_dim", "_hash")
 
     def __init__(self, left: SpaceExpr, right: SpaceExpr):
-        self._fill(left, right, None, None)
+        dim = _violation((left, right))
+        if dim is None:
+            dim = left._dim if left._dim == right._dim else EquidimensionalityViolation(
+                f"union components have dimensions {left._dim} and {right._dim}")
+        self._fill(left, right, dim, hash((left, right)))
 
     def parts(self) -> tuple[SpaceExpr, ...]:
         return (self.left, self.right)
-
-    def _own_dim(self) -> int:
-        dl, dr = self.left._dim, self.right._dim
-        if dl != dr:
-            raise EquidimensionalityViolation(
-                f"union components have dimensions {dl} and {dr}"
-            )
-        return dl
-
-    def _own_hash(self) -> int:
-        return hash((self.left, self.right))
 
     def __repr__(self):
         # one level only: a shared union tower's full form doubles per level

@@ -20,15 +20,16 @@ import pytest
 import motivec
 from motivec.spaces import grassmannian, walk_dag
 
-K = 64  # bytes of peak per byte of input and answer
+K = 32  # bytes of peak per byte of input and answer
 C = 4 << 20  # bytes of peak over the floor that any request may take
 CELL_BYTES = 64
 
 HELPER = r"""
-import os, sys
+import os, resource, sys
 answer = os.open(sys.argv[1], os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
 pid = os.fork()
 if pid == 0:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))  # a runaway request fails here
     os.dup2(answer, 1)
     os.execv(sys.executable, [sys.executable, "-m", "motivec.cli", *sys.argv[2:]])
 _, status, usage = os.wait4(pid, 0)
@@ -95,3 +96,10 @@ def test_peak_over_the_floor_is_bounded_by_input_and_answer(argv, source, floor,
     rss, code, answer = peak(argv, tmp_path)
     assert code == 0 and answer > 0
     assert rss - floor <= K * (inputs + answer) + C, (rss, floor, inputs, answer)
+
+
+def test_dev_zero_is_refused_within_the_constant(floor, tmp_path):
+    # its input counts as 0 bytes: a read of the first character refuses it
+    rss, code, answer = peak(["--file", "/dev/zero", "--space", "a"], tmp_path)
+    assert code == 1 and answer == 0
+    assert rss - floor <= C, (rss, floor)
