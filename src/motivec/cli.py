@@ -102,7 +102,15 @@ def resolve_space(config: RunConfig) -> SpaceExpr:
         from .dsl import parse_document
 
         with open(config.file, "r", encoding="utf-8") as handle:
-            documents = parse_document(handle)  # read as it is lexed
+            try:
+                documents = parse_document(handle)  # read as it is lexed
+            except UnicodeDecodeError as exc:  # its positions count from the decoder's buffer
+                if not handle.seekable():  # a pipe has no offset to name
+                    raise
+                at = handle.buffer.tell() - len(exc.object) + exc.start  # from the file's start
+                what = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if exc.end == exc.start + 1
+                        else f"bytes in position {at}-{at + exc.end - exc.start - 1}")
+                raise ValueError(f"'{exc.encoding}' codec can't decode {what}: {exc.reason}") from None
         if config.space not in documents:
             raise ValueError(
                 f"file {config.file!r} declares no space named {config.space!r}"

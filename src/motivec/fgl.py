@@ -36,10 +36,10 @@ class FormalGroupLaw(Frozen):
 
     __slots__ = ("name", "ring", "series", "_log")
 
-    def __init__(self, name: str, series: TruncatedSeries, log: TruncatedSeries | None = None):
+    def __new__(cls, name: str, series: TruncatedSeries, log: TruncatedSeries | None = None):
         if series.variables != _XY:
             raise ValueError("a formal group law lives in variables (x, y)")
-        self._fill(name, series.ring, series, log)
+        return cls._new(name, series.ring, series, log)
 
     @property
     def log(self) -> TruncatedSeries:
@@ -93,7 +93,7 @@ def universal_log(order: int) -> TruncatedSeries:
     terms = {(1,): GradedRingElement.one(ring)}
     for i in range(1, order):
         terms[(i + 1,)] = GradedRingElement.generator(ring, f"m_{i}")
-    return TruncatedSeries.from_terms(ring, ("x",), order, terms)
+    return TruncatedSeries(ring, ("x",), order, terms)
 
 
 def check_fgl_axioms(law: FormalGroupLaw) -> None:
@@ -129,7 +129,7 @@ def logarithm(law: FormalGroupLaw) -> TruncatedSeries:
     for (i, j), coeff in law.series.terms.items():
         if j == 1:
             omega_terms[(i,)] = convert_element(coeff, ring_q)
-    omega = TruncatedSeries.from_terms(ring_q, ("x",), order, omega_terms)
+    omega = TruncatedSeries(ring_q, ("x",), order, omega_terms)
     return omega.multiplicative_inverse().integrate()
 
 

@@ -8,10 +8,11 @@ from monomials to nonzero scalars; all arithmetic is exact.
 Each monomial is packed into one int, EXPONENT_BITS bits per generator
 (Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
 packed exponent vectors", CASC 2007), so multiplying two monomials is one
-int addition, and a monomial's degree comes from a per-ring cache.  The
-top bit of each field is a guard: a product that takes an exponent out of
-its field sets it, and raises one ValueError line.  An exponent lies in
-[0, 2^31), or in [-2^30, 2^30) for an invertible generator.  The public
+int addition.  A ring is built with its packing and an empty cache of the
+degree of each key met (see `RingDescriptor`).  The top bit of each field
+is a guard: a product that takes an exponent out of its field sets it, and
+raises one ValueError line.  An exponent lies in [0, 2^31), or in
+[-2^30, 2^30) for an invertible generator.  The public
 `terms` map, keyed by exponent tuples, is a read-only view built on each
 read; the package's own code never builds it.
 
@@ -24,10 +25,11 @@ Integral arithmetic never loads :mod:`fractions`: it is imported on the
 first rational scalar, and a Fraction test reads ``sys.modules`` instead.
 
 `Frozen` is the one base of the package's immutable values, in every
-module: it refuses assignment and deletion.  `Frozen._new` builds a value
-from parts already known to be valid; the one unrolled builder is
-`_element`, with its copy in `__mul__`, the products' hot path.  No package
-class defines `__getattr__`, so CPython specializes every slot read.
+module: it refuses assignment and deletion, and `Frozen._new` is the one
+builder, which a class's `__new__` calls once it has checked its
+arguments.  The one unrolled builder is `_element`, with its copy in
+`__mul__`, the products' hot path.  No package class defines
+`__getattr__`, so CPython specializes every slot read.
 
 `parse_element` reads its text with `motivec.dsl.Tokens`, imported on the
 first parse: blanks are exactly space, tab, carriage return and newline,
@@ -51,10 +53,11 @@ class TruncationError(ValueError):
 
 
 class Frozen:
-    """An immutable slotted value: `_fill` (from `__init__`) and `_new` set
-    the class's own `__slots__` in order, and any other assignment or
-    deletion raises AttributeError.  A value built on first read is a
-    property that keeps it in its own slot, filled with None until then."""
+    """An immutable slotted value: `_new` sets the class's own `__slots__`
+    in order, and any other assignment or deletion raises AttributeError.
+    A class checks its arguments in `__new__` and returns `cls._new(...)`;
+    none defines `__init__`.  A value built on first read is a property
+    that keeps it in its own slot, filled with None until then."""
 
     __slots__ = ()
 
@@ -66,13 +69,9 @@ class Frozen:
 
     __delattr__ = __setattr__
 
-    def _fill(self, *values):
-        for setter, value in zip(self._setters, values):
-            setter(self, value)
-
     @classmethod
     def _new(cls, *values):
-        """A value holding the given slot values, without `__init__` or its checks."""
+        """A value holding the given slot values, without the checks of `__new__`."""
         obj = object.__new__(cls)
         for setter, value in zip(cls._setters, values):
             setter(obj, value)
@@ -83,10 +82,27 @@ class Generator(namedtuple("Generator", "symbol degree invertible", defaults=(Fa
     __slots__ = ()
 
 
-class RingDescriptor(namedtuple("RingDescriptor", "name generators field truncation")):
-    """A graded coefficient ring: generators, scalar field ("Z" or "Q") and degree bound."""
+EXPONENT_BITS = 32  # width of one packed exponent field, its guard bit included
+MAX_DEGREE_CACHE = 1 << 16  # degrees cached per ring; the cache empties past it
+_FIELD_MASK = (1 << EXPONENT_BITS) - 1
+_GUARD_BIT = 1 << (EXPONENT_BITS - 1)
+_LAURENT_OFFSET = 1 << (EXPONENT_BITS - 2)  # the bias of an invertible generator's field
 
-    __slots__ = ()
+
+class RingDescriptor(Frozen):
+    """A graded coefficient ring: generators, scalar field ("Z" or "Q") and degree bound.
+
+    Built with its hash, that of its four fields' tuple, and its packing:
+    generator i owns bits [i*W, (i+1)*W) of a key (W = EXPONENT_BITS) and
+    stores there its exponent plus `_offsets[i]`, 2^(W-2) if it is
+    invertible and else 0.  `_unit` is the empty monomial's key, so two
+    monomials multiply to k1 + k2 - _unit, and `_guard` masks the top bit
+    of each field, which such a sum sets in a field it takes out of range.
+    `_degree_of` caches the degree of each key met.
+    """
+
+    __slots__ = ("name", "generators", "field", "truncation",
+                 "_hash", "_unit", "_guard", "_offsets", "_degree_of")
 
     def __new__(cls, name, generators, field, truncation=None):
         symbols = [g.symbol for g in generators]
@@ -96,7 +112,30 @@ class RingDescriptor(namedtuple("RingDescriptor", "name generators field truncat
             raise ValueError(f"scalar field must be 'Z' or 'Q', got {field!r}")
         if truncation is not None and truncation < 0:
             raise ValueError("truncation bound must be >= 0")
-        return super().__new__(cls, name, generators, field, truncation)
+        offsets = tuple(_LAURENT_OFFSET if g.invertible else 0 for g in generators)
+        return cls._new(name, generators, field, truncation,
+                        hash((name, generators, field, truncation)),
+                        sum(o << (EXPONENT_BITS * i) for i, o in enumerate(offsets)),
+                        sum(_GUARD_BIT << (EXPONENT_BITS * i) for i in range(len(offsets))),
+                        offsets, {})
+
+    def _fields(self) -> tuple:
+        return self.name, self.generators, self.field, self.truncation
+
+    def __eq__(self, other):
+        if not isinstance(other, RingDescriptor):
+            return NotImplemented
+        return self is other or self._hash == other._hash and self._fields() == other._fields()
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # copy and pickle build the ring anew, with its own degree cache
+        return RingDescriptor, self._fields()
+
+    def __repr__(self):
+        return ("RingDescriptor(name={!r}, generators={!r}, field={!r}, truncation={!r})"
+                .format(*self._fields()))
 
     @property
     def rational(self) -> bool:
@@ -151,37 +190,6 @@ def _normalize_scalar(value, field: str):
 
 # -- packed monomials --------------------------------------------------------
 
-EXPONENT_BITS = 32  # width of one packed exponent field, its guard bit included
-MAX_PACKINGS = 256  # rings whose packing stays cached; the cache empties past it
-MAX_DEGREE_CACHE = 1 << 16  # degrees cached per ring; the cache empties past it
-_FIELD_MASK = (1 << EXPONENT_BITS) - 1
-_GUARD_BIT = 1 << (EXPONENT_BITS - 1)
-_LAURENT_OFFSET = 1 << (EXPONENT_BITS - 2)  # the bias of an invertible generator's field
-_PACKINGS: dict = {}
-
-
-def _packing(ring: RingDescriptor) -> tuple:
-    """(bias, guard, offsets, degrees, ring): how the ring packs monomials.
-
-    Generator i owns bits [i*W, (i+1)*W) of a key (W = EXPONENT_BITS) and
-    stores there its exponent plus its offset: 0, or 2^(W-2) for an
-    invertible generator.  `bias` is the key of the empty monomial, so the
-    product of two monomials is k1 + k2 - bias, and `guard` masks the top
-    bit of every field, which such a sum sets in any field it takes out of
-    range.  `degrees` caches the degree of each key met.  Entries are cached
-    by identity and hold the ring, so its id is not reused while cached.
-    """
-    entry = _PACKINGS.get(id(ring))
-    if entry is None:
-        gens = ring.generators
-        offsets = tuple(_LAURENT_OFFSET if g.invertible else 0 for g in gens)
-        bias = sum(o << (EXPONENT_BITS * i) for i, o in enumerate(offsets))
-        guard = sum(_GUARD_BIT << (EXPONENT_BITS * i) for i in range(len(gens)))
-        if len(_PACKINGS) >= MAX_PACKINGS:
-            _PACKINGS.clear()
-        entry = _PACKINGS[id(ring)] = (bias, guard, offsets, {}, ring)
-    return entry
-
 
 def _exponent_error(ring: RingDescriptor, i: int, exponent=None) -> ValueError:
     g = ring.generators[i]
@@ -195,27 +203,26 @@ def _exponent_error(ring: RingDescriptor, i: int, exponent=None) -> ValueError:
 def _encode(ring: RingDescriptor, mono: tuple) -> int:
     """The packed key of an exponent tuple of the ring's width."""
     key = 0
-    for i, (e, o) in enumerate(zip(mono, _packing(ring)[2])):
+    for i, (e, o) in enumerate(zip(mono, ring._offsets)):
         if not -o <= e < _GUARD_BIT - o:
             raise _exponent_error(ring, i, e)
         key += (e + o) << (EXPONENT_BITS * i)
     return key
 
 
-def _decode(key: int, offsets: tuple) -> tuple:
-    return tuple((key >> (EXPONENT_BITS * i) & _FIELD_MASK) - o for i, o in enumerate(offsets))
+def _decode(key: int, ring: RingDescriptor) -> tuple:
+    return tuple((key >> (EXPONENT_BITS * i) & _FIELD_MASK) - o for i, o in enumerate(ring._offsets))
 
 
 def _key_degrees(ring: RingDescriptor, keys) -> list:
     """The degree of each packed key, through the ring's degree cache."""
-    _, _, offsets, cache, _ = _packing(ring)
-    out = []
+    cache, out = ring._degree_of, []
     for k in keys:
         d = cache.get(k)
         if d is None:
             if len(cache) >= MAX_DEGREE_CACHE:
                 cache.clear()
-            d = cache[k] = ring.monomial_degree(_decode(k, offsets))
+            d = cache[k] = ring.monomial_degree(_decode(k, ring))
         out.append(d)
     return out
 
@@ -231,14 +238,14 @@ class GradedRingElement(Frozen):
 
     Immutable after construction; the term map never stores zeros and never
     stores monomials beyond the ring's truncation bound.  The terms live in
-    `_mono`, keyed by packed monomials (see :func:`_packing`); `terms`, the
+    `_mono`, keyed by packed monomials (see :class:`RingDescriptor`); `terms`, the
     same map keyed by exponent tuples, is a read-only view built on each
     read.  Package code reads `_mono` and never builds the view.
     """
 
     __slots__ = ("ring", "_mono", "_degs")
 
-    def __init__(self, ring: RingDescriptor, mapping):
+    def __new__(cls, ring: RingDescriptor, mapping):
         width = len(ring.generators)
         bound = ring.truncation
         terms = {}
@@ -259,7 +266,7 @@ class GradedRingElement(Frozen):
                 continue
             key = _encode(ring, mono)
             terms[key] = terms.get(key, 0) + coeff
-        self._fill(ring, {m: c for m, c in terms.items() if c != 0}, None)  # degrees: on first read
+        return cls._new(ring, {m: c for m, c in terms.items() if c != 0}, None)  # degrees: on first read
 
     @property
     def terms(self) -> MappingProxyType:
@@ -267,8 +274,7 @@ class GradedRingElement(Frozen):
 
     def _pairs(self) -> list:
         """(exponent tuple, scalar) for each term, in term order."""
-        offsets = _packing(self.ring)[2]
-        return [(_decode(k, offsets), c) for k, c in self._mono.items()]
+        return [(_decode(k, self.ring), c) for k, c in self._mono.items()]
 
     def _degrees(self) -> tuple:
         degs = self._degs
@@ -290,7 +296,7 @@ class GradedRingElement(Frozen):
         value = _normalize_scalar(value, ring.field)
         if value == 0:
             return _element(ring, {}, ())
-        return _element(ring, {_packing(ring)[0]: value}, (0,))
+        return _element(ring, {ring._unit: value}, (0,))
 
     @classmethod
     def one(cls, ring: RingDescriptor) -> "GradedRingElement":
@@ -300,7 +306,7 @@ class GradedRingElement(Frozen):
     def generator(cls, ring: RingDescriptor, symbol: str, power: int = 1) -> "GradedRingElement":
         idx = ring.generator_index(symbol)
         mono = tuple(power if i == idx else 0 for i in range(len(ring.generators)))
-        return cls.from_terms(ring, {mono: 1})
+        return cls(ring, {mono: 1})
 
     # -- queries ---------------------------------------------------------
 
@@ -337,7 +343,7 @@ class GradedRingElement(Frozen):
 
     def scalar_part(self):
         """The coefficient of the empty monomial."""
-        return self._mono.get(_packing(self.ring)[0], 0)
+        return self._mono.get(self.ring._unit, 0)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -415,7 +421,7 @@ class GradedRingElement(Frozen):
             if bound is not None and abs(d) > bound:
                 return _element(ring, {}, ())
             degs, bound = (d,), None
-        bias, guard, _, _, _ = _PACKINGS.get(id(ring)) or _packing(ring)
+        bias, guard = ring._unit, ring._guard
         out = {}
         if bound is None and (len(left) == 1 or len(right) == 1):
             # one single-term factor shifts the other's keys, which stay distinct
@@ -484,9 +490,7 @@ class GradedRingElement(Frozen):
             from fractions import Fraction
 
             inv_coeff = Fraction(1) / coeff
-        return GradedRingElement.from_terms(
-            self.ring, {tuple(-e for e in mono): inv_coeff}
-        )
+        return GradedRingElement(self.ring, {tuple(-e for e in mono): inv_coeff})
 
     def __eq__(self, other):
         if not isinstance(other, GradedRingElement):
@@ -499,7 +503,7 @@ class GradedRingElement(Frozen):
         return self.ring == other.ring and self._mono == other._mono
 
     def __hash__(self):
-        mono, unit = self._mono, _packing(self.ring)[0]
+        mono, unit = self._mono, self.ring._unit
         if mono.keys() <= {unit}:  # a scalar equals its int or Fraction, so hashes as it
             return hash(mono.get(unit, 0))
         return hash((self.ring, frozenset(mono.items())))

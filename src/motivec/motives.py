@@ -34,7 +34,6 @@ from .gring import (
     _encode,
     _normalize_scalar,
     _overflow_error,
-    _packing,
     check_enumerable,
     component_rank,
 )
@@ -135,7 +134,7 @@ class Correspondence(Frozen):
     Its (j, i) entry lies in A^(degree + s - t), s and t the twists of
     source generator i and target generator j, so it is kept by twist:
     `blocks[(t, s)]` maps each packed monomial of that component (see
-    `gring._packing`) to a scalar matrix, one row per generator of twist t
+    `gring.RingDescriptor`) to a scalar matrix, one row per generator of twist t
     and one column per generator of twist s, as lists never changed once
     built.  Zero matrices and blocks are absent.  Only the blocks are
     stored: the dense constructor cuts its rows into them, and `entries`,
@@ -144,8 +143,8 @@ class Correspondence(Frozen):
 
     __slots__ = ("theory", "source", "target", "degree", "blocks")
 
-    def __init__(self, theory: OrientedTheory, source: TateMotive, target: TateMotive,
-                 degree: int, entries):
+    def __new__(cls, theory: OrientedTheory, source: TateMotive, target: TateMotive,
+                degree: int, entries):
         entries = tuple(map(tuple, entries))
         if len(entries) != target.size:
             raise ValueError(f"expected {target.size} rows, got {len(entries)}")
@@ -171,7 +170,7 @@ class Correspondence(Frozen):
                 for k, v in e._mono.items():
                     m = block.get(k) or block.setdefault(k, [[0] * len(width) for _ in height])
                     m[j - height.start][i - width.start] = v
-        self._fill(theory, source, target, degree, blocks)  # a nonempty row listed both twists
+        return cls._new(theory, source, target, degree, blocks)  # a nonempty row listed both twists
 
     @property
     def entries(self) -> tuple:
@@ -252,7 +251,7 @@ def _block_element(ring, block, r: int, c: int, degree: int) -> GradedRingElemen
 def _pruned(ring, blocks) -> dict:
     """The blocks less zero matrices and empty blocks; a kept monomial with an
     exponent out of its packed field raises the product's ValueError."""
-    guard, out = _packing(ring)[1], {}
+    guard, out = ring._guard, {}
     for ts, block in blocks.items():
         kept = {k: m for k, m in block.items() if any(map(any, m))}
         for k in kept:
@@ -268,14 +267,9 @@ def zero_correspondence(theory, source: TateMotive, target: TateMotive, degree: 
 
 
 def identity_correspondence(theory, motive: TateMotive) -> Correspondence:
-    one = _packing(theory.ring)[0]  # the key of the empty monomial
-    blocks = {(t, t): {one: _eye(m)} for t, m in motive.histogram}
+    blocks = {(t, t): {theory.ring._unit: [[int(r == c) for c in range(m)] for r in range(m)]}
+              for t, m in motive.histogram}
     return _make(theory, motive, motive, 0, blocks)
-
-
-def _eye(n: int) -> list:
-    """The n x n identity matrix."""
-    return [[int(r == c) for c in range(n)] for r in range(n)]
 
 
 def _matmul_into(block, key, a, b):
@@ -306,7 +300,7 @@ def compose(alpha: Correspondence, beta: Correspondence) -> Correspondence:
     if beta.target is not alpha.source and beta.target != alpha.source:
         raise ValueError(f"shapes do not compose: {beta.target.histogram} then {alpha.source.histogram}")
     ring = alpha.theory.ring
-    bias, bound, degree = _packing(ring)[0], ring.truncation, alpha.degree + beta.degree
+    bias, bound, degree = ring._unit, ring.truncation, alpha.degree + beta.degree
     after, out = {}, {}  # beta's blocks by their target twist; the product's blocks
     for (u, s), b in beta.blocks.items():
         after.setdefault(u, []).append((s, b))
@@ -343,7 +337,7 @@ def tensor_product(alpha: Correspondence, beta: Correspondence) -> Correspondenc
     if alpha.theory is not beta.theory and alpha.theory != beta.theory:
         raise RingMismatchError("morphisms over different theories")
     ring = alpha.theory.ring
-    bias, bound, degree = _packing(ring)[0], ring.truncation, alpha.degree + beta.degree
+    bias, bound, degree = ring._unit, ring.truncation, alpha.degree + beta.degree
     source, col_at = _pair_sums(alpha.source, beta.source)
     endo = alpha.target == alpha.source and beta.target == beta.source
     target, row_at = (source, col_at) if endo else _pair_sums(alpha.target, beta.target)
@@ -457,7 +451,7 @@ def _has_laurent_unit(ring) -> bool:
 def _unit_key(ring, degree: int):
     """The packed key of the unique unit monomial of a given degree, or None."""
     if not degree:
-        return _packing(ring)[0]  # the key of the empty monomial
+        return ring._unit  # the key of the empty monomial
     units = [g for g in ring.generators if g.invertible]
     if len(units) != 1 or degree % units[0].degree:
         return None

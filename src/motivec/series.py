@@ -35,7 +35,7 @@ class TruncatedSeries(Frozen):
 
     __slots__ = ("ring", "variables", "order", "terms")
 
-    def __init__(self, ring: RingDescriptor, variables, order: int, mapping):
+    def __new__(cls, ring: RingDescriptor, variables, order: int, mapping):
         if order < 0:
             raise ValueError("order must be >= 0")
         variables = tuple(variables)
@@ -59,7 +59,7 @@ class TruncatedSeries(Frozen):
                 terms.pop(expo, None)
             else:
                 terms[expo] = coeff
-        self._fill(ring, variables, order, terms)
+        return cls._new(ring, variables, order, terms)
 
     @classmethod
     def from_terms(cls, ring: RingDescriptor, variables, order: int, mapping) -> "TruncatedSeries":
@@ -72,14 +72,14 @@ class TruncatedSeries(Frozen):
     @classmethod
     def constant(cls, value: GradedRingElement, variables, order) -> "TruncatedSeries":
         zero_expo = (0,) * len(tuple(variables))
-        return cls.from_terms(value.ring, variables, order, {zero_expo: value})
+        return cls(value.ring, variables, order, {zero_expo: value})
 
     @classmethod
     def variable(cls, ring, variables, symbol, order) -> "TruncatedSeries":
         variables = tuple(variables)
         idx = variables.index(symbol)
         expo = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls.from_terms(ring, variables, order, {expo: GradedRingElement.one(ring)})
+        return cls(ring, variables, order, {expo: GradedRingElement.one(ring)})
 
     # -- structure queries -------------------------------------------------
 
@@ -101,12 +101,8 @@ class TruncatedSeries(Frozen):
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.variables == other.variables
-            and self.order == other.order
-            and self.terms == other.terms
-        )
+        return ((self.ring, self.variables, self.order, self.terms)
+                == (other.ring, other.variables, other.order, other.terms))
 
     def __hash__(self):
         return hash((self.ring, self.variables, self.order, frozenset(self.terms)))
@@ -295,7 +291,7 @@ class TruncatedSeries(Frozen):
             if e + 1 > self.order:
                 continue
             terms[(e + 1,)] = c * Fraction(1, e + 1)
-        return TruncatedSeries.from_terms(self.ring, self.variables, self.order, terms)
+        return TruncatedSeries(self.ring, self.variables, self.order, terms)
 
     def reversion(self) -> "TruncatedSeries":
         """The compositional inverse of x + (higher order)."""

@@ -133,7 +133,7 @@ class Cellular(SpaceExpr):
 
     __slots__ = ("cells", "name", "expr_form", "_dim", "_hash")
 
-    def __init__(self, cells, name: str | None = None, expr_form: str | None = None):
+    def __new__(cls, cells, name: str | None = None, expr_form: str | None = None):
         cells = tuple(cells)
         if not cells:
             raise ValueError("a cellular space needs at least one cell")
@@ -149,7 +149,7 @@ class Cellular(SpaceExpr):
             values = [c.codim + c.rank + c.base._dim for c in cells]
             dim = values[0] if len(set(values)) == 1 else EquidimensionalityViolation(
                 f"cells of {name or 'space'} give dimensions {values}")
-        self._fill(cells, name, expr_form, dim, hash(cells))
+        return cls._new(cells, name, expr_form, dim, hash(cells))
 
     def parts(self) -> tuple[SpaceExpr, ...]:
         return tuple(c.base for c in self.cells)
@@ -164,12 +164,12 @@ class DisjointUnion(SpaceExpr):
 
     __slots__ = ("left", "right", "_dim", "_hash")
 
-    def __init__(self, left: SpaceExpr, right: SpaceExpr):
+    def __new__(cls, left: SpaceExpr, right: SpaceExpr):
         dim = _violation((left, right))
         if dim is None:
             dim = left._dim if left._dim == right._dim else EquidimensionalityViolation(
                 f"union components have dimensions {left._dim} and {right._dim}")
-        self._fill(left, right, dim, hash((left, right)))
+        return cls._new(left, right, dim, hash((left, right)))
 
     def parts(self) -> tuple[SpaceExpr, ...]:
         return (self.left, self.right)

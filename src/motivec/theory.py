@@ -54,8 +54,8 @@ class OrientedTheory(Frozen):
 
     __slots__ = ("name", "ring", "order", "build", "_law")
 
-    def __init__(self, name: str, ring: RingDescriptor, order: int, build):
-        self._fill(name, ring, order, build, None)
+    def __new__(cls, name: str, ring: RingDescriptor, order: int, build):
+        return cls._new(name, ring, order, build, None)
 
     @property
     def law(self):
@@ -69,14 +69,10 @@ class OrientedTheory(Frozen):
     def __eq__(self, other):
         if not isinstance(other, OrientedTheory):
             return NotImplemented
-        return (
-            self.name == other.name
-            and self.ring == other.ring
-            and self.order == other.order
-        )
+        return (self.name, self.ring, self.order) == (other.name, other.ring, other.order)
 
     def __hash__(self):
-        return hash((self.name, self.order))  # the ring, hashed field by field, is slow
+        return hash((self.name, self.order))  # equal theories agree on these
 
     def __repr__(self):
         return f"<theory {self.name}>"
@@ -147,7 +143,7 @@ class ProjectiveSpaceElement(Frozen):
 
     __slots__ = ("theory", "m", "series")
 
-    def __init__(self, theory: OrientedTheory, m: int, coords):
+    def __new__(cls, theory: OrientedTheory, m: int, coords):
         from . import series  # loaded by the first element, never by a CLI answer
 
         coords, ring = tuple(coords), theory.ring
@@ -161,7 +157,7 @@ class ProjectiveSpaceElement(Frozen):
                 raise RingMismatchError("coordinate over the wrong coefficient ring")
             if a._mono:
                 terms[(i,)] = a
-        self._fill(theory, m, series._series(ring, ("t",), m, terms))
+        return cls._new(theory, m, series._series(ring, ("t",), m, terms))
 
     def _with(self, series) -> "ProjectiveSpaceElement":
         """The element of the same P^m with the given series in t."""

@@ -17,7 +17,6 @@ from motivec.gring import CHOW_RING, GradedRingElement, RingMismatchError, rando
 from motivec.motives import (
     TateMotive,
     _make,
-    _packing,
     _pair_sums,
     decompose_by_rank,
     projective_bundle_projectors,
@@ -169,7 +168,7 @@ def ref_projectors(theory, base, rank):
     """The projectors placed by hand: on the twist sums of (0, ..., rank-1)
     and the base, projector i is 1 on the window of the i-shifted copy."""
     total, start = _pair_sums(TateMotive(range(rank)), base)
-    size, one = dict(total.histogram), _packing(theory.ring)[0]
+    size, one = dict(total.histogram), theory.ring._unit
 
     def window(n, places):
         return [[int(r == c and r in places) for c in range(n)] for r in range(n)]
