@@ -54,6 +54,7 @@ than a check builds a group law.
 from __future__ import annotations
 
 import gc
+import io
 import os
 import sys
 from collections import namedtuple
@@ -97,17 +98,25 @@ class RunConfig(namedtuple("RunConfig", "space theory mode format file truncatio
         return super().__new__(cls, space, theory, mode, format, file, truncation)
 
 
+class _CountingReader(io.BufferedReader):
+    """Counts the bytes its `read1`, the text decoder's one read, has handed out."""
+    given = 0
+
+    def read1(self, size=-1):
+        data = super().read1(size)
+        self.given += len(data)
+        return data
+
+
 def resolve_space(config: RunConfig) -> SpaceExpr:
     if config.file is not None:
         from .dsl import parse_document
 
-        with open(config.file, "r", encoding="utf-8") as handle:
+        with io.TextIOWrapper(_CountingReader(io.FileIO(config.file)), "utf-8") as handle:
             try:
                 documents = parse_document(handle)  # read as it is lexed
             except UnicodeDecodeError as exc:  # its positions count from the decoder's buffer
-                if not handle.seekable():  # a pipe has no offset to name
-                    raise
-                at = handle.buffer.tell() - len(exc.object) + exc.start  # from the file's start
+                at = handle.buffer.given - len(exc.object) + exc.start  # from the file's start
                 what = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if exc.end == exc.start + 1
                         else f"bytes in position {at}-{at + exc.end - exc.start - 1}")
                 raise ValueError(f"'{exc.encoding}' codec can't decode {what}: {exc.reason}") from None

@@ -8,11 +8,11 @@ from monomials to nonzero scalars; all arithmetic is exact.
 Each monomial is packed into one int, EXPONENT_BITS bits per generator
 (Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
 packed exponent vectors", CASC 2007), so multiplying two monomials is one
-int addition.  A ring is built with its packing and an empty cache of the
-degree of each key met (see `RingDescriptor`).  The top bit of each field
-is a guard: a product that takes an exponent out of its field sets it, and
-raises one ValueError line.  An exponent lies in [0, 2^31), or in
-[-2^30, 2^30) for an invertible generator.  The public
+int addition and a key's degree a linear function of its fields.  A ring is
+built whole with its packing (see `RingDescriptor`) and never changes.  The
+top bit of each field is a guard: a product that takes an exponent out of
+its field sets it, and raises one ValueError line.  An exponent lies in
+[0, 2^31), or in [-2^30, 2^30) for an invertible generator.  The public
 `terms` map, keyed by exponent tuples, is a read-only view built on each
 read; the package's own code never builds it.
 
@@ -27,8 +27,8 @@ first rational scalar, and a Fraction test reads ``sys.modules`` instead.
 `Frozen` is the one base of the package's immutable values, in every
 module: it refuses assignment and deletion, and `Frozen._new` is the one
 builder, which a class's `__new__` calls once it has checked its
-arguments.  The one unrolled builder is `_element`, with its copy in
-`__mul__`, the products' hot path.  No package class defines
+arguments.  The one unrolled builder is `_element`, through which
+`__mul__`, the products' hot path, builds.  No package class defines
 `__getattr__`, so CPython specializes every slot read.
 
 `parse_element` reads its text with `motivec.dsl.Tokens`, imported on the
@@ -83,7 +83,6 @@ class Generator(namedtuple("Generator", "symbol degree invertible", defaults=(Fa
 
 
 EXPONENT_BITS = 32  # width of one packed exponent field, its guard bit included
-MAX_DEGREE_CACHE = 1 << 16  # degrees cached per ring; the cache empties past it
 _FIELD_MASK = (1 << EXPONENT_BITS) - 1
 _GUARD_BIT = 1 << (EXPONENT_BITS - 1)
 _LAURENT_OFFSET = 1 << (EXPONENT_BITS - 2)  # the bias of an invertible generator's field
@@ -98,11 +97,10 @@ class RingDescriptor(Frozen):
     invertible and else 0.  `_unit` is the empty monomial's key, so two
     monomials multiply to k1 + k2 - _unit, and `_guard` masks the top bit
     of each field, which such a sum sets in a field it takes out of range.
-    `_degree_of` caches the degree of each key met.
     """
 
     __slots__ = ("name", "generators", "field", "truncation",
-                 "_hash", "_unit", "_guard", "_offsets", "_degree_of")
+                 "_hash", "_unit", "_guard", "_offsets")
 
     def __new__(cls, name, generators, field, truncation=None):
         symbols = [g.symbol for g in generators]
@@ -117,7 +115,7 @@ class RingDescriptor(Frozen):
                         hash((name, generators, field, truncation)),
                         sum(o << (EXPONENT_BITS * i) for i, o in enumerate(offsets)),
                         sum(_GUARD_BIT << (EXPONENT_BITS * i) for i in range(len(offsets))),
-                        offsets, {})
+                        offsets)
 
     def _fields(self) -> tuple:
         return self.name, self.generators, self.field, self.truncation
@@ -130,7 +128,7 @@ class RingDescriptor(Frozen):
     def __hash__(self):
         return self._hash
 
-    def __reduce__(self):  # copy and pickle build the ring anew, with its own degree cache
+    def __reduce__(self):  # built anew on copy and unpickling: `_hash` is from per-process str hashes
         return RingDescriptor, self._fields()
 
     def __repr__(self):
@@ -215,16 +213,8 @@ def _decode(key: int, ring: RingDescriptor) -> tuple:
 
 
 def _key_degrees(ring: RingDescriptor, keys) -> list:
-    """The degree of each packed key, through the ring's degree cache."""
-    cache, out = ring._degree_of, []
-    for k in keys:
-        d = cache.get(k)
-        if d is None:
-            if len(cache) >= MAX_DEGREE_CACHE:
-                cache.clear()
-            d = cache[k] = ring.monomial_degree(_decode(k, ring))
-        out.append(d)
-    return out
+    """The degree of each packed key."""
+    return [ring.monomial_degree(_decode(k, ring)) for k in keys]
 
 
 def _overflow_error(ring: RingDescriptor, key: int) -> ValueError:
@@ -452,11 +442,7 @@ class GradedRingElement(Frozen):
         for mono in out:
             if mono & guard:
                 raise _overflow_error(ring, mono)
-        elem = _alloc(GradedRingElement)
-        _set_ring(elem, ring)
-        _set_mono(elem, out)
-        _set_degs(elem, degs)
-        return elem
+        return _element(ring, out, degs)
 
     __rmul__ = __mul__
 
@@ -540,14 +526,13 @@ def convert_element(elem: GradedRingElement, ring: RingDescriptor) -> GradedRing
         raise RingMismatchError(
             f"generator mismatch between {elem.ring.name!r} and {ring.name!r}"
         )
-    # the same generators pack the same way
-    bound = ring.truncation
-    mono = {}
-    for (m, c), d in zip(elem._mono.items(), _key_degrees(ring, elem._mono)):
-        c = _normalize_scalar(c, ring.field)
-        if c != 0 and (bound is None or abs(d) <= bound):
-            mono[m] = c
-    return _element(ring, mono, elem._degs if len(mono) == len(elem._mono) else None)
+    # the same generators pack the same way; scalars are checked before any degree is read
+    mono = {m: _normalize_scalar(c, ring.field) for m, c in elem._mono.items()}
+    bound, degs = ring.truncation, elem._degs
+    if bound is not None and (degs is None or any(abs(d) > bound for d in degs)):
+        mono = {m: c for (m, c), d in zip(mono.items(), _key_degrees(ring, mono)) if abs(d) <= bound}
+        degs = None
+    return _element(ring, mono, degs)
 
 
 def substitute_generators(

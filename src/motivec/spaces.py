@@ -8,10 +8,10 @@ structural and ignores display names.
 
 Spaces are immutable DAGs whose sub-spaces are often shared (the
 Grassmannian recursion, references in the text format).  A node is given
-its dimension and hash when it is built, from those of its parts.  Every
-walk over them (equality, :func:`normalize`, printing, folding) goes
-through :func:`walk_dag`, which visits each shared node once and keeps
-its own stack, so deep chains do not hit the recursion limit.  The
+its dimension and hash when it is built, from those of its parts.  No walk
+recurses: :func:`normalize`, printing and folding go through :func:`walk_dag`,
+which visits each shared node once; `SpaceExpr.__eq__` compares each node
+pair once and the printer writes a union's text, each on its own stack.  The
 built-in families count their cells first and refuse more than MAX_CELLS.
 """
 

@@ -1,6 +1,6 @@
-"""The bounds of the packed-monomial kernel: each ring's degree cache
-empties past its size and keeps every answer, and a morphism product
-whose exponent leaves its packed field is refused."""
+"""The bounds of the packed-monomial kernel: truncated products are the
+same in rings built apart, and a morphism product whose exponent leaves
+its packed field is refused."""
 
 import random
 
@@ -32,14 +32,10 @@ def _truncated_products(ring):
     return out
 
 
-def test_degree_cache_empties_past_its_bound_and_keeps_degrees(monkeypatch):
+def test_truncated_products_in_rings_built_apart_keep_degrees():
     generators = gring.universal_ring(5).generators
     expected = _truncated_products(RingDescriptor("u", generators, "Q", 5))
-    monkeypatch.setattr(gring, "MAX_DEGREE_CACHE", 4)
-    ring = RingDescriptor("u", generators, "Q", 5)  # a new ring, so a new degree cache
-    assert _truncated_products(ring) == expected
-    assert len(ring._degree_of) <= 4
-    assert len({m for p, _ in expected for m in p._mono}) > 4  # so the cache emptied
+    assert _truncated_products(RingDescriptor("u", generators, "Q", 5)) == expected
 
 
 def test_compose_refuses_a_product_exponent_out_of_its_field():
