@@ -140,13 +140,8 @@ def exponential(law: FormalGroupLaw) -> TruncatedSeries:
 
 def formal_inverse(law: FormalGroupLaw) -> TruncatedSeries:
     """The series i(x) with F(x, i(x)) = 0, over the law's own ring."""
-    ring = law.ring
-
-    def defect(s, k):  # F(x, s) at order k
-        images = {"x": TruncatedSeries.variable(ring, ("x",), "x", k), "y": s}
-        return law.series.truncated(k).substitute_many(images)
-
-    return solve_by_order(-TruncatedSeries.variable(ring, ("x",), "x", law.order), defect)
+    start = -TruncatedSeries.variable(law.ring, ("x",), "x", law.order)
+    return solve_by_order(start, law.series.terms)
 
 
 def projective_space_class(law: FormalGroupLaw, n: int) -> GradedRingElement:

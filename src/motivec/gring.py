@@ -25,10 +25,13 @@ Integral arithmetic never loads :mod:`fractions`: it is imported on the
 first rational scalar, and a Fraction test reads ``sys.modules`` instead.
 
 `Frozen` is the one base of the package's immutable values, in every
-module: it refuses assignment and deletion, and `Frozen._new` is the one
-builder, which a class's `__new__` calls once it has checked its
-arguments.  The one unrolled builder is `_element`, through which
-`__mul__`, the products' hot path, builds.  No package class defines
+module: it refuses assignment and deletion, `copy` and `deepcopy` return
+the value itself, and `Frozen._new` is the generic builder, which a
+class's `__new__` calls once it has checked its arguments.  The hot paths
+build through unrolled builders, which allocate with `_alloc` and call
+each slot's setter once: `_element` here, through which `__mul__`
+builds, and `TateMotive._of` and `_make` in `motives`, through which the
+block operations build motives and morphisms.  No package class defines
 `__getattr__`, so CPython specializes every slot read.
 
 `parse_element` reads its text with `motivec.dsl.Tokens`, imported on the
@@ -57,7 +60,8 @@ class Frozen:
     in order, and any other assignment or deletion raises AttributeError.
     A class checks its arguments in `__new__` and returns `cls._new(...)`;
     none defines `__init__`.  A value built on first read is a property
-    that keeps it in its own slot, filled with None until then."""
+    that keeps it in its own slot, filled with None until then.  `copy`
+    and `deepcopy` return the value itself, as for a tuple."""
 
     __slots__ = ()
 
@@ -68,6 +72,12 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     @classmethod
     def _new(cls, *values):
@@ -128,7 +138,7 @@ class RingDescriptor(Frozen):
     def __hash__(self):
         return self._hash
 
-    def __reduce__(self):  # built anew on copy and unpickling: `_hash` is from per-process str hashes
+    def __reduce__(self):  # built anew on unpickling: `_hash` is from per-process str hashes
         return RingDescriptor, self._fields()
 
     def __repr__(self):
@@ -744,17 +754,25 @@ def parse_element(ring: RingDescriptor, text: str) -> GradedRingElement:
 
 def random_homogeneous(rng, ring: RingDescriptor, degree: int) -> GradedRingElement:
     """A random element concentrated in one degree (possibly zero)."""
+    terms = _random_terms(rng, ring, degree)
+    return _element(ring, terms, (degree,) if terms else ())
+
+
+def _random_terms(rng, ring: RingDescriptor, degree: int) -> dict:
+    """The packed terms of `random_homogeneous(rng, ring, degree)`: a scalar
+    in [-3, 3] per basis monomial, over Q divided by one in [1, 3]."""
     try:
         basis = _component_keys(ring, degree)
     except TruncationError:
-        return GradedRingElement.zero(ring)
-    from fractions import Fraction
-
-    terms = {}
+        return {}
+    rational, terms = ring.field != "Z", {}
+    if rational:
+        from fractions import Fraction
     for key in basis:
-        c = rng.randint(-3, 3)
+        c = rng.randrange(-3, 4)  # the draw of randint(-3, 3), without its call
         if c:
-            if ring.field != "Z":
-                c = _normalize_scalar(Fraction(c, rng.randint(1, 3)), ring.field)
+            if rational:  # c / d, an int where d divides c
+                d = rng.randrange(1, 4)
+                c = Fraction(c, d) if c % d else c // d
             terms[key] = c
-    return _element(ring, terms, (degree,) if terms else ())
+    return terms

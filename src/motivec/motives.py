@@ -30,6 +30,7 @@ from .gring import (
     GradedRingElement,
     ModuleDescription,
     RingMismatchError,
+    _alloc,
     _element,
     _encode,
     _normalize_scalar,
@@ -80,7 +81,10 @@ class TateMotive(Frozen):
         """Wrap a histogram that is already sorted, merged and positive."""
         if histogram and histogram[0][0] < 0:
             raise ValueError(f"negative twist {histogram[0][0]}")
-        return cls._new(histogram, sum(m for _, m in histogram))
+        motive = _alloc(cls)
+        _set_histogram(motive, histogram)
+        _set_size(motive, sum(m for _, m in histogram))
+        return motive
 
     @property
     def twists(self) -> tuple:
@@ -119,6 +123,9 @@ class TateMotive(Frozen):
 
     def as_json(self) -> list[int]:
         return list(self.twists)
+
+
+_set_histogram, _set_size = TateMotive._setters
 
 
 def require_listable(*motives: TateMotive) -> None:
@@ -223,11 +230,20 @@ class Correspondence(Frozen):
         return compose(self, other)
 
 
+_set_theory, _set_source, _set_target, _set_degree, _set_blocks = Correspondence._setters
+
+
 def _make(theory, source: TateMotive, target: TateMotive, degree: int, blocks) -> Correspondence:
     """A morphism holding blocks that already lie in their components."""
     if source.size and target.size and max(source.size, target.size) > MAX_TWISTS:
         require_listable(source, target)
-    return Correspondence._new(theory, source, target, degree, blocks)
+    corr = _alloc(Correspondence)
+    _set_theory(corr, theory)
+    _set_source(corr, source)
+    _set_target(corr, target)
+    _set_degree(corr, degree)
+    _set_blocks(corr, blocks)
+    return corr
 
 
 def _spans(motive: TateMotive) -> dict[int, range]:
@@ -246,6 +262,17 @@ def _block_element(ring, block, r: int, c: int, degree: int) -> GradedRingElemen
     """The ring element at (r, c) of a twist block whose component has the given degree."""
     terms = {k: m[r][c] for k, m in block.items() if m[r][c]}
     return _element(ring, terms, (degree,)) if terms else GradedRingElement.zero(ring)
+
+
+def _guarded(ring, blocks) -> dict:
+    """The blocks, once no monomial has an exponent out of its packed field;
+    one that has raises the product's ValueError."""
+    guard = ring._guard
+    for block in blocks.values():
+        for k in block:
+            if k & guard:
+                raise _overflow_error(ring, k)
+    return blocks
 
 
 def _pruned(ring, blocks) -> dict:
@@ -341,16 +368,20 @@ def tensor_product(alpha: Correspondence, beta: Correspondence) -> Correspondenc
     source, col_at = _pair_sums(alpha.source, beta.source)
     endo = alpha.target == alpha.source and beta.target == beta.source
     target, row_at = (source, col_at) if endo else _pair_sums(alpha.target, beta.target)
-    height, width, out = dict(target.histogram), dict(source.histogram), {}
+    height, width, out, single = dict(target.histogram), dict(source.histogram), {}, True
     for (t1, s1), a in alpha.blocks.items():
         for (t2, s2), b in beta.blocks.items():
             t, s = t1 + t2, s1 + s2
             if bound is None or abs(degree + s - t) <= bound:
                 block, r, c = out.setdefault((t, s), {}), row_at[t1, t2], col_at[s1, s2]
+                single = single and len(a) == 1 and len(b) == 1
                 for ka, ma in a.items():
                     for kb, mb in b.items():
                         _kron_into(block, ka + kb - bias, ma, mb, r, c, height[t], width[s])
-    return _make(alpha.theory, source, target, degree, _pruned(ring, out))
+    # one monomial per factor block puts one nonzero Kronecker product in each
+    # window: nothing cancels, so only the keys are checked
+    return _make(alpha.theory, source, target, degree,
+                 _guarded(ring, out) if single else _pruned(ring, out))
 
 
 def _pair_sums(m1: TateMotive, m2: TateMotive):

@@ -22,7 +22,7 @@ from .fgl import (
     universal_law,
     universal_log,
 )
-from .gring import GradedRingElement, random_homogeneous
+from .gring import GradedRingElement, _random_terms, random_homogeneous
 from .motives import (
     Correspondence,
     TateMotive,
@@ -69,7 +69,7 @@ def random_correspondence(rng, theory, source, target, degree) -> Correspondence
     for t, height in target.histogram:
         for r, (s, width) in product(range(height), source.histogram):
             for c in range(width):
-                for k, v in random_homogeneous(rng, ring, degree + s - t)._mono.items():
+                for k, v in _random_terms(rng, ring, degree + s - t).items():
                     block = blocks.setdefault((t, s), {})
                     m = block.get(k) or block.setdefault(k, [[0] * width for _ in range(height)])
                     m[r][c] = v

@@ -4,23 +4,36 @@ Variables all sit in degree +1; coefficients are exact ring elements.
 Terms beyond a fixed total variable degree are dropped everywhere, so all
 operations are exact statements about the quotient by that order.
 
+The product is one fused kernel (`_mul_into`, after Monagan & Pearce's
+accumulation into packed terms, cited in `gring`): for each output
+exponent it sums the packed ring terms of every coefficient pair into one
+dict, keyed k1 + k2 - `ring._unit`, and builds one element at the end.  A
+pair is kept or dropped once, by the factors' total exponents and the
+coefficients' carried degrees; a pair with a coefficient that is not
+homogeneous is the ring product `c1 * c2`.  Only kept keys are checked for
+an exponent out of its packed field.
+
 Substitution is Horner-like: terms are grouped by the exponent of the
-variable whose image has the most terms, and each group is multiplied by
-one power of that image.  Reversion and the formal inverse share one
-order-by-order solver, :func:`solve_by_order`: step k reads one new
-coefficient, so it composes at order k only.
+variable whose image has the most terms, each group is summed in place and
+multiplied by one power of that image, and each power is built only to the
+order its groups need.  Reversion and the formal inverse share one
+order-by-order solver, :func:`solve_by_order`: step k reads the x^k
+coefficient of each power of the series from a table, one new coefficient
+per power and step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 
 from .gring import (
     Frozen,
     GradedRingElement,
     RingDescriptor,
     RingMismatchError,
+    _element,
+    _overflow_error,
     _power_product,
     render_element,
 )
@@ -145,35 +158,21 @@ class TruncatedSeries(Frozen):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        order = self.order
-        right = [(e2, c2, sum(e2)) for e2, c2 in other.terms.items()]
         acc: dict = {}
-        for e1, c1 in self.terms.items():
-            room = order - sum(e1)
-            for e2, c2, d2 in right:
-                if d2 > room:
-                    continue
-                expo = tuple(map(add, e1, e2))
-                c = c1 * c2
-                prev = acc.get(expo)
-                c = c if prev is None else prev + c
-                if c._mono:
-                    acc[expo] = c
-                else:
-                    acc.pop(expo, None)
-        return _series(self.ring, self.variables, self.order, acc)
+        _mul_into(acc, self.ring, self.order, _factor(self.terms), _factor(other.terms))
+        return _collect(self.ring, self.variables, self.order, acc)
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "TruncatedSeries":
         if not isinstance(value, GradedRingElement):
             value = GradedRingElement.scalar(self.ring, value)
-        terms = {}
-        for e, c in self.terms.items():
-            p = c * value
-            if p._mono:
-                terms[e] = p
-        return _series(self.ring, self.variables, self.order, terms)
+        elif value.ring is not self.ring and self.terms:  # refused as a coefficient product is
+            next(iter(self.terms.values()))._check_ring(value)
+        acc: dict = {}
+        constant = {(0,) * len(self.variables): value}
+        _mul_into(acc, self.ring, self.order, _factor(self.terms), _factor(constant))
+        return _collect(self.ring, self.variables, self.order, acc)
 
     # -- substitution --------------------------------------------------------
 
@@ -208,21 +207,36 @@ class TruncatedSeries(Frozen):
             return cache[n]
 
         # Horner-like in the variable whose image has the most terms (the
-        # first on ties): sum each group's inner series, then multiply it by
-        # one power of that image
+        # first on ties): sum each group's inner series in place, then add its
+        # product by one power of that image into the result.  Group n needs
+        # power n only up to the order less its lowest total exponent, and
+        # power n + 1 needs power n one exponent lower than itself, since the
+        # image has no constant term: each power is built to that order only
         h = max(range(len(picked)), key=lambda i: (len(picked[i].terms), -i))
-        groups: dict = {}
+        ring, groups = self.ring, {}
         for expo, coeff in self.terms.items():
             rest = one
             for i, e in enumerate(expo):
                 if e and i != h:
                     rest = power_of(i, e) if rest is one else rest * power_of(i, e)
-            piece = rest.scale(coeff)
-            groups[expo[h]] = groups[expo[h]] + piece if expo[h] in groups else piece
-        out = TruncatedSeries.zero(self.ring, variables, order)
-        for eh, inner in groups.items():
-            out = out + (inner * power_of(h, eh) if eh else inner)
-        return out
+            _mul_into(groups.setdefault(expo[h], {}), ring, order, _factor(rest.terms),
+                      _factor({(0,) * len(variables): coeff}))
+        inner = {n: _factor(_collect(ring, variables, order, g).terms) for n, g in groups.items()}
+        top = max(inner, default=0)
+        limits, limit = [order] * (top + 1), -1  # the order power n is built to
+        for n in range(top, 0, -1):
+            if inner.get(n):  # a factor lists its lowest total exponent first
+                limit = max(limit, order - inner[n][0][1])
+            limits[n], limit = limit, limit - 1
+        image, power, out = _factor(picked[h].terms), _factor(one.terms), {}
+        for n in range(top + 1):
+            if n:
+                acc: dict = {}
+                _mul_into(acc, ring, limits[n], power, image)
+                power = _factor(_collect(ring, variables, order, acc).terms)
+            if inner.get(n):
+                _mul_into(out, ring, order, inner[n], power)
+        return _collect(ring, variables, order, out)
 
     def substitute(self, symbol: str, image: "TruncatedSeries") -> "TruncatedSeries":
         """Replace one variable; remaining variables map to themselves.
@@ -301,9 +315,8 @@ class TruncatedSeries(Frozen):
             raise ValueError("reversion requires zero constant term")
         if self.coefficient((1,)) != one:
             raise ValueError("reversion requires linear coefficient 1 (non-unit linear coefficient)")
-        var = self.variables[0]
-        x = TruncatedSeries.variable(self.ring, self.variables, var, self.order)
-        return solve_by_order(x, lambda s, k: self.truncated(k).substitute(var, s))
+        x = TruncatedSeries.variable(self.ring, self.variables, self.variables[0], self.order)
+        return solve_by_order(x, {(0, e): c for (e,), c in self.terms.items()})
 
     # -- rendering ----------------------------------------------------------------
 
@@ -317,16 +330,100 @@ class TruncatedSeries(Frozen):
 _series = TruncatedSeries._new  # a series from checked parts, without copying or checks
 
 
-def solve_by_order(start: TruncatedSeries, composite) -> TruncatedSeries:
-    """Correct a univariate series term by term: step k = 2..order
-    subtracts the x^k coefficient of composite(s, k), a series of order k
-    built from s, the series so far, truncated to order k."""
-    s = start
-    for k in range(2, start.order + 1):
-        c = composite(s.truncated(k), k).coefficient((k,))
-        if not c.is_zero():
-            s = s - _series(s.ring, s.variables, s.order, {(k,): c})
-    return s
+# -- the fused product ---------------------------------------------------------
+
+
+_total = itemgetter(1)
+
+
+def _factor(terms: dict) -> list:
+    """(exponent, total exponent, packed terms, degree, coefficient) per
+    term of a series, in order of total exponent; the degree is None
+    unless the coefficient is nonzero and homogeneous."""
+    out = []
+    for e, c in terms.items():
+        ds = c._degs
+        if ds is None:
+            ds = c._degrees()
+        out.append((e, sum(e), c._mono, ds[0] if len(ds) == 1 else None, c))
+    out.sort(key=_total)
+    return out
+
+
+def _mul_into(acc: dict, ring: RingDescriptor, order: int, left: list, right: list) -> None:
+    """Add the product of two factors (see `_factor`) into `acc`, which maps
+    an exponent to [packed terms, degree or None]: each pair within `order`
+    sums its term products into its exponent's terms, with no element built.
+    A pair of homogeneous coefficients lies in one degree, dropped whole past
+    the ring's bound; any other pair is the ring product `c1 * c2`."""
+    bias, bound = ring._unit, ring.truncation
+    for e1, s1, m1, d1, c1 in left:
+        room = order - s1
+        for e2, s2, m2, d2, c2 in right:
+            if s2 > room:
+                break
+            if d1 is None or d2 is None:
+                d, merged = None, (c1 * c2)._mono
+            else:
+                d = d1 + d2
+                if bound is not None and (d > bound or -d > bound):
+                    continue
+            expo = tuple(map(add, e1, e2))
+            entry = acc.get(expo)
+            if entry is None:
+                entry = acc[expo] = [{}, d]
+            elif entry[1] != d:
+                entry[1] = None
+            terms = entry[0]
+            if d is None:
+                for k, v in merged.items():
+                    t = terms.get(k)
+                    terms[k] = v if t is None else t + v
+                continue
+            for k1, v1 in m1.items():
+                k1 -= bias
+                for k2, v2 in m2.items():
+                    k, v = k1 + k2, v1 * v2
+                    t = terms.get(k)
+                    terms[k] = v if t is None else t + v
+
+
+def _collect(ring: RingDescriptor, variables, order: int, acc: dict) -> TruncatedSeries:
+    """The series of the summed terms in `acc` (see `_mul_into`), less zero
+    terms; a kept key with an exponent out of its packed field raises the
+    ring product's ValueError."""
+    guard, terms = ring._guard, {}
+    for expo, (mono, d) in acc.items():
+        mono = {k: v for k, v in mono.items() if v}
+        if mono:
+            for k in mono:
+                if k & guard:
+                    raise _overflow_error(ring, k)
+            terms[expo] = _element(ring, mono, None if d is None else (d,))
+    return _series(ring, variables, order, terms)
+
+
+def solve_by_order(start: TruncatedSeries, outer: dict) -> TruncatedSeries:
+    """Correct a univariate series s term by term until G(x, s) has no x^k
+    term for k = 2..order, where G is the sum of outer[i, j] x^i y^j over
+    the keys (i, j) and has y-coefficient 1: step k subtracts the x^k
+    coefficient of G(x, s) from that of s.  That coefficient is read from
+    a table of the powers of s, one coefficient per step and power: s has
+    no constant term, so the x^k coefficient of s^j, j >= 2, involves only
+    the coefficients of s that the steps before have fixed, and x^i s^j
+    has no term below x^(i + j)."""
+    ring, order = start.ring, start.order
+    zero = GradedRingElement.zero(ring)
+    s = [start.coefficient((d,)) for d in range(order + 1)]
+    powers = [[GradedRingElement.one(ring)] + [zero] * order, s]  # [j][d]: x^d in s^j
+    for k in range(2, order + 1):
+        powers.append([zero] * (order + 1))
+        for j in range(2, k + 1):
+            below = powers[j - 1]
+            powers[j][k] = sum((s[a] * below[k - a] for a in range(1, k - j + 2)), zero)
+        c = sum((g * powers[j][k - i] for (i, j), g in outer.items() if i + j <= k), zero)
+        s[k] = s[k] - c
+    return _series(ring, start.variables, order, {(d,): c for d, c in enumerate(s) if c._mono})
 
 
 def render_series(s: TruncatedSeries) -> str:

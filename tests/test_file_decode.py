@@ -59,12 +59,15 @@ def test_each_refusal_is_the_whole_file_decoders(tmp_path, capsys, before, bad):
     assert refuse(tmp_path, capsys, data) == whole_file_error(data)
 
 
-def test_a_pipe_is_refused_without_an_offset():
-    """A pipe cannot say where its decoder's buffer starts: the decoder's
-    own text is kept, and the exit code is 1."""
+@pytest.mark.parametrize("data, position", [(b"\xff\n", 0), (b"# comment line\n\xff\n", 15)],
+                         ids=["first-byte", "after-a-comment"])
+def test_a_pipe_names_the_byte_by_its_offset(data, position):
+    """A pipe names an undecodable byte by its offset from the start of the
+    input, as a file does, and the exit code is 1."""
     src = os.path.dirname(os.path.dirname(dsl.__file__))
     proc = subprocess.run([sys.executable, "-m", "motivec.cli", "--file", "/dev/stdin", "--space", "s"],
-                          input=b"\xff\n", capture_output=True, timeout=30,
+                          input=data, capture_output=True, timeout=30,
                           env={**os.environ, "PYTHONPATH": src})
     assert (proc.returncode, proc.stdout) == (1, b"")
-    assert proc.stderr == b"motivec: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    assert proc.stderr == (f"motivec: 'utf-8' codec can't decode byte 0xff in position {position}: "
+                           "invalid start byte\n").encode()

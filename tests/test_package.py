@@ -102,8 +102,9 @@ def test_immutability_is_decided_in_one_base_class():
 
 
 def test_values_from_valid_parts_are_built_by_frozen_new():
-    """Only `gring` reads a class's `_setters` or calls `object.__new__`, for
-    its unrolled ring-element builders; every other module builds a value
+    """Only `gring` and `motives` read a class's `_setters` or call
+    `object.__new__` (through `gring._alloc`), for their unrolled builders of
+    ring elements, motives and morphisms; every other module builds a value
     from valid parts with `Frozen._new`."""
     import ast
 
@@ -116,4 +117,5 @@ def test_values_from_valid_parts_are_built_by_frozen_new():
                            and (node.attr == "_setters" or node.attr == "__new__"
                                 and isinstance(node.value, ast.Name) and node.value.id == "object")]
     assert hits.pop("gring")  # the check sees the kernel's own builders
+    assert hits.pop("motives")  # and the motive layer's
     assert {name: lines for name, lines in hits.items() if lines} == {}

@@ -1,6 +1,6 @@
 """The bounds of the packed-monomial kernel: truncated products are the
-same in rings built apart, and a morphism product whose exponent leaves
-its packed field is refused."""
+same in rings built apart, and a morphism product or tensor product whose
+exponent leaves its packed field is refused."""
 
 import random
 
@@ -8,8 +8,8 @@ import pytest
 
 from motivec import gring
 from motivec.gring import K0_RING, Generator, GradedRingElement, RingDescriptor, random_homogeneous
-from motivec.motives import Correspondence, TateMotive, compose
-from motivec.theory import k0
+from motivec.motives import Correspondence, TateMotive, compose, tensor_product
+from motivec.theory import OrientedTheory, k0
 
 
 def test_products_over_many_rings_keep_their_terms():
@@ -47,3 +47,24 @@ def test_compose_refuses_a_product_exponent_out_of_its_field():
     assert str(err.value) == (
         "a product exponent of b leaves the packed range [-1073741824, 1073741824)"
     )
+
+
+def test_tensor_product_refuses_a_product_exponent_out_of_its_field():
+    """With one monomial per block, where the tensor product skips the zero
+    scan, and with two, the Kronecker products' keys are checked alike."""
+    m = TateMotive((0,))
+    b = GradedRingElement.generator(K0_RING, "b", 2**30 - 1)
+    f = Correspondence(k0(), m, m, -(2**30 - 1), [[b]])
+    with pytest.raises(ValueError) as err:
+        tensor_product(f, f)
+    assert str(err.value) == (
+        "a product exponent of b leaves the packed range [-1073741824, 1073741824)"
+    )
+    free = RingDescriptor("free", (Generator("x", -1), Generator("y", -2)), "Z")
+    theory = OrientedTheory("free", free, 1, None)
+    x, y = (GradedRingElement.generator(free, s, p) for s, p in (("x", 2**30), ("y", 2**29)))
+    g = Correspondence(theory, m, m, -(2**30), [[x + y]])
+    assert len(g.blocks[0, 0]) == 2
+    with pytest.raises(ValueError) as err:
+        tensor_product(g, g)
+    assert str(err.value) == "a product exponent of x leaves the packed range [0, 2147483648)"

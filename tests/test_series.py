@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from motivec.gring import CHOW_RING, K0_RING, GradedRingElement, universal_ring
+from motivec.gring import CHOW_RING, K0_RING, GradedRingElement, RingMismatchError, universal_ring
 from motivec.series import SubstitutionError, TruncatedSeries, parse_series, render_series
 
 QQ = universal_ring(0)  # plain rationals, no generators
@@ -161,3 +161,14 @@ def test_constructor_checks_what_from_terms_checks():
     assert str(series) == "x + 3*x^2" and series.variables == ("x",)
     with pytest.raises(ValueError, match="^bad variable exponent vector"):
         TruncatedSeries(CHOW_RING, ("x",), 2, {(1, 1): one})
+
+
+def test_scaling_by_an_element_of_another_ring_is_refused():
+    x = TruncatedSeries.variable(K0_RING, ("x",), "x", 3)
+    zero = TruncatedSeries.zero(K0_RING, ("x",), 3)
+    for value in (GradedRingElement.one(CHOW_RING), GradedRingElement.generator(universal_ring(2), "m_1")):
+        for scaled in (lambda: x.scale(value), lambda: x * value):
+            with pytest.raises(RingMismatchError) as info:
+                scaled()
+            assert str(info.value) == f"cannot combine elements of 'k0' and '{value.ring.name}'"
+        assert zero.scale(value).is_zero()  # no coefficient meets it

@@ -25,6 +25,7 @@ from motivec.fgl import (
 from motivec.gring import GradedRingElement, random_homogeneous, universal_ring
 from motivec.series import SubstitutionError, TruncatedSeries
 from motivec.theory import chow, k0, universal
+from test_kernel_reference import random_element
 
 XY = ("x", "y")
 
@@ -176,3 +177,86 @@ def test_truncated_keeps_low_terms_and_refuses_to_widen():
     assert s.truncated(4) == s
     with pytest.raises(ValueError, match="cannot truncate"):
         s.truncated(5)
+
+
+# The fused product against the element-by-element one it replaced: each
+# pair of terms within the order multiplied as ring elements and added into
+# its exponent.  Coefficients are homogeneous or not (the fallback path),
+# over Chow, K0 with negative Laurent exponents and truncated universal rings
+# whose pairs cross the degree bound, in one to three variables.
+
+
+def ref_series_mul(a, b):
+    """Each pair's ring product `c1 * c2`, added into its exponent."""
+    acc = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            if sum(e1) + sum(e2) <= a.order:
+                expo = tuple(i + j for i, j in zip(e1, e2))
+                acc[expo] = acc[expo] + c1 * c2 if expo in acc else c1 * c2
+    return TruncatedSeries.from_terms(a.ring, a.variables, a.order, acc)
+
+
+def _mixed_coefficient(rng, ring, degree):
+    """Homogeneous of `degree`, or a sum of two degrees, or of random monomials."""
+    kind = rng.randrange(3)
+    if kind == 0 or not ring.generators:
+        return _random_coefficient(rng, ring, degree)
+    if kind == 1:
+        return random_homogeneous(rng, ring, degree) + random_homogeneous(rng, ring, degree - 1)
+    return random_element(rng, ring, -2, 3, terms=4)
+
+
+def _random_mixed_series(rng, ring, variables, order):
+    terms = {}
+    for _ in range(rng.randint(0, 7)):
+        expo = tuple(rng.randint(0, 3) for _ in variables)
+        terms[expo] = _mixed_coefficient(rng, ring, rng.randint(-4, 1))
+    return TruncatedSeries.from_terms(ring, variables, order, terms)
+
+
+def assert_same_with_degrees(got, want):
+    """Equal terms, and every carried degree tuple is the one its terms give."""
+    assert_same(got, want)
+    for coeff in got.terms.values():
+        assert coeff.degrees() == GradedRingElement.from_terms(got.ring, coeff.terms).degrees()
+
+
+@pytest.mark.parametrize("ring", [chow().ring, k0().ring, universal_ring(3), universal_ring(6)],
+                         ids=lambda r: r.name)
+@pytest.mark.parametrize("variables", [("x",), XY, ("x", "y", "z")], ids="".join)
+def test_fused_product_equals_the_element_product(ring, variables):
+    rng = random.Random(17)
+    for order in (0, 2, 4, 7):
+        for _ in range(12):
+            a = _random_mixed_series(rng, ring, variables, order)
+            b = _random_mixed_series(rng, ring, variables, order)
+            assert_same_with_degrees(a * b, ref_series_mul(a, b))
+            assert_same_with_degrees(a * a, ref_series_mul(a, a))
+            value = _mixed_coefficient(rng, ring, rng.randint(-3, 0))
+            constant = TruncatedSeries.constant(value, variables, order)
+            assert_same_with_degrees(a.scale(value), ref_series_mul(a, constant))
+
+
+def test_fused_product_drops_pairs_past_the_degree_bound():
+    ring = universal_ring(4)
+    m = [GradedRingElement.generator(ring, f"m_{i}") for i in range(1, 5)]
+    x = TruncatedSeries.variable(ring, ("x",), "x", 6)
+    deep = x.scale(m[3]) + (x * x).scale(m[2] + m[0] * m[1])  # degrees -4 and -3
+    mixed = x.scale(m[0] + 1) + (x * x).scale(m[1])  # degrees -1 and 0, then -2
+    for a, b in ((deep, deep), (deep, mixed), (mixed, deep), (mixed, mixed)):
+        assert_same_with_degrees(a * b, ref_series_mul(a, b))
+    assert (deep * deep).is_zero()
+
+
+def test_a_series_product_exponent_out_of_its_field_is_one_line():
+    half = 2 ** 30
+    b = GradedRingElement.generator(k0().ring, "b", half // 2)
+    x = TruncatedSeries.variable(k0().ring, ("x",), "x", 3)
+    with pytest.raises(ValueError) as ring_error:
+        b * b
+    for series in (x.scale(b), x.scale(b) + x * x):
+        with pytest.raises(ValueError) as info:
+            series * series
+        assert str(info.value) == str(ring_error.value)
+        assert "\n" not in str(info.value) and "packed range" in str(info.value)
