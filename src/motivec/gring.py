@@ -12,7 +12,11 @@ int addition and a key's degree a linear function of its fields.  A ring is
 built whole with its packing (see `RingDescriptor`) and never changes.  The
 top bit of each field is a guard: a product that takes an exponent out of
 its field sets it, and raises one ValueError line.  An exponent lies in
-[0, 2^31), or in [-2^30, 2^30) for an invertible generator.  The public
+[0, 2^31), or in [-2^30, 2^30) for an invertible generator.  Products of
+packed terms, of elements here and of series coefficients in `series`, go
+through one kernel, `_accumulate`, which sums the term products into a
+dict pair by pair; `_checked` raises the guard's line for a kept key, for
+those products and for the twist blocks of `motives`.  The public
 `terms` map, keyed by exponent tuples, is a read-only view built on each
 read; the package's own code never builds it.
 
@@ -227,10 +231,35 @@ def _key_degrees(ring: RingDescriptor, keys) -> list:
     return [ring.monomial_degree(_decode(k, ring)) for k in keys]
 
 
-def _overflow_error(ring: RingDescriptor, key: int) -> ValueError:
-    i = next(i for i in range(len(ring.generators))
-             if key >> (EXPONENT_BITS * i) & _GUARD_BIT)
-    return _exponent_error(ring, i)
+def _accumulate(acc: dict, left, right, bias: int) -> None:
+    """Add the product of every pair of packed terms, (k1, c1) of `left` and
+    (k2, c2) of `right`, into `acc` at k1 + k2 - bias, pair by pair in order:
+    a first product is stored as it is, never added to 0, and a key whose
+    running sum reaches 0 is dropped, so a later pair puts it back at the end."""
+    for k1, c1 in left:
+        k1 -= bias
+        for k2, c2 in right:
+            k = k1 + k2
+            t = acc.get(k)
+            if t is None:
+                acc[k] = c1 * c2
+            else:
+                t += c1 * c2
+                if t:
+                    acc[k] = t
+                else:
+                    del acc[k]
+
+
+def _checked(ring: RingDescriptor, keys):
+    """`keys`, packed monomials, once none has an exponent out of its field;
+    the first that has raises the product's one-line ValueError."""
+    guard = ring._guard
+    for key in keys:
+        if key & guard:
+            raise _exponent_error(ring, next(i for i in range(len(ring.generators))
+                                             if key >> (EXPONENT_BITS * i) & _GUARD_BIT))
+    return keys
 
 
 class GradedRingElement(Frozen):
@@ -421,38 +450,15 @@ class GradedRingElement(Frozen):
             if bound is not None and abs(d) > bound:
                 return _element(ring, {}, ())
             degs, bound = (d,), None
-        bias, guard = ring._unit, ring._guard
-        out = {}
-        if bound is None and (len(left) == 1 or len(right) == 1):
-            # one single-term factor shifts the other's keys, which stay distinct
-            if len(right) != 1:
-                left, right = right, left
-            ((m2, c2),) = right.items()
-            m2 -= bias
-            for m1, c1 in left.items():
-                out[m1 + m2] = c1 * c2
+        bias, out = ring._unit, {}
+        if bound is None:
+            _accumulate(out, left.items(), right.items(), bias)
         else:
-            right = [(m2 - bias, c2) for m2, c2 in right.items()]
-            if bound is not None:
-                # each term's degree once; pairs past the bound never build a key
-                rdegs = _key_degrees(ring, other._mono)
-                ldegs = iter(_key_degrees(ring, left))
-            for m1, c1 in left.items():
-                row = right
-                if bound is not None:
-                    d1 = next(ldegs)
-                    row = [t for t, d2 in zip(right, rdegs) if abs(d1 + d2) <= bound]
-                for m2, c2 in row:
-                    mono = m1 + m2
-                    s = out.get(mono, 0) + c1 * c2
-                    if s == 0:
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = s
-        for mono in out:
-            if mono & guard:
-                raise _overflow_error(ring, mono)
-        return _element(ring, out, degs)
+            # each term's degree once; pairs past the bound never build a key
+            right = list(zip(right.items(), _key_degrees(ring, right)))
+            for term, d1 in zip(left.items(), _key_degrees(ring, left)):
+                _accumulate(out, (term,), [t for t, d2 in right if abs(d1 + d2) <= bound], bias)
+        return _element(ring, _checked(ring, out), degs)
 
     __rmul__ = __mul__
 

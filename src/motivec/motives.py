@@ -31,10 +31,10 @@ from .gring import (
     ModuleDescription,
     RingMismatchError,
     _alloc,
+    _checked,
     _element,
     _encode,
     _normalize_scalar,
-    _overflow_error,
     check_enumerable,
     component_rank,
 )
@@ -264,26 +264,12 @@ def _block_element(ring, block, r: int, c: int, degree: int) -> GradedRingElemen
     return _element(ring, terms, (degree,)) if terms else GradedRingElement.zero(ring)
 
 
-def _guarded(ring, blocks) -> dict:
-    """The blocks, once no monomial has an exponent out of its packed field;
-    one that has raises the product's ValueError."""
-    guard = ring._guard
-    for block in blocks.values():
-        for k in block:
-            if k & guard:
-                raise _overflow_error(ring, k)
-    return blocks
-
-
 def _pruned(ring, blocks) -> dict:
     """The blocks less zero matrices and empty blocks; a kept monomial with an
     exponent out of its packed field raises the product's ValueError."""
-    guard, out = ring._guard, {}
+    out = {}
     for ts, block in blocks.items():
-        kept = {k: m for k, m in block.items() if any(map(any, m))}
-        for k in kept:
-            if k & guard:
-                raise _overflow_error(ring, k)
+        kept = _checked(ring, {k: m for k, m in block.items() if any(map(any, m))})
         if kept:
             out[ts] = kept
     return out
@@ -378,10 +364,9 @@ def tensor_product(alpha: Correspondence, beta: Correspondence) -> Correspondenc
                 for ka, ma in a.items():
                     for kb, mb in b.items():
                         _kron_into(block, ka + kb - bias, ma, mb, r, c, height[t], width[s])
-    # one monomial per factor block puts one nonzero Kronecker product in each
-    # window: nothing cancels, so only the keys are checked
-    return _make(alpha.theory, source, target, degree,
-                 _guarded(ring, out) if single else _pruned(ring, out))
+    if single:  # one nonzero Kronecker product per window: nothing cancels
+        _checked(ring, chain.from_iterable(out.values()))
+    return _make(alpha.theory, source, target, degree, out if single else _pruned(ring, out))
 
 
 def _pair_sums(m1: TateMotive, m2: TateMotive):

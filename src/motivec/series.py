@@ -4,14 +4,14 @@ Variables all sit in degree +1; coefficients are exact ring elements.
 Terms beyond a fixed total variable degree are dropped everywhere, so all
 operations are exact statements about the quotient by that order.
 
-The product is one fused kernel (`_mul_into`, after Monagan & Pearce's
-accumulation into packed terms, cited in `gring`): for each output
-exponent it sums the packed ring terms of every coefficient pair into one
-dict, keyed k1 + k2 - `ring._unit`, and builds one element at the end.  A
-pair is kept or dropped once, by the factors' total exponents and the
-coefficients' carried degrees; a pair with a coefficient that is not
-homogeneous is the ring product `c1 * c2`.  Only kept keys are checked for
-an exponent out of its packed field.
+The product is one fused loop (`_mul_into`, after Monagan & Pearce's
+accumulation into packed terms, cited in `gring`): a factor lists each
+coefficient by its homogeneous parts, and for each output exponent the
+term products of every pair of parts are summed into one dict by
+`gring._accumulate`, with one element built at the end, so a series
+product makes no ring product.  A pair is kept or dropped once, by the
+factors' total exponents and its one degree.  Only kept keys are checked
+for an exponent out of its packed field.
 
 Substitution is Horner-like: terms are grouped by the exponent of the
 variable whose image has the most terms, each group is summed in place and
@@ -32,8 +32,10 @@ from .gring import (
     GradedRingElement,
     RingDescriptor,
     RingMismatchError,
+    _accumulate,
+    _checked,
     _element,
-    _overflow_error,
+    _key_degrees,
     _power_product,
     render_element,
 )
@@ -285,11 +287,11 @@ class TruncatedSeries(Frozen):
         one = GradedRingElement.one(self.ring)
         if self.constant_term() != one:
             raise ValueError("inverse requires constant term 1")
-        tail = self - TruncatedSeries.constant(one, self.variables, self.order)
         result = TruncatedSeries.constant(one, self.variables, self.order)
+        step = result - self  # the negated tail, so each power is one product
         power = result
         for _ in range(self.order):
-            power = power * (-tail)
+            power = power * step
             if power.is_zero():
                 break
             result = result + power
@@ -337,69 +339,56 @@ _total = itemgetter(1)
 
 
 def _factor(terms: dict) -> list:
-    """(exponent, total exponent, packed terms, degree, coefficient) per
-    term of a series, in order of total exponent; the degree is None
-    unless the coefficient is nonzero and homogeneous."""
+    """(exponent, total exponent, packed terms, degree) per homogeneous part
+    of each coefficient of a series, in order of total exponent."""
     out = []
     for e, c in terms.items():
         ds = c._degs
         if ds is None:
             ds = c._degrees()
-        out.append((e, sum(e), c._mono, ds[0] if len(ds) == 1 else None, c))
+        if len(ds) == 1:
+            out.append((e, sum(e), c._mono, ds[0]))
+        else:  # a zero coefficient has no part
+            parts = {}
+            for (k, v), d in zip(c._mono.items(), _key_degrees(c.ring, c._mono)):
+                parts.setdefault(d, {})[k] = v
+            out += [(e, sum(e), m, d) for d, m in parts.items()]
     out.sort(key=_total)
     return out
 
 
 def _mul_into(acc: dict, ring: RingDescriptor, order: int, left: list, right: list) -> None:
     """Add the product of two factors (see `_factor`) into `acc`, which maps
-    an exponent to [packed terms, degree or None]: each pair within `order`
-    sums its term products into its exponent's terms, with no element built.
-    A pair of homogeneous coefficients lies in one degree, dropped whole past
-    the ring's bound; any other pair is the ring product `c1 * c2`."""
+    an exponent to [packed terms, degree or None]: each pair of parts within
+    `order` lies in one degree, is dropped whole past the ring's bound, and
+    otherwise adds its term products to its exponent's terms through
+    `gring._accumulate`, with no element built."""
     bias, bound = ring._unit, ring.truncation
-    for e1, s1, m1, d1, c1 in left:
+    for e1, s1, m1, d1 in left:
         room = order - s1
-        for e2, s2, m2, d2, c2 in right:
+        for e2, s2, m2, d2 in right:
             if s2 > room:
                 break
-            if d1 is None or d2 is None:
-                d, merged = None, (c1 * c2)._mono
-            else:
-                d = d1 + d2
-                if bound is not None and (d > bound or -d > bound):
-                    continue
+            d = d1 + d2
+            if bound is not None and (d > bound or -d > bound):
+                continue
             expo = tuple(map(add, e1, e2))
             entry = acc.get(expo)
             if entry is None:
                 entry = acc[expo] = [{}, d]
             elif entry[1] != d:
                 entry[1] = None
-            terms = entry[0]
-            if d is None:
-                for k, v in merged.items():
-                    t = terms.get(k)
-                    terms[k] = v if t is None else t + v
-                continue
-            for k1, v1 in m1.items():
-                k1 -= bias
-                for k2, v2 in m2.items():
-                    k, v = k1 + k2, v1 * v2
-                    t = terms.get(k)
-                    terms[k] = v if t is None else t + v
+            _accumulate(entry[0], m1.items(), m2.items(), bias)
 
 
 def _collect(ring: RingDescriptor, variables, order: int, acc: dict) -> TruncatedSeries:
-    """The series of the summed terms in `acc` (see `_mul_into`), less zero
-    terms; a kept key with an exponent out of its packed field raises the
-    ring product's ValueError."""
-    guard, terms = ring._guard, {}
+    """The series of the summed terms in `acc` (see `_mul_into`); a kept key
+    with an exponent out of its packed field raises the ring product's
+    ValueError."""
+    terms = {}
     for expo, (mono, d) in acc.items():
-        mono = {k: v for k, v in mono.items() if v}
         if mono:
-            for k in mono:
-                if k & guard:
-                    raise _overflow_error(ring, k)
-            terms[expo] = _element(ring, mono, None if d is None else (d,))
+            terms[expo] = _element(ring, _checked(ring, mono), None if d is None else (d,))
     return _series(ring, variables, order, terms)
 
 

@@ -48,14 +48,15 @@ class OrientedTheory(Frozen):
     """A named coefficient ring together with its group law.
 
     `build(order)` makes the law over `ring`; `law` is built on first access
-    and then kept in `_law`.  Equality, hashing and `repr` use the name, the
-    ring and the order, so they never build it.
+    and then kept in `_law`, with `_classes`, the point classes read from
+    it.  Equality, hashing and `repr` use the name, the ring and the order,
+    so they never build it.
     """
 
-    __slots__ = ("name", "ring", "order", "build", "_law")
+    __slots__ = ("name", "ring", "order", "build", "_law", "_classes")
 
     def __new__(cls, name: str, ring: RingDescriptor, order: int, build):
-        return cls._new(name, ring, order, build, None)
+        return cls._new(name, ring, order, build, None, {})
 
     @property
     def law(self):
@@ -83,12 +84,15 @@ class OrientedTheory(Frozen):
     def one(self) -> GradedRingElement:
         return GradedRingElement.one(self.ring)
 
-    @lru_cache(maxsize=None)
     def point_class(self, n: int) -> GradedRingElement:
-        """The coefficient-ring class of n-dimensional projective space."""
-        from .fgl import projective_space_class
+        """The coefficient-ring class of n-dimensional projective space, kept
+        beside this theory's own law: equal theories may build other laws."""
+        classes = self._classes
+        if n not in classes:
+            from .fgl import projective_space_class
 
-        return projective_space_class(self.law, n)
+            classes[n] = projective_space_class(self.law, n)
+        return classes[n]
 
 
 @lru_cache(maxsize=None)

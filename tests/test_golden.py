@@ -3,9 +3,11 @@
 The 600 requests of the `families`, `universal` and `documents` workloads,
 seeds 0-3, run in-process through `cli.main`; the sha256 of each one's
 stdout, stderr and exit code, and of each request list, must equal
-`golden_answers.json`.  That file is written by `make_golden.py` from a
-tree, never by hand; a change that alters an answer on purpose rewrites
-exactly the digests it changes.
+`golden_answers.json`.  So must those of the fresh-process slice, which
+runs each of `make_golden.FRESH_REQUESTS`, refused ones included, as its
+own process under each of two hash seeds.  That file is written by
+`make_golden.py` from a tree, never by hand; a change that alters an
+answer on purpose rewrites exactly the digests it changes.
 """
 
 import json
@@ -21,7 +23,7 @@ ROUNDS = [f"{w}/{s}" for w in make_golden.WORKLOADS for s in make_golden.SEEDS]
 
 
 def test_every_round_has_digests():
-    assert sorted(GOLDEN) == sorted(ROUNDS)
+    assert sorted(GOLDEN) == sorted([*ROUNDS, make_golden.FRESH])
 
 
 @pytest.mark.parametrize("name", ROUNDS)
@@ -32,4 +34,13 @@ def test_answers_keep_their_digests(name, tmp_path, monkeypatch):
     want = GOLDEN[name]
     assert got["requests"] == want["requests"], "the request list changed"
     changed = [key for key, d in want["answers"].items() if got["answers"].get(key) != d]
+    assert changed == []
+
+
+@pytest.mark.parametrize("seed", make_golden.HASH_SEEDS)
+def test_fresh_answers_keep_their_digests(seed, tmp_path):
+    want = GOLDEN[make_golden.FRESH]
+    assert make_golden.fresh_requests() == want["requests"], "the fresh requests changed"
+    got = make_golden.fresh_digests(seed, str(tmp_path))
+    changed = [key for key, d in got.items() if want["answers"].get(key) != d]
     assert changed == []

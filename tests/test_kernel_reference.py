@@ -67,6 +67,20 @@ def test_product_equals_reference(ring, low, high):
         assert_same(b * a, ref_mul(b, a))
     for a in elems:
         assert_same(a * a, ref_mul(a, a))
+    # a single-term factor on either side: each term of an element alone
+    for a in elems[:10]:
+        for mono, coeff in a.terms.items():
+            single = GradedRingElement.from_terms(ring, {mono: coeff})
+            for b in elems[10:20]:
+                assert_same(b * single, ref_mul(b, single))
+                assert_same(single * b, ref_mul(single, b))
+    if ring.generators:
+        # pairs in order: x^2 -x 1 x^3 -x^2 x x^4 -x^3 x^2, so x^2 and x each
+        # reach 0, and x^2 comes back, after x^4
+        power = [tuple(k if i == 0 else 0 for i in range(len(ring.generators))) for k in range(3)]
+        a = GradedRingElement.from_terms(ring, dict.fromkeys(power, 1))
+        c = GradedRingElement.from_terms(ring, dict(zip(power[::-1], (1, -1, 1))))
+        assert_same(a * c, ref_mul(a, c))
 
 
 def test_non_homogeneous_universal_operands_cross_the_bound():
@@ -77,7 +91,8 @@ def test_non_homogeneous_universal_operands_cross_the_bound():
         shallow = m1 + GradedRingElement.generator(ring, "m_2") * 3 - 2
         got = deep * shallow
         assert_same(got, ref_mul(deep, shallow))
-        assert not got.is_homogeneous() and min(got.degrees()) == -n
+        assert_same(shallow * deep, ref_mul(shallow, deep))
+        assert not got.is_homogeneous() and min(got.degrees()) == -n  # pairs at the bound
 
 
 def test_unit_factor_returns_the_same_terms():

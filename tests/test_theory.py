@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -171,6 +172,25 @@ def test_point_class_equals_projective_space_class():
     law = universal_law(6)
     for k in range(0, 6):
         assert universal(6).point_class(k) == projective_space_class(law, k)
+
+
+def test_point_class_is_read_from_the_theorys_own_law():
+    from motivec.fgl import FormalGroupLaw, additive_law
+    from motivec.gring import CHOW_RING
+    from motivec.series import TruncatedSeries
+
+    def shifted_law(order):  # x + y + xy: log(1 + x), so [P^1] = 2 * (-1/2)
+        x, y = (TruncatedSeries.variable(CHOW_RING, ("x", "y"), v, order) for v in "xy")
+        return FormalGroupLaw("x + y + xy", x + y + x * y)
+
+    a = OrientedTheory("t", CHOW_RING, 4, additive_law)
+    b = OrientedTheory("t", CHOW_RING, 4, shifted_law)
+    assert a == b and hash(a) == hash(b)  # equality ignores the law builder
+    refs = sys.getrefcount(a)
+    assert a.point_class(1) == 0 and a.point_class(1) is a.point_class(1)
+    assert b.point_class(1) == -1
+    assert OrientedTheory("t", CHOW_RING, 4, shifted_law).point_class(1) == -1
+    assert sys.getrefcount(a) == refs  # no process-wide cache holds the theory
 
 
 def test_logarithm_is_computed_once_per_law(monkeypatch):
