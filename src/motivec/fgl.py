@@ -21,7 +21,6 @@ from .gring import (
     universal_ring,
 )
 from .series import TruncatedSeries, _series, solve_by_order
-from .theory import DEFAULT_ORDER
 
 _XY = ("x", "y")
 
@@ -62,14 +61,14 @@ class FormalGroupLaw(Frozen):
         return f"<fgl {self.name} over {self.ring.name} to order {self.order}>"
 
 
-def additive_law(order: int = DEFAULT_ORDER) -> FormalGroupLaw:
+def additive_law(order: int) -> FormalGroupLaw:
     """F = x + y over the degree-0 integer ring."""
     x = TruncatedSeries.variable(CHOW_RING, _XY, "x", order)
     y = TruncatedSeries.variable(CHOW_RING, _XY, "y", order)
     return FormalGroupLaw("additive", x + y)
 
 
-def multiplicative_law(order: int = DEFAULT_ORDER) -> FormalGroupLaw:
+def multiplicative_law(order: int) -> FormalGroupLaw:
     """F = x + y - b*x*y over the Laurent ring with deg(b) = -1."""
     x = TruncatedSeries.variable(K0_RING, _XY, "x", order)
     y = TruncatedSeries.variable(K0_RING, _XY, "y", order)

@@ -384,6 +384,7 @@ class GradedRingElement(Frozen):
 
     def _coerce(self, other):
         if isinstance(other, GradedRingElement):
+            self._check_ring(other)
             return other
         if isinstance(other, int) or _is_fraction(other):
             return GradedRingElement.scalar(self.ring, other)
@@ -395,7 +396,6 @@ class GradedRingElement(Frozen):
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-            self._check_ring(other)
         right = other._mono
         if not right:
             return self
@@ -436,7 +436,6 @@ class GradedRingElement(Frozen):
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-            self._check_ring(other)
         left = self._mono
         right = other._mono
         if not left or not right:
@@ -523,7 +522,7 @@ _set_ring, _set_mono, _set_degs = GradedRingElement._setters
 _alloc = object.__new__
 
 
-def _element(ring: RingDescriptor, mono: dict, degs: tuple | None = None) -> GradedRingElement:
+def _element(ring: RingDescriptor, mono: dict, degs: tuple | None) -> GradedRingElement:
     """An element from packed terms, without checks."""
     elem = _alloc(GradedRingElement)
     _set_ring(elem, ring)

@@ -352,21 +352,17 @@ def tensor_product(alpha: Correspondence, beta: Correspondence) -> Correspondenc
     ring = alpha.theory.ring
     bias, bound, degree = ring._unit, ring.truncation, alpha.degree + beta.degree
     source, col_at = _pair_sums(alpha.source, beta.source)
-    endo = alpha.target == alpha.source and beta.target == beta.source
-    target, row_at = (source, col_at) if endo else _pair_sums(alpha.target, beta.target)
-    height, width, out, single = dict(target.histogram), dict(source.histogram), {}, True
+    target, row_at = _pair_sums(alpha.target, beta.target)
+    height, width, out = dict(target.histogram), dict(source.histogram), {}
     for (t1, s1), a in alpha.blocks.items():
         for (t2, s2), b in beta.blocks.items():
             t, s = t1 + t2, s1 + s2
             if bound is None or abs(degree + s - t) <= bound:
                 block, r, c = out.setdefault((t, s), {}), row_at[t1, t2], col_at[s1, s2]
-                single = single and len(a) == 1 and len(b) == 1
                 for ka, ma in a.items():
                     for kb, mb in b.items():
                         _kron_into(block, ka + kb - bias, ma, mb, r, c, height[t], width[s])
-    if single:  # one nonzero Kronecker product per window: nothing cancels
-        _checked(ring, chain.from_iterable(out.values()))
-    return _make(alpha.theory, source, target, degree, out if single else _pruned(ring, out))
+    return _make(alpha.theory, source, target, degree, _pruned(ring, out))
 
 
 def _pair_sums(m1: TateMotive, m2: TateMotive):

@@ -11,7 +11,8 @@ term products of every pair of parts are summed into one dict by
 `gring._accumulate`, with one element built at the end, so a series
 product makes no ring product.  A pair is kept or dropped once, by the
 factors' total exponents and its one degree.  Only kept keys are checked
-for an exponent out of its packed field.
+for an exponent out of its packed field.  `scale` refuses a factor of
+another ring as the ring product does, even on a zero series.
 
 Substitution is Horner-like: terms are grouped by the exponent of the
 variable whose image has the most terms, each group is summed in place and
@@ -169,8 +170,8 @@ class TruncatedSeries(Frozen):
     def scale(self, value) -> "TruncatedSeries":
         if not isinstance(value, GradedRingElement):
             value = GradedRingElement.scalar(self.ring, value)
-        elif value.ring is not self.ring and self.terms:  # refused as a coefficient product is
-            next(iter(self.terms.values()))._check_ring(value)
+        elif value.ring is not self.ring:  # refused as a coefficient product is, terms or none
+            GradedRingElement.zero(self.ring)._check_ring(value)
         acc: dict = {}
         constant = {(0,) * len(self.variables): value}
         _mul_into(acc, self.ring, self.order, _factor(self.terms), _factor(constant))
@@ -343,9 +344,7 @@ def _factor(terms: dict) -> list:
     of each coefficient of a series, in order of total exponent."""
     out = []
     for e, c in terms.items():
-        ds = c._degs
-        if ds is None:
-            ds = c._degrees()
+        ds = c._degrees()
         if len(ds) == 1:
             out.append((e, sum(e), c._mono, ds[0]))
         else:  # a zero coefficient has no part

@@ -12,7 +12,7 @@ t^(m+1) = 0.  Push-forward to the point sends t^i to the class of P^(m-i).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .gring import (
     CHOW_RING,
@@ -28,20 +28,17 @@ DEFAULT_ORDER = 10  # series order of the Chow and K0 laws
 MAX_TRUNCATION = 4000  # the largest N a selector may ask of the universal theory
 
 
-def _law_loader(name: str):
-    def build(order: int):
-        from . import fgl
+def _law(name: str, order: int):
+    from . import fgl
 
-        return getattr(fgl, name)(order)
-
-    return build
+    return getattr(fgl, name)(order)
 
 
 # The laws live in `fgl`, loaded on the first build.  These names are looked
 # up when a theory is made, so a caller may replace them.
-additive_law = _law_loader("additive_law")
-multiplicative_law = _law_loader("multiplicative_law")
-universal_law = _law_loader("universal_law")
+additive_law = partial(_law, "additive_law")
+multiplicative_law = partial(_law, "multiplicative_law")
+universal_law = partial(_law, "universal_law")
 
 
 class OrientedTheory(Frozen):
@@ -142,8 +139,8 @@ def theory_from_selector(selector: str, truncation: int | None = None) -> Orient
 
 
 class ProjectiveSpaceElement(Frozen):
-    """An element sum a_i t^i of the theory on P^m, held as `series`, a series
-    in t of order m, truncated at t^(m+1) = 0; its arithmetic is the series'."""
+    """An element sum a_i t^i of the theory on P^m: `series`, in t of order m,
+    truncated at t^(m+1) = 0, does its arithmetic and refuses a foreign factor."""
 
     __slots__ = ("theory", "m", "series")
 
@@ -214,8 +211,6 @@ class ProjectiveSpaceElement(Frozen):
         return self._with(self.series * other.series)
 
     def scale(self, value: GradedRingElement) -> "ProjectiveSpaceElement":
-        if isinstance(value, GradedRingElement):
-            self.theory.zero()._check_ring(value)  # refused even where no coefficient meets it
         return self._with(self.series.scale(value))
 
     def __eq__(self, other):

@@ -57,6 +57,7 @@ def test_degree_additivity():
     prod = m1 * m2
     assert prod.degrees() == [-3]
     assert prod == GradedRingElement.from_terms(U3, {(1, 1, 0): 1})
+    assert prod.coefficient((1, 1, 0)) == 1 and prod.coefficient((3, 0, 0)) == 0
 
 
 def test_truncation_drops_deep_monomials():
@@ -137,8 +138,18 @@ def test_component_rank_universal_truncation_error():
 
 
 def test_ring_mismatch_rejected():
-    with pytest.raises(RingMismatchError):
-        gen(K0_RING, "b") + gen(U3, "m_1")
+    ops = (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y)
+    k0s = (gen(K0_RING, "b"), GradedRingElement.zero(K0_RING))
+    u3s = (gen(U3, "m_1"), GradedRingElement.zero(U3))
+    for a in k0s:
+        for b in u3s:
+            for left, right in ((a, b), (b, a)):
+                for op in ops:
+                    with pytest.raises(RingMismatchError) as info:
+                        op(left, right)
+                    assert str(info.value) == (
+                        f"cannot combine elements of {left.ring.name!r} and {right.ring.name!r}"
+                    )
 
 
 def random_element(rng, ring, nterms=4):
@@ -207,6 +218,9 @@ def test_render_unit_and_fraction():
     assert render_element(GradedRingElement.one(U3)) == "1"
     assert render_element(scalar(U3, Fraction(3, 2))) == "3/2"
     assert render_element(GradedRingElement.zero(U3)) == "0"
+    assert repr(scalar(U3, 2)) == "<universal(3): 2>" and bool(scalar(U3, 2))
+    assert repr(scalar(U3, Fraction(3, 2))) == "<universal(3): 3/2>" and bool(scalar(U3, Fraction(3, 2)))
+    assert not GradedRingElement.zero(U3)
     u5 = universal_ring(5)
     e = GradedRingElement.from_terms(u5, {(2, 0, 1, 0, 0): 1})
     assert render_element(e) == "m_1^2*m_3"

@@ -87,6 +87,7 @@ def test_k0_cross_twist_entries():
     f = Correspondence(theory, l1, l0, 0, [[binv]])
     assert compose(f, e) == identity_correspondence(theory, l0)
     assert compose(e, f) == identity_correspondence(theory, l1)
+    assert f @ e == compose(f, e) and e @ f == compose(e, f)
 
 
 def test_identity_is_a_unit():

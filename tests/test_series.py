@@ -142,6 +142,7 @@ def test_parentheses_nest_to_any_depth_in_series_text():
 def test_render_series_brackets_a_sum_coefficient_and_subtracts_a_negative_term():
     s = parse_series(universal_ring(3), ("x",), 3, "(m_1 + m_2) - x + m_1*x^2")
     assert render_series(s) == "(m_2 + m_1) - x + m_1*x^2"
+    assert repr(parse_series(K0_RING, ("x",), 2, "b^-1*x - x^2")) == "<series[x]<= 2: b^-1*x - x^2>"
 
 
 def test_lift_keeps_coefficients():
@@ -167,8 +168,8 @@ def test_scaling_by_an_element_of_another_ring_is_refused():
     x = TruncatedSeries.variable(K0_RING, ("x",), "x", 3)
     zero = TruncatedSeries.zero(K0_RING, ("x",), 3)
     for value in (GradedRingElement.one(CHOW_RING), GradedRingElement.generator(universal_ring(2), "m_1")):
-        for scaled in (lambda: x.scale(value), lambda: x * value):
+        for scaled in (lambda: x.scale(value), lambda: x * value,
+                       lambda: zero.scale(value), lambda: zero * value):  # refused with no terms too
             with pytest.raises(RingMismatchError) as info:
                 scaled()
             assert str(info.value) == f"cannot combine elements of 'k0' and '{value.ring.name}'"
-        assert zero.scale(value).is_zero()  # no coefficient meets it

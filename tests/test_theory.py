@@ -44,6 +44,7 @@ def test_truncation_relation_cuts_products():
 def test_chow_difference_of_squares_on_p2():
     t = chow()
     one = PSE.unit(t, 2)
+    assert one == PSE.pullback(t, 2, t.one())
     u = one + xi(t, 2, 1)
     v = one - xi(t, 2, 1)
     assert u * v == one - xi(t, 2, 1) * xi(t, 2, 1)
