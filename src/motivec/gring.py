@@ -30,12 +30,12 @@ first rational scalar, and a Fraction test reads ``sys.modules`` instead.
 
 `Frozen` is the one base of the package's immutable values, in every
 module: it refuses assignment and deletion, `copy` and `deepcopy` return
-the value itself, and `Frozen._new` is the generic builder, which a
-class's `__new__` calls once it has checked its arguments.  The hot paths
-build through unrolled builders, which allocate with `_alloc` and call
-each slot's setter once: `_element` here, through which `__mul__`
-builds, and `TateMotive._of` and `_make` in `motives`, through which the
-block operations build motives and morphisms.  No package class defines
+the value itself, and `Frozen._new` is the one builder of every value.  A
+class's `__new__` calls it once it has checked its arguments; the hot
+paths call it on parts known to be valid: `_element` here, through which
+`__mul__` builds, and `TateMotive._of` and `_make` in `motives`, through
+which the block operations build motives and morphisms.  A slot filled on
+first read is set with `object.__setattr__`.  No package class defines
 `__getattr__`, so CPython specializes every slot read.
 
 `parse_element` reads its text with `motivec.dsl.Tokens`, imported on the
@@ -309,7 +309,7 @@ class GradedRingElement(Frozen):
         degs = self._degs
         if degs is None:
             degs = tuple(sorted(set(_key_degrees(self.ring, self._mono))))
-            _set_degs(self, degs)
+            object.__setattr__(self, "_degs", degs)
         return degs
 
     @classmethod
@@ -516,19 +516,7 @@ class GradedRingElement(Frozen):
         return render_element(self)
 
 
-_set_ring, _set_mono, _set_degs = GradedRingElement._setters
-
-
-_alloc = object.__new__
-
-
-def _element(ring: RingDescriptor, mono: dict, degs: tuple | None) -> GradedRingElement:
-    """An element from packed terms, without checks."""
-    elem = _alloc(GradedRingElement)
-    _set_ring(elem, ring)
-    _set_mono(elem, mono)
-    _set_degs(elem, degs)
-    return elem
+_element = GradedRingElement._new  # an element from packed terms and their degrees, without checks
 
 
 def convert_element(elem: GradedRingElement, ring: RingDescriptor) -> GradedRingElement:

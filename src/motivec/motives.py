@@ -30,7 +30,6 @@ from .gring import (
     GradedRingElement,
     ModuleDescription,
     RingMismatchError,
-    _alloc,
     _checked,
     _element,
     _encode,
@@ -67,9 +66,12 @@ class TateMotive(Frozen):
     @classmethod
     def from_histogram(cls, pairs) -> "TateMotive":
         """The motive with the given (twist, multiplicity) pairs, in any
-        order; repeated twists add up and zero multiplicities drop out."""
+        order; repeated twists add up and zero multiplicities drop out.
+        A twist or multiplicity that is not an int raises a TypeError."""
         counts: dict[int, int] = {}
         for t, m in pairs:
+            if not (isinstance(t, int) and isinstance(m, int)):
+                raise TypeError(f"twist and multiplicity must be integers, got ({t!r}, {m!r})")
             if m < 0:
                 raise ValueError(f"negative multiplicity {m} of twist {t}")
             if m:
@@ -81,10 +83,7 @@ class TateMotive(Frozen):
         """Wrap a histogram that is already sorted, merged and positive."""
         if histogram and histogram[0][0] < 0:
             raise ValueError(f"negative twist {histogram[0][0]}")
-        motive = _alloc(cls)
-        _set_histogram(motive, histogram)
-        _set_size(motive, sum(m for _, m in histogram))
-        return motive
+        return cls._new(histogram, sum(m for _, m in histogram))
 
     @property
     def twists(self) -> tuple:
@@ -123,9 +122,6 @@ class TateMotive(Frozen):
 
     def as_json(self) -> list[int]:
         return list(self.twists)
-
-
-_set_histogram, _set_size = TateMotive._setters
 
 
 def require_listable(*motives: TateMotive) -> None:
@@ -230,20 +226,11 @@ class Correspondence(Frozen):
         return compose(self, other)
 
 
-_set_theory, _set_source, _set_target, _set_degree, _set_blocks = Correspondence._setters
-
-
 def _make(theory, source: TateMotive, target: TateMotive, degree: int, blocks) -> Correspondence:
     """A morphism holding blocks that already lie in their components."""
     if source.size and target.size and max(source.size, target.size) > MAX_TWISTS:
         require_listable(source, target)
-    corr = _alloc(Correspondence)
-    _set_theory(corr, theory)
-    _set_source(corr, source)
-    _set_target(corr, target)
-    _set_degree(corr, degree)
-    _set_blocks(corr, blocks)
-    return corr
+    return Correspondence._new(theory, source, target, degree, blocks)
 
 
 def _spans(motive: TateMotive) -> dict[int, range]:
@@ -456,8 +443,17 @@ def split_idempotent(p: Correspondence) -> SplitCertificate:
     return SplitCertificate(image, section, retraction, integral)
 
 
-def _has_laurent_unit(ring) -> bool:
-    return any(g.invertible for g in ring.generators)
+def _periodic(ring) -> bool:
+    """Whether a table over `ring` is one description valid in every
+    degree: true for a Laurent unit of degree 1 or -1.  A unit of another
+    degree, whose table would repeat with a longer period, is refused with
+    NotImplementedError."""
+    units = [g for g in ring.generators if g.invertible]
+    for g in units:
+        if abs(g.degree) != 1:
+            raise NotImplementedError(
+                f"a periodic table needs a Laurent unit of degree 1 or -1, not {g.degree}")
+    return bool(units)
 
 
 def _unit_key(ring, degree: int):
@@ -596,11 +592,12 @@ def realize_table(motive: TateMotive, theory: OrientedTheory) -> GradedModuleTab
     """All computable degrees at once.
 
     Integer-graded rings concentrated in degree 0 give entries exactly at
-    the twist values; a Laurent unit makes the table periodic; truncated
-    rings cover the window [max_twist - truncation, max_twist].
+    the twist values; a Laurent unit of degree 1 or -1 makes the table
+    periodic, and one of another degree is refused; truncated rings cover
+    the window [max_twist - truncation, max_twist].
     """
     ring = theory.ring
-    if _has_laurent_unit(ring):
+    if _periodic(ring):
         desc = realize(motive, theory, 0)
         return GradedModuleTable(entries=((0, desc),), periodic=True)
     if not motive.histogram:
@@ -621,21 +618,21 @@ def group_ranks(motive: TateMotive, theory: OrientedTheory) -> tuple[dict[int, i
 
     A^*(X) is the sum over twists t of A^(*-t)(pt), so the degree-k rank
     is sum_t m_t * h(t - k), where h(d) counts the ring's monomials of
-    degree -d.  A ring with a Laurent unit of degree g has one monomial in
-    each degree g divides, so its table is periodic.  Otherwise h is the
+    degree -d.  A ring with a Laurent unit of degree 1 or -1 has one
+    monomial in each degree, so its table is periodic and its one rank the
+    motive's size; a unit of another degree is refused.  Otherwise h is the
     series prod_i 1/(1 - q^s_i), one factor per generator of degree -s_i,
     and multiplying the histogram by it is one coin-change pass per
     generator over the degree window of `realize_table`.
     """
     ring = theory.ring
     hist = motive.histogram
-    periodic = _has_laurent_unit(ring)
+    periodic = _periodic(ring)
     if not hist:
         return ({0: 0} if periodic else {}), periodic
     check_enumerable(ring)
     if periodic:
-        (g,) = ring.generators
-        return {0: sum(m for t, m in hist if t % g.degree == 0)}, True
+        return {0: motive.size}, True
     window = _window(hist, ring)
     ranks = {t: m for t, m in hist if t in window}
     if ring.generators:

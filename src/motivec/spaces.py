@@ -121,9 +121,9 @@ class Cell(namedtuple("Cell", "base rank codim")):
     __slots__ = ()
 
     def __new__(cls, base, rank, codim):
-        if not isinstance(rank, int) or rank < 0:
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
             raise ValueError(f"cell rank must be a nonnegative integer, got {rank}")
-        if not isinstance(codim, int) or codim < 0:
+        if not isinstance(codim, int) or isinstance(codim, bool) or codim < 0:
             raise ValueError(f"cell codim must be a nonnegative integer, got {codim}")
         return super().__new__(cls, base, rank, codim)
 

@@ -210,6 +210,11 @@ def test_histogram_and_twists_agree():
         TateMotive.from_histogram([(-1, 1)])
     with pytest.raises(ValueError):
         TateMotive.from_histogram([(1, -1)])
+    for pairs in ([(1, 0.5)], [(1.0, 1)], [(1, "2")]):
+        with pytest.raises(TypeError, match="must be integers"):
+            TateMotive.from_histogram(pairs)
+    with pytest.raises(TypeError, match="must be integers"):
+        TateMotive([1.7])
     with pytest.raises(ValueError):
         lazy.dual(2)
     with pytest.raises(AttributeError):

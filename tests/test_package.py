@@ -102,20 +102,25 @@ def test_immutability_is_decided_in_one_base_class():
 
 
 def test_values_from_valid_parts_are_built_by_frozen_new():
-    """Only `gring` and `motives` read a class's `_setters` or call
-    `object.__new__` (through `gring._alloc`), for their unrolled builders of
-    ring elements, motives and morphisms; every other module builds a value
-    from valid parts with `Frozen._new`."""
+    """Only the body of `gring.Frozen` reads a class's `_setters` or calls
+    `object.__new__`: every value, the hot paths' ring elements, motives and
+    morphisms included, is built by `Frozen._new`."""
     import ast
 
-    hits = {}
+    def hits(tree):
+        return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and (node.attr == "_setters" or node.attr == "__new__"
+                     and isinstance(node.value, ast.Name) and node.value.id == "object")]
+
+    found, inside = {}, []
     for info in pkgutil.iter_modules(motivec.__path__):
         path = importlib.import_module(f"motivec.{info.name}").__file__
         with open(path, encoding="utf-8") as f:
             tree = ast.parse(f.read())
-        hits[info.name] = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-                           and (node.attr == "_setters" or node.attr == "__new__"
-                                and isinstance(node.value, ast.Name) and node.value.id == "object")]
-    assert hits.pop("gring")  # the check sees the kernel's own builders
-    assert hits.pop("motives")  # and the motive layer's
-    assert {name: lines for name, lines in hits.items() if lines} == {}
+        found[info.name] = hits(tree)
+        if info.name == "gring":
+            [frozen] = [node for node in tree.body
+                        if isinstance(node, ast.ClassDef) and node.name == "Frozen"]
+            inside = hits(frozen)
+    assert inside  # the check sees `Frozen`'s own reads
+    assert {name: lines for name, lines in found.items() if lines} == {"gring": inside}

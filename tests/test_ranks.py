@@ -88,8 +88,7 @@ def test_empty_motive_and_union_tower():
 
 def test_other_gradings_count_like_the_enumeration():
     theories = [
-        _theory("laurent-2", [Generator("u", -2, invertible=True)]),
-        _theory("laurent+3", [Generator("v", 3, invertible=True)]),
+        _theory("laurent+1", [Generator("v", 1, invertible=True)]),
         _theory("free-1-3", [Generator("a", -1), Generator("c", -3)]),
         _theory("free-2-2", [Generator("a", -2), Generator("c", -2)], truncation=5),
         _theory("none@0", [], truncation=0),
@@ -117,6 +116,21 @@ def test_unsupported_rings_are_refused_alike(generators):
         group_ranks(motive, theory)
     assert str(counted.value) == str(enumerated.value)
     assert_counted_like_enumerated(TateMotive(()), theory)
+
+
+def test_a_laurent_unit_of_another_degree_than_one_is_refused():
+    """Its table would not be one description valid in every degree: over
+    a unit of degree -2, the motive (0, 1, 1) has rank 1 in degree 0 and
+    rank 2 in degree 1."""
+    motive = TateMotive([0, 1, 1])
+    k2 = _theory("k2", [Generator("b", -2, invertible=True)])
+    assert (realize(motive, k2, 0).rank, realize(motive, k2, 1).rank) == (1, 2)
+    for degree in (-2, 3, 0):
+        theory = _theory("odd", [Generator("b", degree, invertible=True)])
+        for table in (realize_table, group_ranks):
+            for m in (motive, TateMotive(())):
+                with pytest.raises(NotImplementedError, match=f"degree 1 or -1, not {degree}$"):
+                    table(m, theory)
 
 
 def test_hundred_level_tower_ranks_are_counted():

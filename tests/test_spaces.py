@@ -134,6 +134,10 @@ def test_cell_is_an_immutable_checked_record():
         Cell(POINT, 0, -2)
     with pytest.raises(ValueError, match="^cell rank must be a nonnegative integer, got 1.5$"):
         Cell(POINT, 1.5, 0)
+    with pytest.raises(ValueError, match="^cell rank must be a nonnegative integer, got True$"):
+        Cell(POINT, True, 0)  # print_space would write `rank = True`, which parse_space refuses
+    with pytest.raises(ValueError, match="^cell codim must be a nonnegative integer, got False$"):
+        Cell(POINT, 0, False)
 
 
 def distinct_nodes(space) -> int:
