@@ -50,9 +50,6 @@ class FormalGroupLaw(Frozen):
     def order(self) -> int:
         return self.series.order
 
-    def coefficient(self, i: int, j: int) -> GradedRingElement:
-        return self.series.coefficient((i, j))
-
     def apply(self, s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
         """Evaluate F(s, t) by simultaneous substitution."""
         return self.series.substitute_many({"x": s, "y": t})

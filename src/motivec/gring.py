@@ -313,10 +313,6 @@ class GradedRingElement(Frozen):
         return degs
 
     @classmethod
-    def from_terms(cls, ring: RingDescriptor, mapping) -> "GradedRingElement":
-        return cls(ring, mapping)
-
-    @classmethod
     def zero(cls, ring: RingDescriptor) -> "GradedRingElement":
         return _element(ring, {}, ())
 
@@ -361,18 +357,9 @@ class GradedRingElement(Frozen):
             raise ValueError(f"element is not nonzero homogeneous: degrees {list(ds)}")
         return ds[0]
 
-    def homogeneous_component(self, k: int) -> "GradedRingElement":
-        mono = self._mono
-        picked = {m: mono[m] for m, d in zip(mono, _key_degrees(self.ring, mono)) if d == k}
-        return _element(self.ring, picked, (k,) if picked else ())
-
     def coefficient(self, mono):
         """The scalar (an int or a Fraction) at `mono`, 0 when absent."""
         return self.terms.get(tuple(mono), 0)
-
-    def scalar_part(self):
-        """The coefficient of the empty monomial."""
-        return self._mono.get(self.ring._unit, 0)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -601,8 +588,8 @@ def _component_keys(ring: RingDescriptor, k: int) -> tuple:
 
 def check_enumerable(ring: RingDescriptor) -> None:
     """Refuse, with NotImplementedError, a ring whose components are not
-    listed: a Laurent generator beside others, or a non-Laurent generator
-    outside the negative degrees."""
+    listed: a Laurent generator beside others or of degree 0, or a
+    non-Laurent generator outside the negative degrees."""
     gens = ring.generators
     if any(g.invertible for g in gens):
         if len(gens) != 1:
@@ -610,6 +597,8 @@ def check_enumerable(ring: RingDescriptor) -> None:
                 "degree enumeration with invertible generators is only "
                 "supported for a single Laurent generator"
             )
+        if not gens[0].degree:
+            raise NotImplementedError("a Laurent generator of degree 0 has infinitely many monomials")
     elif any(g.degree >= 0 for g in gens):
         raise NotImplementedError(
             "degree enumeration requires all generators in negative degrees"

@@ -78,10 +78,6 @@ class TruncatedSeries(Frozen):
         return cls._new(ring, variables, order, terms)
 
     @classmethod
-    def from_terms(cls, ring: RingDescriptor, variables, order: int, mapping) -> "TruncatedSeries":
-        return cls(ring, variables, order, mapping)
-
-    @classmethod
     def zero(cls, ring, variables, order) -> "TruncatedSeries":
         return _series(ring, tuple(variables), order, {})
 
@@ -269,13 +265,6 @@ class TruncatedSeries(Frozen):
                 new[pos] = e
             terms[tuple(new)] = coeff
         return _series(self.ring, variables, self.order, terms)
-
-    def truncated(self, order: int) -> "TruncatedSeries":
-        """The same series modulo total degree above a lower `order`."""
-        if not 0 <= order <= self.order:
-            raise ValueError(f"cannot truncate a series of order {self.order} to order {order}")
-        terms = {e: c for e, c in self.terms.items() if sum(e) <= order}
-        return _series(self.ring, self.variables, order, terms)
 
     # -- univariate tools ------------------------------------------------------
 

@@ -75,12 +75,6 @@ class OrientedTheory(Frozen):
     def __repr__(self):
         return f"<theory {self.name}>"
 
-    def zero(self) -> GradedRingElement:
-        return GradedRingElement.zero(self.ring)
-
-    def one(self) -> GradedRingElement:
-        return GradedRingElement.one(self.ring)
-
     def point_class(self, n: int) -> GradedRingElement:
         """The coefficient-ring class of n-dimensional projective space, kept
         beside this theory's own law: equal theories may build other laws."""
@@ -170,10 +164,6 @@ class ProjectiveSpaceElement(Frozen):
         return tuple(self.series.coefficient((i,)) for i in range(self.m + 1))
 
     @classmethod
-    def unit(cls, theory: OrientedTheory, m: int) -> "ProjectiveSpaceElement":
-        return cls.hyperplane_power(theory, m, 0)
-
-    @classmethod
     def hyperplane_power(cls, theory: OrientedTheory, m: int, i: int) -> "ProjectiveSpaceElement":
         """The basis element t^i (zero when i > m)."""
         return cls(theory, m, [int(j == i) for j in range(m + 1)])
@@ -181,7 +171,7 @@ class ProjectiveSpaceElement(Frozen):
     @classmethod
     def pullback(cls, theory: OrientedTheory, m: int, value: GradedRingElement) -> "ProjectiveSpaceElement":
         """The image of a coefficient-ring element under the structural pull-back."""
-        return cls(theory, m, [value] + [theory.zero()] * m)
+        return cls(theory, m, [value] + [GradedRingElement.zero(theory.ring)] * m)
 
     def _check(self, other: "ProjectiveSpaceElement"):
         if self.theory != other.theory or self.m != other.m:
@@ -227,7 +217,7 @@ class ProjectiveSpaceElement(Frozen):
 
     def pushforward_to_point(self) -> GradedRingElement:
         """sum a_i * [P^(m-i)]; lowers homogeneous degree by m."""
-        total, point_class = self.theory.zero(), self.theory.point_class
+        total, point_class = GradedRingElement.zero(self.theory.ring), self.theory.point_class
         for (i,), a in self.series.terms.items():
             total = total + a * point_class(self.m - i)
         return total

@@ -75,7 +75,7 @@ def test_constructors_and_conversions_keep_the_degree(theory):
     ring = theory.ring
     wider = RingDescriptor(ring.name + "-wide", ring.generators, "Q", None)
     for e in _samples(rng, ring):
-        check(GradedRingElement.from_terms(ring, e.terms))
+        check(GradedRingElement(ring, e.terms))
         check(convert_element(e, ring.rationalized()))
         check(convert_element(e, wider))
         doubled = {g.symbol: GradedRingElement.generator(wider, g.symbol) * 2

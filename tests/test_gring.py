@@ -56,7 +56,7 @@ def test_degree_additivity():
     m1, m2 = gen(U3, "m_1"), gen(U3, "m_2")
     prod = m1 * m2
     assert prod.degrees() == [-3]
-    assert prod == GradedRingElement.from_terms(U3, {(1, 1, 0): 1})
+    assert prod == GradedRingElement(U3, {(1, 1, 0): 1})
     assert prod.coefficient((1, 1, 0)) == 1 and prod.coefficient((3, 0, 0)) == 0
 
 
@@ -64,31 +64,6 @@ def test_truncation_drops_deep_monomials():
     u2 = universal_ring(2)
     prod = gen(u2, "m_1") * gen(u2, "m_2")
     assert prod.is_zero()
-
-
-def test_homogeneous_component_picks_degree():
-    e = scalar(K0_RING, 2) + 3 * gen(K0_RING, "b")
-    assert e.homogeneous_component(-1) == 3 * gen(K0_RING, "b")
-    assert e.homogeneous_component(5).is_zero()
-
-
-def test_components_partition_element():
-    rng = random.Random(7)
-    for _ in range(20):
-        terms = {}
-        for _ in range(4):
-            mono = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1))
-            terms[mono] = terms.get(mono, 0) + rng.randint(-3, 3)
-        e = GradedRingElement.from_terms(U3, terms)
-        back = GradedRingElement.zero(U3)
-        for k in range(-4, 1):
-            back = back + e.homogeneous_component(k)
-        assert back == e
-
-
-def test_component_of_pure_monomial():
-    m2 = gen(U3, "m_2")
-    assert m2.homogeneous_component(-2) == m2
 
 
 def test_component_rank_chow():
@@ -166,7 +141,7 @@ def random_element(rng, ring, nterms=4):
         if width == 0:
             mono = ()
         terms[mono] = terms.get(mono, 0) + coeff
-    return GradedRingElement.from_terms(ring, terms)
+    return GradedRingElement(ring, terms)
 
 
 @pytest.mark.parametrize("ring", [CHOW_RING, K0_RING, U3])
@@ -202,7 +177,7 @@ def test_truncation_idempotent():
     rng = random.Random(5)
     for _ in range(20):
         e = random_element(rng, U3)
-        again = GradedRingElement.from_terms(U3, e.terms)
+        again = GradedRingElement(U3, e.terms)
         assert again == e
 
 
@@ -222,7 +197,7 @@ def test_render_unit_and_fraction():
     assert repr(scalar(U3, Fraction(3, 2))) == "<universal(3): 3/2>" and bool(scalar(U3, Fraction(3, 2)))
     assert not GradedRingElement.zero(U3)
     u5 = universal_ring(5)
-    e = GradedRingElement.from_terms(u5, {(2, 0, 1, 0, 0): 1})
+    e = GradedRingElement(u5, {(2, 0, 1, 0, 0): 1})
     assert render_element(e) == "m_1^2*m_3"
 
 
@@ -339,7 +314,7 @@ def test_scalar_elements_hash_as_their_scalars():
     assert len({b, b * 1, GradedRingElement.generator(K0_RING, "b")}) == 1
 
 
-def test_constructor_checks_what_from_terms_checks():
+def test_constructor_checks_its_terms():
     zero = GradedRingElement(CHOW_RING, {(): 0})
     assert zero.is_zero() and zero == 0 and str(zero) == "0"
     with pytest.raises(ValueError, match="^non-integer scalar 1/2 in an integral ring$"):
@@ -350,4 +325,4 @@ def test_constructor_checks_what_from_terms_checks():
     assert GradedRingElement(universal_ring(2), {(0, 1): 1}).degrees() == [-2]
     for ring, terms in ((U3, {(1, 0, 0): 2, (0, 1, 0): Fraction(1, 3), (0, 0, 0): 0}),
                         (K0_RING, {(-2,): 3}), (CHOW_RING, {})):
-        assert GradedRingElement(ring, terms) == GradedRingElement.from_terms(ring, terms)
+        assert GradedRingElement(ring, terms).terms == {m: c for m, c in terms.items() if c}

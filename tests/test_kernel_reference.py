@@ -40,7 +40,7 @@ def random_element(rng, ring, low, high, terms=6):
         mapping[mono] = c if ring.field == "Z" else Fraction(c, rng.randint(1, 3))
     if width == 0:
         mapping = {(): rng.randint(-4, 4)}
-    return GradedRingElement.from_terms(ring, mapping)
+    return GradedRingElement(ring, mapping)
 
 
 def assert_same(got, want):
@@ -70,7 +70,7 @@ def test_product_equals_reference(ring, low, high):
     # a single-term factor on either side: each term of an element alone
     for a in elems[:10]:
         for mono, coeff in a.terms.items():
-            single = GradedRingElement.from_terms(ring, {mono: coeff})
+            single = GradedRingElement(ring, {mono: coeff})
             for b in elems[10:20]:
                 assert_same(b * single, ref_mul(b, single))
                 assert_same(single * b, ref_mul(single, b))
@@ -78,8 +78,8 @@ def test_product_equals_reference(ring, low, high):
         # pairs in order: x^2 -x 1 x^3 -x^2 x x^4 -x^3 x^2, so x^2 and x each
         # reach 0, and x^2 comes back, after x^4
         power = [tuple(k if i == 0 else 0 for i in range(len(ring.generators))) for k in range(3)]
-        a = GradedRingElement.from_terms(ring, dict.fromkeys(power, 1))
-        c = GradedRingElement.from_terms(ring, dict(zip(power[::-1], (1, -1, 1))))
+        a = GradedRingElement(ring, dict.fromkeys(power, 1))
+        c = GradedRingElement(ring, dict(zip(power[::-1], (1, -1, 1))))
         assert_same(a * c, ref_mul(a, c))
 
 
@@ -154,7 +154,7 @@ def test_product_at_the_field_boundary():
         assert one_line_error(lambda: a * c) == (
             f"a product exponent of b leaves the packed range [{-HALF}, {HALF})")
     # a truncated ring with generators of both degree signs bounds no exponent
-    level = GradedRingElement.from_terms(FREE_MIXED, {(HALF // 2, HALF): 1})
+    level = GradedRingElement(FREE_MIXED, {(HALF // 2, HALF): 1})
     assert level.degree() == 0
     assert one_line_error(lambda: level * level) == (
         f"a product exponent of v leaves the packed range [0, {LIMIT})")
@@ -180,7 +180,7 @@ def test_kernel_objects_stay_immutable(monkeypatch):
         return additive_law(order)
 
     theory = OrientedTheory("counted", CHOW_RING, 4, build)
-    element = ProjectiveSpaceElement.unit(theory, 2)
+    element = ProjectiveSpaceElement.hyperplane_power(theory, 2, 0)
     for obj, names in ((b, ("ring", "terms", "_mono", "_degs", "extra")),
                        (series, ("ring", "variables", "order", "terms", "extra")),
                        (motive, ("histogram", "size", "twists", "extra")),
@@ -243,7 +243,7 @@ def test_correspondence_with_an_empty_side_lists_no_twists(monkeypatch):
 
 
 def ref_random_homogeneous(rng, ring, degree, span=3):
-    """Draw a coefficient per basis monomial and build through `from_terms`."""
+    """Draw a coefficient per basis monomial and build through the constructor."""
     from motivec.gring import TruncationError, component_rank
 
     try:
@@ -255,7 +255,7 @@ def ref_random_homogeneous(rng, ring, degree, span=3):
         c = rng.randint(-span, span)
         if c:
             terms[mono] = c if ring.field == "Z" else Fraction(c, rng.randint(1, 3))
-    return GradedRingElement.from_terms(ring, terms)
+    return GradedRingElement(ring, terms)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -74,6 +74,9 @@ def chain_document(length: int) -> str:
 
 CASES = {  # argv, and the document that --file names, or the built-in space
     "Gr-8-16-dual": (["--space", "Gr:8,16", "--mode", "dual"], grassmannian(8, 16)),
+    "Gr-8-16-universal-4000-groups": (
+        ["--space", "Gr:8,16", "--theory", "universal:4000", "--mode", "groups"],
+        grassmannian(8, 16)),
     "union-100000": (["--file", "doc.txt", "--space", "u"], union_document(100_000)),
     "chain-600": (["--file", "doc.txt", "--space", "c600"], chain_document(600)),
 }

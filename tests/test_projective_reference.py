@@ -61,7 +61,7 @@ class RefElement:
         if isinstance(other, GradedRingElement):
             return self.scale(other)
         self._check(other)
-        out = [self.theory.zero() for _ in range(self.m + 1)]
+        out = [GradedRingElement.zero(self.theory.ring) for _ in range(self.m + 1)]
         for i, a in enumerate(self.coords):
             if a.is_zero():
                 continue
@@ -81,7 +81,7 @@ class RefElement:
         return all(a.is_homogeneous(degree - i) for i, a in enumerate(self.coords))
 
     def pushforward_to_point(self):
-        total = self.theory.zero()
+        total = GradedRingElement.zero(self.theory.ring)
         for i, a in enumerate(self.coords):
             if a.is_zero():
                 continue

@@ -15,7 +15,7 @@ import time
 import pytest
 
 import motivec
-from motivec.gring import Generator, RingDescriptor
+from motivec.gring import Generator, RingDescriptor, component_rank
 from motivec.motives import (
     TateMotive,
     decompose_by_codim,
@@ -131,6 +131,12 @@ def test_a_laurent_unit_of_another_degree_than_one_is_refused():
             for m in (motive, TateMotive(())):
                 with pytest.raises(NotImplementedError, match=f"degree 1 or -1, not {degree}$"):
                     table(m, theory)
+    # a unit of degree 0 has infinitely many monomials b^e in degree 0
+    zero = _theory("z", [Generator("b", 0, invertible=True)])
+    with pytest.raises(NotImplementedError, match="degree 0 has infinitely many monomials$"):
+        component_rank(zero.ring, 0)
+    with pytest.raises(NotImplementedError, match="degree 0 has infinitely many monomials$"):
+        realize(motive, zero, 0)
 
 
 def test_hundred_level_tower_ranks_are_counted():

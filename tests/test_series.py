@@ -65,7 +65,7 @@ def test_reversion_of_x_plus_x2_catalan():
     assert s.substitute("x", g) == x
     assert g.substitute("x", s) == x
     # leading signed Catalan numbers
-    coeffs = [g.coefficient((k,)).scalar_part() for k in range(1, 6)]
+    coeffs = [g.coefficient((k,)) for k in range(1, 6)]
     assert coeffs == [1, -1, 2, -5, 14]
 
 
@@ -78,7 +78,7 @@ def test_reversion_is_an_involution():
         for k in range(2, order + 1):
             c = rng.randint(-3, 3)
             if c:
-                s = s + TruncatedSeries.from_terms(
+                s = s + TruncatedSeries(
                     QQ, ("x",), order, {(k,): Fraction(c)}
                 )
         assert s.reversion().reversion() == s
@@ -86,7 +86,7 @@ def test_reversion_is_an_involution():
 
 def test_reversion_rejects_bad_linear_term():
     order = 5
-    two_x = TruncatedSeries.from_terms(QQ, ("x",), order, {(1,): Fraction(2)})
+    two_x = TruncatedSeries(QQ, ("x",), order, {(1,): Fraction(2)})
     with pytest.raises(ValueError, match="linear coefficient"):
         two_x.reversion()
 
@@ -106,7 +106,7 @@ def test_integrate_divides_exactly():
     order = 5
     x = var(QQ, ("x",), "x", order)
     integrated = (x * x).integrate()
-    assert integrated.coefficient((3,)).scalar_part() == Fraction(1, 3)
+    assert integrated.coefficient((3,)) == Fraction(1, 3)
 
 
 def test_homogeneity_check():
@@ -151,14 +151,14 @@ def test_lift_keeps_coefficients():
     assert lifted == var(CHOW_RING, ("x", "y"), "x")
 
 
-def test_constructor_checks_what_from_terms_checks():
+def test_constructor_checks_its_terms():
     one, zero = GradedRingElement.one(CHOW_RING), GradedRingElement.zero(CHOW_RING)
     past = TruncatedSeries(CHOW_RING, ("x",), 2, {(5,): one})
     assert past.is_zero() and str(past) == "0"
     assert TruncatedSeries(CHOW_RING, ("x",), 2, {(1,): zero}).is_zero()
     terms = {(1,): one, (2,): 3, (0,): 0}
     series = TruncatedSeries(CHOW_RING, ["x"], 2, terms)
-    assert series == TruncatedSeries.from_terms(CHOW_RING, ("x",), 2, terms)
+    assert series == TruncatedSeries(CHOW_RING, ("x",), 2, terms)
     assert str(series) == "x + 3*x^2" and series.variables == ("x",)
     with pytest.raises(ValueError, match="^bad variable exponent vector"):
         TruncatedSeries(CHOW_RING, ("x",), 2, {(1, 1): one})

@@ -43,8 +43,8 @@ def test_truncation_relation_cuts_products():
 
 def test_chow_difference_of_squares_on_p2():
     t = chow()
-    one = PSE.unit(t, 2)
-    assert one == PSE.pullback(t, 2, t.one())
+    one = PSE.hyperplane_power(t, 2, 0)
+    assert one == PSE.pullback(t, 2, GradedRingElement.one(t.ring))
     u = one + xi(t, 2, 1)
     v = one - xi(t, 2, 1)
     assert u * v == one - xi(t, 2, 1) * xi(t, 2, 1)
@@ -71,7 +71,7 @@ def test_pushforward_chow_top_power_only():
 def test_pushforward_k0_unit_gives_p2_class():
     t = k0()
     b = GradedRingElement.generator(t.ring, "b")
-    assert PSE.unit(t, 2).pushforward_to_point() == b * b
+    assert PSE.hyperplane_power(t, 2, 0).pushforward_to_point() == b * b
 
 
 def test_pushforward_on_a_point_is_identity():
