@@ -357,10 +357,6 @@ class GradedRingElement(Frozen):
             raise ValueError(f"element is not nonzero homogeneous: degrees {list(ds)}")
         return ds[0]
 
-    def coefficient(self, mono):
-        """The scalar (an int or a Fraction) at `mono`, 0 when absent."""
-        return self.terms.get(tuple(mono), 0)
-
     # -- arithmetic ------------------------------------------------------
 
     def _check_ring(self, other: "GradedRingElement"):
@@ -578,18 +574,14 @@ def component_rank(ring: RingDescriptor, k: int) -> ModuleDescription:
 
 @lru_cache(maxsize=1024)
 def _component_keys(ring: RingDescriptor, k: int) -> tuple:
-    """The packed keys of `component_rank(ring, k)`'s basis, in its order;
-    none past the ring's degree bound, which an element never keeps."""
-    monos = component_rank(ring, k).monomials
-    if ring.truncation is not None and abs(k) > ring.truncation:
-        monos = ()
-    return tuple(_encode(ring, mono) for mono in monos)
+    """The packed keys of `component_rank(ring, k)`'s basis, in its order."""
+    return tuple(_encode(ring, mono) for mono in component_rank(ring, k).monomials)
 
 
 def check_enumerable(ring: RingDescriptor) -> None:
     """Refuse, with NotImplementedError, a ring whose components are not
-    listed: a Laurent generator beside others or of degree 0, or a
-    non-Laurent generator outside the negative degrees."""
+    listed: a Laurent generator beside others, of degree 0 or under a
+    truncation bound, or a non-Laurent generator outside the negative degrees."""
     gens = ring.generators
     if any(g.invertible for g in gens):
         if len(gens) != 1:
@@ -599,6 +591,8 @@ def check_enumerable(ring: RingDescriptor) -> None:
             )
         if not gens[0].degree:
             raise NotImplementedError("a Laurent generator of degree 0 has infinitely many monomials")
+        if ring.truncation is not None:
+            raise NotImplementedError("a truncated ring with a Laurent generator is not supported")
     elif any(g.degree >= 0 for g in gens):
         raise NotImplementedError(
             "degree enumeration requires all generators in negative degrees"
@@ -642,6 +636,11 @@ def _power_product(symbols, exponents) -> str:
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(symbols, exponents) if e)
 
 
+def _signed_sum(pieces) -> str:
+    """The text ``a - b + c`` of the terms; a later term's leading "-" becomes its operator."""
+    return pieces[0] + "".join(" - " + p[1:] if p[0] == "-" else " + " + p for p in pieces[1:])
+
+
 def render_monomial(ring: RingDescriptor, mono: tuple[int, ...]) -> str:
     return _power_product((g.symbol for g in ring.generators), mono) or "1"
 
@@ -667,11 +666,8 @@ def render_element(elem: GradedRingElement) -> str:
             body = mono_str
         else:
             body = f"{_render_scalar(mag)}*{mono_str}"
-        if not pieces:
-            pieces.append(("-" if coeff < 0 else "") + body)
-        else:
-            pieces.append(("- " if coeff < 0 else "+ ") + body)
-    return " ".join(pieces)
+        pieces.append(("-" if coeff < 0 else "") + body)
+    return _signed_sum(pieces)
 
 
 def parse_element(ring: RingDescriptor, text: str) -> GradedRingElement:

@@ -124,11 +124,16 @@ class TateMotive(Frozen):
         return list(self.twists)
 
 
+def _refuse_past(count: int, whole: str, items: str) -> None:
+    """Refuse, with a ValueError, to list a `whole` of more than MAX_TWISTS `items`."""
+    if count > MAX_TWISTS:
+        raise ValueError(f"{whole} has {count} {items}, more than the {MAX_TWISTS} it may list")
+
+
 def require_listable(*motives: TateMotive) -> None:
     """Refuse, with a ValueError, a motive of more than MAX_TWISTS twists."""
     for m in motives:
-        if m.size > MAX_TWISTS:
-            raise ValueError(f"motive has {m.size} twists, more than the {MAX_TWISTS} it may list")
+        _refuse_past(m.size, "motive", "twists")
 
 
 class Correspondence(Frozen):
@@ -540,9 +545,7 @@ def poincare_polynomial(motive: TateMotive) -> list[int]:
     """Coefficient k is the multiplicity of twist k; refused past MAX_TWISTS of them."""
     hist = dict(motive.histogram)
     size = max(hist, default=-1) + 1
-    if size > MAX_TWISTS:
-        raise ValueError(f"poincare polynomial has {size} coefficients, "
-                         f"more than the {MAX_TWISTS} it may list")
+    _refuse_past(size, "poincare polynomial", "coefficients")
     return [hist.get(k, 0) for k in range(size)]
 
 
@@ -580,10 +583,7 @@ def realize(motive: TateMotive, theory: OrientedTheory, k: int) -> ModuleDescrip
     ring = theory.ring
     components = [(component_rank(ring, k - t).monomials, m) for t, m in motive.histogram]
     size = sum(len(monomials) * m for monomials, m in components)
-    if size > MAX_TWISTS:
-        raise ValueError(
-            f"degree {k} module has {size} basis elements, more than the {MAX_TWISTS} it may list"
-        )
+    _refuse_past(size, f"degree {k} module", "basis elements")
     basis = chain.from_iterable(monomials * m for monomials, m in components)
     return ModuleDescription(ring.field, ring, tuple(basis))
 

@@ -38,6 +38,7 @@ from .gring import (
     _element,
     _key_degrees,
     _power_product,
+    _signed_sum,
     render_element,
 )
 
@@ -305,7 +306,7 @@ class TruncatedSeries(Frozen):
         one = GradedRingElement.one(self.ring)
         if not self.constant_term().is_zero():
             raise ValueError("reversion requires zero constant term")
-        if self.coefficient((1,)) != one:
+        if self.order and self.coefficient((1,)) != one:
             raise ValueError("reversion requires linear coefficient 1 (non-unit linear coefficient)")
         x = TruncatedSeries.variable(self.ring, self.variables, self.variables[0], self.order)
         return solve_by_order(x, {(0, e): c for (e,), c in self.terms.items()})
@@ -421,10 +422,7 @@ def render_series(s: TruncatedSeries) -> str:
         else:
             body = f"{coeff_str}*{var_str}"
         pieces.append(body)
-    out = pieces[0]
-    for p in pieces[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    return _signed_sum(pieces)
 
 
 def parse_series(ring: RingDescriptor, variables, order: int, text: str) -> TruncatedSeries:

@@ -29,16 +29,10 @@ MAX_TRUNCATION = 4000  # the largest N a selector may ask of the universal theor
 
 
 def _law(name: str, order: int):
+    """`fgl.<name>(order)`, with `fgl` loaded and the name looked up only when a law is built."""
     from . import fgl
 
     return getattr(fgl, name)(order)
-
-
-# The laws live in `fgl`, loaded on the first build.  These names are looked
-# up when a theory is made, so a caller may replace them.
-additive_law = partial(_law, "additive_law")
-multiplicative_law = partial(_law, "multiplicative_law")
-universal_law = partial(_law, "universal_law")
 
 
 class OrientedTheory(Frozen):
@@ -88,17 +82,17 @@ class OrientedTheory(Frozen):
 
 @lru_cache(maxsize=None)
 def chow(order: int = DEFAULT_ORDER) -> OrientedTheory:
-    return OrientedTheory("chow", CHOW_RING, order, additive_law)
+    return OrientedTheory("chow", CHOW_RING, order, partial(_law, "additive_law"))
 
 
 @lru_cache(maxsize=None)
 def k0(order: int = DEFAULT_ORDER) -> OrientedTheory:
-    return OrientedTheory("k0", K0_RING, order, multiplicative_law)
+    return OrientedTheory("k0", K0_RING, order, partial(_law, "multiplicative_law"))
 
 
 @lru_cache(maxsize=None)
 def universal(n: int) -> OrientedTheory:
-    return OrientedTheory(f"universal:{n}", universal_ring(n), n, universal_law)
+    return OrientedTheory(f"universal:{n}", universal_ring(n), n, partial(_law, "universal_law"))
 
 
 def theory_from_selector(selector: str, truncation: int | None = None) -> OrientedTheory:

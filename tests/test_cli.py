@@ -284,7 +284,7 @@ def test_answers_never_build_the_law(mode, monkeypatch):
     def refuse(order):
         raise AssertionError(f"universal_law({order}) was built")
 
-    monkeypatch.setattr(motivec.theory, "universal_law", refuse)
+    monkeypatch.setattr(motivec.fgl, "universal_law", refuse)
     universal.cache_clear()
     try:
         out, code = run(RunConfig(space="quadric:3", theory="universal:5", mode=mode))

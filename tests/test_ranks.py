@@ -137,6 +137,18 @@ def test_a_laurent_unit_of_another_degree_than_one_is_refused():
         component_rank(zero.ring, 0)
     with pytest.raises(NotImplementedError, match="degree 0 has infinitely many monomials$"):
         realize(motive, zero, 0)
+    # a truncation bound drops the unit's powers past it, which a component would list
+    bounded = _theory("t", [Generator("b", -1, invertible=True)], truncation=2)
+    with pytest.raises(NotImplementedError, match="^a truncated ring with a Laurent generator"):
+        component_rank(bounded.ring, 5)
+    with pytest.raises(NotImplementedError, match="^a truncated ring with a Laurent generator"):
+        realize(TateMotive([0, 4]), bounded, 0)
+    with pytest.raises(NotImplementedError) as enumerated:
+        realize_table(motive, bounded)
+    with pytest.raises(NotImplementedError) as counted:
+        group_ranks(motive, bounded)
+    assert str(counted.value) == str(enumerated.value)
+    assert_counted_like_enumerated(TateMotive(()), bounded)
 
 
 def test_hundred_level_tower_ranks_are_counted():

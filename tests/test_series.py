@@ -142,6 +142,11 @@ def test_parentheses_nest_to_any_depth_in_series_text():
 def test_render_series_brackets_a_sum_coefficient_and_subtracts_a_negative_term():
     s = parse_series(universal_ring(3), ("x",), 3, "(m_1 + m_2) - x + m_1*x^2")
     assert render_series(s) == "(m_2 + m_1) - x + m_1*x^2"
+    for text, rendered in [
+        ("-x - 2*x^2 + (m_1 - 1)*x^3", "-x - 2*x^2 + (m_1 - 1)*x^3"),
+        ("-(m_2 + m_1) + m_1*x", "(-m_2 - m_1) + m_1*x"),
+    ]:
+        assert render_series(parse_series(universal_ring(3), ("x",), 3, text)) == rendered
     assert repr(parse_series(K0_RING, ("x",), 2, "b^-1*x - x^2")) == "<series[x]<= 2: b^-1*x - x^2>"
 
 

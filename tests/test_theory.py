@@ -4,7 +4,6 @@ import sys
 import pytest
 
 import motivec.fgl as fgl_module
-import motivec.theory as theory_module
 from motivec.fgl import logarithm, multiplicative_law, projective_space_class, universal_law
 from motivec.gring import GradedRingElement, RingMismatchError, random_homogeneous, universal_ring
 from motivec.theory import (
@@ -147,7 +146,7 @@ def built(monkeypatch):
         orders.append(order)
         return universal_law(order)
 
-    monkeypatch.setattr(theory_module, "universal_law", counting)
+    monkeypatch.setattr(fgl_module, "universal_law", counting)
     universal.cache_clear()
     yield orders
     universal.cache_clear()
@@ -173,6 +172,7 @@ def test_point_class_equals_projective_space_class():
     law = universal_law(6)
     for k in range(0, 6):
         assert universal(6).point_class(k) == projective_space_class(law, k)
+    assert universal(0).point_class(0) == 1 == chow(0).point_class(0)
 
 
 def test_point_class_is_read_from_the_theorys_own_law():
