@@ -28,9 +28,10 @@ _XY = ("x", "y")
 class FormalGroupLaw(Frozen):
     """A commutative one-dimensional formal group law, truncated.
 
-    `log`, the law's :func:`logarithm`, is kept in `_log`: given when the
-    law is built from a known logarithm, and otherwise computed on first
-    access.
+    A law of order >= 1 must start x + y, which every order-by-order solve
+    relies on.  `log`, the law's :func:`logarithm`, is kept in `_log`:
+    given when the law is built from a known logarithm, and otherwise
+    computed on first access.
     """
 
     __slots__ = ("name", "ring", "series", "_log")
@@ -38,6 +39,10 @@ class FormalGroupLaw(Frozen):
     def __new__(cls, name: str, series: TruncatedSeries, log: TruncatedSeries | None = None):
         if series.variables != _XY:
             raise ValueError("a formal group law lives in variables (x, y)")
+        zero, one = GradedRingElement.zero(series.ring), GradedRingElement.one(series.ring)
+        linear = [series.coefficient(e) for e in ((0, 0), (1, 0), (0, 1))]
+        if series.order and linear != [zero, one, one]:
+            raise ValueError(f"{name}: a formal group law starts x + y")
         return cls._new(name, series.ring, series, log)
 
     @property
@@ -116,17 +121,16 @@ def check_fgl_axioms(law: FormalGroupLaw) -> None:
 def logarithm(law: FormalGroupLaw) -> TruncatedSeries:
     """The unique l = x + higher with l(F(x,y)) = l(x) + l(y).
 
-    Computed from the invariant differential: l'(x) = 1 / (dF/dy at y=0).
-    The result lives over the rationalized coefficient ring.
+    From the invariant differential, l'(x) = 1 / omega(x) with omega(x) =
+    dF/dy at y = 0: s = x / omega(x) solves s * omega(x) = x, and l has
+    x^k coefficient s_k / k.  The result lives over the rationalized
+    coefficient ring.
     """
     ring_q = law.ring.rationalized()
-    order = law.order
-    omega_terms = {}
-    for (i, j), coeff in law.series.terms.items():
-        if j == 1:
-            omega_terms[(i,)] = convert_element(coeff, ring_q)
-    omega = TruncatedSeries(ring_q, ("x",), order, omega_terms)
-    return omega.multiplicative_inverse().integrate()
+    x = TruncatedSeries.variable(ring_q, ("x",), "x", law.order)
+    omega = {(i, 1): convert_element(c, ring_q) for (i, j), c in law.series.terms.items() if j == 1}
+    terms = {(k,): c * Fraction(1, k) for (k,), c in solve_by_order(x, omega).terms.items()}
+    return _series(ring_q, ("x",), law.order, terms)
 
 
 def exponential(law: FormalGroupLaw) -> TruncatedSeries:

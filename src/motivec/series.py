@@ -17,10 +17,13 @@ another ring as the ring product does, even on a zero series.
 Substitution is Horner-like: terms are grouped by the exponent of the
 variable whose image has the most terms, each group is summed in place and
 multiplied by one power of that image, and each power is built only to the
-order its groups need.  Reversion and the formal inverse share one
-order-by-order solver, :func:`solve_by_order`: step k reads the x^k
-coefficient of each power of the series from a table, one new coefficient
-per power and step.
+order its groups need.
+
+Reversion, the formal inverse and the group law's logarithm share one
+order-by-order solver, :func:`solve_by_order` (the method of Brent & Kung,
+J. ACM 25(4), 1978): step k reads the x^k coefficient of each power of the
+series from a table that holds only the powers the equation reads, one new
+coefficient per power and step.
 """
 
 from __future__ import annotations
@@ -267,46 +270,15 @@ class TruncatedSeries(Frozen):
             terms[tuple(new)] = coeff
         return _series(self.ring, variables, self.order, terms)
 
-    # -- univariate tools ------------------------------------------------------
-
-    def _require_univariate(self):
-        if len(self.variables) != 1:
-            raise ValueError("operation requires a single-variable series")
-
-    def multiplicative_inverse(self) -> "TruncatedSeries":
-        """Inverse of a series with constant term 1, by geometric expansion."""
-        one = GradedRingElement.one(self.ring)
-        if self.constant_term() != one:
-            raise ValueError("inverse requires constant term 1")
-        result = TruncatedSeries.constant(one, self.variables, self.order)
-        step = result - self  # the negated tail, so each power is one product
-        power = result
-        for _ in range(self.order):
-            power = power * step
-            if power.is_zero():
-                break
-            result = result + power
-        return result
-
-    def integrate(self) -> "TruncatedSeries":
-        """Term-wise antiderivative with zero constant, for rational rings."""
-        self._require_univariate()
-        if not self.ring.rational:
-            raise ValueError("integration requires rational scalars")
-        terms = {}
-        for (e,), c in self.terms.items():
-            if e + 1 > self.order:
-                continue
-            terms[(e + 1,)] = c * Fraction(1, e + 1)
-        return TruncatedSeries(self.ring, self.variables, self.order, terms)
+    # -- reversion -----------------------------------------------------------
 
     def reversion(self) -> "TruncatedSeries":
         """The compositional inverse of x + (higher order)."""
-        self._require_univariate()
-        one = GradedRingElement.one(self.ring)
+        if len(self.variables) != 1:
+            raise ValueError("operation requires a single-variable series")
         if not self.constant_term().is_zero():
             raise ValueError("reversion requires zero constant term")
-        if self.order and self.coefficient((1,)) != one:
+        if self.order and self.coefficient((1,)) != GradedRingElement.one(self.ring):
             raise ValueError("reversion requires linear coefficient 1 (non-unit linear coefficient)")
         x = TruncatedSeries.variable(self.ring, self.variables, self.variables[0], self.order)
         return solve_by_order(x, {(0, e): c for (e,), c in self.terms.items()})
@@ -386,17 +358,18 @@ def solve_by_order(start: TruncatedSeries, outer: dict) -> TruncatedSeries:
     term for k = 2..order, where G is the sum of outer[i, j] x^i y^j over
     the keys (i, j) and has y-coefficient 1: step k subtracts the x^k
     coefficient of G(x, s) from that of s.  That coefficient is read from
-    a table of the powers of s, one coefficient per step and power: s has
-    no constant term, so the x^k coefficient of s^j, j >= 2, involves only
-    the coefficients of s that the steps before have fixed, and x^i s^j
-    has no term below x^(i + j)."""
+    a table of the powers of s up to the largest j among the keys, one
+    coefficient per step and power: s has no constant term, so the x^k
+    coefficient of s^j, j >= 2, involves only the coefficients of s that
+    the steps before have fixed, and x^i s^j has no term below x^(i + j)."""
     ring, order = start.ring, start.order
+    top = max((j for _, j in outer), default=1)  # the highest power of s that G reads
     zero = GradedRingElement.zero(ring)
     s = [start.coefficient((d,)) for d in range(order + 1)]
     powers = [[GradedRingElement.one(ring)] + [zero] * order, s]  # [j][d]: x^d in s^j
+    powers += [[zero] * (order + 1) for _ in range(2, top + 1)]
     for k in range(2, order + 1):
-        powers.append([zero] * (order + 1))
-        for j in range(2, k + 1):
+        for j in range(2, min(k, top) + 1):
             below = powers[j - 1]
             powers[j][k] = sum((s[a] * below[k - a] for a in range(1, k - j + 2)), zero)
         c = sum((g * powers[j][k - i] for (i, j), g in outer.items() if i + j <= k), zero)

@@ -69,6 +69,9 @@ class OrientedTheory(Frozen):
     def __repr__(self):
         return f"<theory {self.name}>"
 
+    def __reduce__(self):  # the law and the classes are built anew on first read
+        return OrientedTheory, (self.name, self.ring, self.order, self.build)
+
     def point_class(self, n: int) -> GradedRingElement:
         """The coefficient-ring class of n-dimensional projective space, kept
         beside this theory's own law: equal theories may build other laws."""

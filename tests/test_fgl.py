@@ -84,6 +84,15 @@ def test_log_universal_is_the_defining_series():
     assert log == TruncatedSeries(law.ring, ("x",), 5, expected)
 
 
+@pytest.mark.parametrize("build", [additive_law, multiplicative_law, universal_law],
+                         ids=lambda build: build.__name__)
+def test_order_zero_logarithm_and_exponential_are_zero(build):
+    law = build(0)
+    log = logarithm(law)
+    assert log == TruncatedSeries.zero(law.ring.rationalized(), ("x",), 0)
+    assert exponential(law).is_zero()
+
+
 def test_log_satisfies_functional_equation(laws):
     for law in laws:
         log = logarithm(law)

@@ -91,24 +91,6 @@ def test_reversion_rejects_bad_linear_term():
         two_x.reversion()
 
 
-def test_multiplicative_inverse():
-    order = 6
-    b = GradedRingElement.generator(K0_RING, "b")
-    x = var(K0_RING, ("x",), "x", order)
-    one = TruncatedSeries.constant(GradedRingElement.one(K0_RING), ("x",), order)
-    s = one - x.scale(b)
-    inv = s.multiplicative_inverse()
-    assert s * inv == one
-    assert inv.coefficient((3,)) == b * b * b
-
-
-def test_integrate_divides_exactly():
-    order = 5
-    x = var(QQ, ("x",), "x", order)
-    integrated = (x * x).integrate()
-    assert integrated.coefficient((3,)) == Fraction(1, 3)
-
-
 def test_homogeneity_check():
     order = 4
     ring = universal_ring(4)

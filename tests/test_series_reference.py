@@ -1,12 +1,14 @@
-"""Horner substitution and working-order reversion against the plain algorithms.
+"""Horner substitution and the order-by-order solver against the plain algorithms.
 
 The references below are the straightforward versions: substitution builds
 every term as a constant series times the powers of the images, reversion
-composes at the full order at every step, and the formal inverse applies the
-whole law at every step.  They are kept here, independent of the package's
-algorithms, so that the package must agree with them coefficient by
-coefficient: on the built-in laws, on universal laws built entirely from the
-references, on random univariate reversions and on random substitutions.
+composes at the full order at every step, the formal inverse applies the
+whole law at every step, and the logarithm inverts the invariant differential
+by its geometric series and integrates term by term.  They are kept here,
+independent of the package's algorithms, so that the package must agree with
+them coefficient by coefficient: on the built-in laws, on universal laws built
+entirely from the references, on dense specializations of a universal law, on
+random univariate reversions and on random substitutions.
 """
 
 import random
@@ -15,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from motivec.fgl import (
+    FormalGroupLaw,
     additive_law,
     formal_inverse,
     logarithm,
@@ -22,7 +25,14 @@ from motivec.fgl import (
     universal_law,
     universal_log,
 )
-from motivec.gring import GradedRingElement, random_homogeneous, universal_ring
+from motivec.gring import (
+    K0_RING,
+    GradedRingElement,
+    convert_element,
+    random_homogeneous,
+    substitute_generators,
+    universal_ring,
+)
 from motivec.series import SubstitutionError, TruncatedSeries
 from motivec.theory import chow, k0, universal
 from test_kernel_reference import random_element
@@ -74,6 +84,20 @@ def ref_formal_inverse(law):
     return inv
 
 
+def ref_logarithm(law):
+    """The geometric inverse of omega = dF/dy at y = 0, integrated term by term."""
+    ring, order = law.ring.rationalized(), law.order
+    omega = {(i,): convert_element(c, ring) for (i, j), c in law.series.terms.items() if j == 1}
+    one = TruncatedSeries.constant(GradedRingElement.one(ring), ("x",), order)
+    tail = one - TruncatedSeries(ring, ("x",), order, omega)  # no constant term once order >= 1
+    inverse = power = one
+    for _ in range(order):
+        power = power * tail
+        inverse = inverse + power
+    integral = {(e + 1,): c * Fraction(1, e + 1) for (e,), c in inverse.terms.items()}
+    return TruncatedSeries(ring, ("x",), order, integral)
+
+
 def ref_universal_series(order):
     """exp(log(x) + log(y)), built with the reference algorithms only."""
     ring = universal_ring(order)
@@ -110,6 +134,35 @@ def test_universal_law_log_reversion_and_inverse(n):
     assert_same(law.log, universal_log(n))
     assert_same(law.log.reversion(), ref_reversion(law.log))
     assert_same(formal_inverse(law), ref_formal_inverse(law))
+
+
+@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("build", [additive_law, multiplicative_law, universal_law],
+                         ids=lambda build: build.__name__)
+def test_logarithm_equals_the_integrated_geometric_inverse(build, n):
+    law = build(n)
+    assert_same(logarithm(law), ref_logarithm(law))
+
+
+def _specialized(law, ring, assignment, name):
+    """The law with each coefficient sent through `substitute_generators`."""
+    terms = {e: substitute_generators(c, ring, assignment) for e, c in law.series.terms.items()}
+    return FormalGroupLaw(name, TruncatedSeries(ring, XY, law.order, terms))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_logarithm_of_dense_specializations(seed):
+    """m_i sent to random rational multiples of b^i, or to random elements of
+    degree -i: the image laws have dense omega, unlike the built-in laws."""
+    rng, law = random.Random(seed), universal_law(8)
+    k0_q = K0_RING.rationalized()
+    b = GradedRingElement.generator(k0_q, "b")
+    scalars = {f"m_{i}": b ** i * Fraction(rng.randint(1, 9), rng.randint(1, 9))
+               for i in range(1, 8)}
+    mixed = {f"m_{i}": random_homogeneous(rng, law.ring, -i) for i in range(1, 8)}
+    for target in (_specialized(law, k0_q, scalars, "k0"),
+                   _specialized(law, law.ring, mixed, "mixed")):
+        assert_same(logarithm(target), ref_logarithm(target))
 
 
 def _random_coefficient(rng, ring, degree):

@@ -1,4 +1,7 @@
+import os
+import pickle
 import random
+import subprocess
 import sys
 
 import pytest
@@ -218,3 +221,20 @@ def test_logarithm_is_computed_once_per_law(monkeypatch):
     assert law.log is law.log
     assert calls == []
     assert law.log == logarithm(law)
+
+
+def test_a_theory_pickles_into_a_fresh_process():
+    theories = [chow(), k0(), universal(6)]
+    probe = (
+        "import pickle, sys\n"
+        "from motivec.theory import chow, k0, universal\n"
+        "for got, want in zip(pickle.loads(sys.stdin.buffer.read()), [chow(), k0(), universal(6)]):\n"
+        "    print(got == want, hash(got) == hash(want), got.point_class(3))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fgl_module.__file__)))
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"  # another string hash
+    proc = subprocess.run([sys.executable, "-c", probe], input=pickle.dumps(theories),
+                          capture_output=True, env={**os.environ, "PYTHONPATH": src,
+                                                    "PYTHONHASHSEED": seed})
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().splitlines() == [f"True True {t.point_class(3)}" for t in theories]
