@@ -241,8 +241,9 @@ def read_plain_argv(argv) -> dict | None:
 
 
 def build_arg_parser():
-    """The argparse parser: the one writer of usage and error text.  Its help
-    text is the code of the SystemExit it raises, for `main` to write."""
+    """The argparse parser: the one writer of usage and error text, whose
+    choice refusals are the package's own (`one_of`).  Its help text is the
+    code of the SystemExit it raises, for `main` to write."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -258,8 +259,19 @@ def build_arg_parser():
     parser.add_argument(
         "--theory", default=OPTIONS["theory"], help="chow, k0, or universal:N"
     )
-    parser.add_argument("--mode", default=OPTIONS["mode"], choices=MODES)
-    parser.add_argument("--format", default=OPTIONS["format"], choices=FORMATS)
+
+    def one_of(choices):
+        """The `type` and `metavar` of an option taking one of `choices`: its refusal is
+        argparse's own text up to 3.13.0, on every interpreter (3.13.13 quotes no choice)."""
+        def value(text):
+            if text not in choices:
+                raise argparse.ArgumentTypeError(
+                    f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
+            return text
+        return dict(type=value, metavar="{" + ",".join(choices) + "}")
+
+    parser.add_argument("--mode", default=OPTIONS["mode"], **one_of(MODES))
+    parser.add_argument("--format", default=OPTIONS["format"], **one_of(FORMATS))
     parser.add_argument("--truncation", type=int, default=None)
     # a usage error is one line, without the usage block argparse puts before it
     parser.error = lambda message: parser.exit(2, f"{parser.prog}: error: {message}\n")

@@ -9,16 +9,16 @@ Each monomial is packed into one int, EXPONENT_BITS bits per generator
 (Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
 packed exponent vectors", CASC 2007), so multiplying two monomials is one
 int addition and a key's degree a linear function of its fields.  A ring is
-built whole with its packing (see `RingDescriptor`) and never changes.  The
-top bit of each field is a guard: a product that takes an exponent out of
-its field sets it, and raises one ValueError line.  An exponent lies in
-[0, 2^31), or in [-2^30, 2^30) for an invertible generator.  Products of
-packed terms, of elements here and of series coefficients in `series`, go
-through one kernel, `_accumulate`, which sums the term products into a
-dict pair by pair; `_checked` raises the guard's line for a kept key, for
-those products and for the twist blocks of `motives`.  The public
-`terms` map, keyed by exponent tuples, is a read-only view built on each
-read; the package's own code never builds it.
+built whole with its packing and its shape (see `RingDescriptor`) and never
+changes.  The top bit of each field is a guard: a product that takes an
+exponent out of its field sets it, and raises one ValueError line.  An
+exponent lies in [0, 2^31), or in [-2^30, 2^30) for an invertible generator.
+Products of packed terms, of elements here and of series coefficients in
+`series`, go through one kernel, `_accumulate`, which sums the term products
+into a dict pair by pair; `_checked` raises the guard's line for a kept key,
+for those products and for the twist blocks of `motives`.  The public `terms`
+map, keyed by exponent tuples, is a read-only view built on each read; the
+package's own code never builds it.
 
 An element carries its sorted degree tuple, filled on first read or handed
 on by the operation that built it: a product of homogeneous factors lies in
@@ -111,10 +111,12 @@ class RingDescriptor(Frozen):
     invertible and else 0.  `_unit` is the empty monomial's key, so two
     monomials multiply to k1 + k2 - _unit, and `_guard` masks the top bit
     of each field, which such a sum sets in a field it takes out of range.
+    Its shape, built with it and never refused, is `_laurent`, the invertible
+    generators' degrees, and `_unlisted`, why its components are not listed.
     """
 
     __slots__ = ("name", "generators", "field", "truncation",
-                 "_hash", "_unit", "_guard", "_offsets")
+                 "_hash", "_unit", "_guard", "_offsets", "_laurent", "_unlisted")
 
     def __new__(cls, name, generators, field, truncation=None):
         symbols = [g.symbol for g in generators]
@@ -125,11 +127,12 @@ class RingDescriptor(Frozen):
         if truncation is not None and truncation < 0:
             raise ValueError("truncation bound must be >= 0")
         offsets = tuple(_LAURENT_OFFSET if g.invertible else 0 for g in generators)
+        laurent = tuple(g.degree for g in generators if g.invertible)
         return cls._new(name, generators, field, truncation,
                         hash((name, generators, field, truncation)),
                         sum(o << (EXPONENT_BITS * i) for i, o in enumerate(offsets)),
                         sum(_GUARD_BIT << (EXPONENT_BITS * i) for i in range(len(offsets))),
-                        offsets)
+                        offsets, laurent, _why_unlisted(generators, laurent, truncation))
 
     def _fields(self) -> tuple:
         return self.name, self.generators, self.field, self.truncation
@@ -167,6 +170,22 @@ class RingDescriptor(Frozen):
         if self.rational:
             return self
         return RingDescriptor(self.name + "@Q", self.generators, "Q", self.truncation)
+
+
+def _why_unlisted(generators, laurent, truncation):
+    """Why the components of a ring are not listed, or None when they are: a
+    Laurent generator beside others, of degree 0 or under a truncation
+    bound, or a non-Laurent generator outside the negative degrees."""
+    if laurent and len(generators) != 1:
+        return ("degree enumeration with invertible generators is only "
+                "supported for a single Laurent generator")
+    if laurent and not laurent[0]:
+        return "a Laurent generator of degree 0 has infinitely many monomials"
+    if laurent and truncation is not None:
+        return "a truncated ring with a Laurent generator is not supported"
+    if not laurent and any(g.degree >= 0 for g in generators):
+        return "degree enumeration requires all generators in negative degrees"
+    return None
 
 
 CHOW_RING = RingDescriptor("chow", (), "Z")
@@ -579,36 +598,19 @@ def _component_keys(ring: RingDescriptor, k: int) -> tuple:
 
 
 def check_enumerable(ring: RingDescriptor) -> None:
-    """Refuse, with NotImplementedError, a ring whose components are not
-    listed: a Laurent generator beside others, of degree 0 or under a
-    truncation bound, or a non-Laurent generator outside the negative degrees."""
-    gens = ring.generators
-    if any(g.invertible for g in gens):
-        if len(gens) != 1:
-            raise NotImplementedError(
-                "degree enumeration with invertible generators is only "
-                "supported for a single Laurent generator"
-            )
-        if not gens[0].degree:
-            raise NotImplementedError("a Laurent generator of degree 0 has infinitely many monomials")
-        if ring.truncation is not None:
-            raise NotImplementedError("a truncated ring with a Laurent generator is not supported")
-    elif any(g.degree >= 0 for g in gens):
-        raise NotImplementedError(
-            "degree enumeration requires all generators in negative degrees"
-        )
+    """Refuse, with NotImplementedError, a ring whose components are not listed."""
+    if ring._unlisted:
+        raise NotImplementedError(ring._unlisted)
 
 
 def _degree_monomials(ring: RingDescriptor, k: int):
+    check_enumerable(ring)
     gens = ring.generators
     if not gens:
         return [()] if k == 0 else []
-    check_enumerable(ring)
-    if gens[0].invertible:
-        g = gens[0]
-        if k % g.degree == 0:
-            return [(k // g.degree,)]
-        return []
+    if ring._laurent:  # one Laurent generator, alone
+        d, = ring._laurent
+        return [] if k % d else [(k // d,)]
     if ring.truncation is not None and k < -ring.truncation:
         raise TruncationError(
             f"degree {k} lies beyond the truncation bound of {ring.name!r}"

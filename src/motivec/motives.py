@@ -453,22 +453,20 @@ def _periodic(ring) -> bool:
     degree: true for a Laurent unit of degree 1 or -1.  A unit of another
     degree, whose table would repeat with a longer period, is refused with
     NotImplementedError."""
-    units = [g for g in ring.generators if g.invertible]
-    for g in units:
-        if abs(g.degree) != 1:
-            raise NotImplementedError(
-                f"a periodic table needs a Laurent unit of degree 1 or -1, not {g.degree}")
-    return bool(units)
+    for d in ring._laurent:
+        if abs(d) != 1:
+            raise NotImplementedError(f"a periodic table needs a Laurent unit of degree 1 or -1, not {d}")
+    return bool(ring._laurent)
 
 
 def _unit_key(ring, degree: int):
     """The packed key of the unique unit monomial of a given degree, or None."""
     if not degree:
         return ring._unit  # the key of the empty monomial
-    units = [g for g in ring.generators if g.invertible]
-    if len(units) != 1 or degree % units[0].degree:
+    units = ring._laurent
+    if len(units) != 1 or degree % units[0]:
         return None
-    return _encode(ring, tuple(degree // g.degree if g.invertible else 0 for g in ring.generators))
+    return _encode(ring, tuple(degree // units[0] if o else 0 for o in ring._offsets))
 
 
 def _units(theory, source: TateMotive, target: TateMotive, scalars, scale=1) -> Correspondence:
@@ -628,11 +626,10 @@ def group_ranks(motive: TateMotive, theory: OrientedTheory) -> tuple[dict[int, i
     ring = theory.ring
     hist = motive.histogram
     periodic = _periodic(ring)
-    if not hist:
-        return ({0: 0} if periodic else {}), periodic
-    check_enumerable(ring)
-    if periodic:
-        return {0: motive.size}, True
+    if hist:
+        check_enumerable(ring)
+    if periodic or not hist:
+        return ({0: motive.size} if periodic else {}), periodic
     window = _window(hist, ring)
     ranks = {t: m for t, m in hist if t in window}
     if ring.generators:

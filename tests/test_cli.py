@@ -204,6 +204,22 @@ def test_a_usage_error_is_one_line(argv, capsys):
     assert err.startswith("motivec: error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+# the package writes these itself: argparse's own text lost the quotes in 3.13.13
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "nope"], "--mode: invalid choice: 'nope' "
+                         "(choose from 'motive', 'groups', 'poincare', 'dual', 'check')"),
+    (["--format=JSON"], "--format: invalid choice: 'JSON' (choose from 'text', 'json')"),
+    (["--mo", "it's"], "--mode: invalid choice: \"it's\" "
+                       "(choose from 'motive', 'groups', 'poincare', 'dual', 'check')"),
+], ids=repr)
+def test_a_choice_refusal_quotes_each_choice(argv, message, capsys):
+    from motivec.cli import build_arg_parser
+
+    assert invoke(argv, capsys) == (1, "", f"motivec: error: argument {message}\n")
+    text = " ".join(build_arg_parser().format_help().split())
+    assert "[--mode {motive,groups,poincare,dual,check}] [--format {text,json}]" in text
+
+
 def test_check_mode_passes(capsys):
     code, out, _ = invoke(["--mode", "check"], capsys)
     assert code == 0

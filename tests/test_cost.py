@@ -1,4 +1,5 @@
-"""Multiplication counts of the group-law work, a cost guard without a clock.
+"""Multiplication counts of the group-law work, and bytecode counts of whole
+requests over doubling inputs: cost guards without a clock.
 
 Wall time on a shared machine swings too much to gate small regressions, but
 the number of products the algorithms ask for repeats exactly.  These tests
@@ -23,16 +24,21 @@ variable rather than by the image with the most terms, ``suite_fgl`` took
 6 964 ring products.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import motivec
 from motivec import linalg, motives, selfcheck
 from motivec.fgl import universal_law
 from motivec.gring import GradedRingElement
 from motivec.series import TruncatedSeries
 from motivec.spaces import grassmannian
 from motivec.theory import chow, k0
+from test_memory_gate import chain_document
 
 MARGIN = 1.05
 
@@ -163,3 +169,88 @@ def test_group_law_work_builds_no_terms_view(views, work):
     assert views == []
     GradedRingElement.one(universal_law(3).ring).terms  # the counter sees a view
     assert views == ["terms"]
+
+
+# Work ladders: the executed bytecodes of one in-process `cli.run` in groups
+# mode, counted with `sys.settrace` and `f_trace_opcodes` after a warm-up
+# call, on documents of 64, 128, 256 and 512 declarations.  The counts repeat
+# exactly and are the same under two hash seeds, but differ between
+# interpreter versions, so the tests compare ratios, never absolute counts.
+# Under 3.11.7 each doubling multiplies the count by 1.994-1.999 on both
+# ladders.  A linear ladder may grow by at most LINEAR per doubling.
+
+LINEAR = 2.05
+RUNGS = (64, 128, 256, 512)
+HASH_SEEDS = ("0", "7")
+
+LADDER_PROBE = r"""
+import sys
+from motivec.cli import RunConfig, run
+
+
+def opcodes(call, *args):
+    n = 0
+
+    def local(frame, event, arg):
+        nonlocal n
+        if event == "opcode":
+            n += 1
+        return local
+
+    def enter(frame, event, arg):
+        frame.f_trace_lines, frame.f_trace_opcodes = False, True
+        return local
+
+    sys.settrace(enter)
+    try:
+        call(*args)
+    finally:
+        sys.settrace(None)
+    return n
+
+
+opcodes(lambda: None)  # under 3.12.1 the first traced call counts no opcode
+for path, space in zip(sys.argv[1::2], sys.argv[2::2]):
+    config = RunConfig(space, "chow", "groups", file=path)
+    run(config)  # the warm-up
+    print(opcodes(run, config))
+"""
+
+
+def union_declarations(length: int) -> str:
+    """`length` declarations, each one cell over the union of the one before and a point."""
+    lines, base = [], "point"
+    for i in range(1, length + 1):
+        lines.append(f"space u{i} {{ cell {{ base = union({base}, point); rank = 0; codim = 0 }} }}")
+        base = f"u{i}"
+    return "\n".join(lines) + "\n"
+
+
+LADDERS = {"chain": (chain_document, "c"), "union": (union_declarations, "u")}
+
+
+@pytest.fixture(scope="module")
+def ladder_counts(tmp_path_factory):
+    """{hash seed: {ladder: the count of each rung}}, one process per seed, run together."""
+    folder, argv = tmp_path_factory.mktemp("ladders"), []
+    for name, (document, prefix) in LADDERS.items():
+        for n in RUNGS:
+            path = folder / f"{name}-{n}.txt"
+            path.write_text(document(n))
+            argv += [str(path), f"{prefix}{n}"]
+    src = os.path.dirname(os.path.dirname(motivec.__file__))
+    procs = {seed: subprocess.Popen([sys.executable, "-c", LADDER_PROBE, *argv], stdout=subprocess.PIPE,
+                                    env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+             for seed in HASH_SEEDS}
+    counts = {seed: [int(c) for c in proc.communicate()[0].split()] for seed, proc in procs.items()}
+    assert all(proc.returncode == 0 for proc in procs.values())
+    return {seed: {name: c[i * len(RUNGS):(i + 1) * len(RUNGS)] for i, name in enumerate(LADDERS)}
+            for seed, c in counts.items()}
+
+
+@pytest.mark.parametrize("ladder", LADDERS)
+def test_a_declaration_ladder_grows_linearly(ladder, ladder_counts):
+    counts = [ladder_counts[seed][ladder] for seed in HASH_SEEDS]
+    assert counts[0] == counts[1]  # the hash seed changes no work
+    ratios = [b / a for a, b in zip(counts[0], counts[0][1:])]
+    assert all(1.5 < r <= LINEAR for r in ratios), ratios  # the count sees the work, and no more

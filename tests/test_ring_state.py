@@ -43,7 +43,7 @@ def test_a_ring_is_unchanged_by_its_use():
     wider = RingDescriptor("w", generators, "Q", None)
     assert convert_element(convert_element(a * b, wider), ring) == a * b
     assert slot_values(ring) == before == slot_values(RingDescriptor("u", generators, "Q", 5))
-    assert len(RingDescriptor.__slots__) == 8
+    assert len(RingDescriptor.__slots__) == 10
 
 
 def test_a_conversion_into_an_unbounded_ring_reads_no_degree(monkeypatch):
