@@ -39,11 +39,11 @@ the coefficient ring's Hilbert series (:func:`motivec.motives.group_ranks`);
 no module basis is listed.
 
 A request imports the ring, space, theory and motive modules.  An argv of
-distinct ``--name value`` pairs of the six options, with a valid mode and
-format and a truncation of ASCII digits, is read directly; ``argparse``
-loads only for anything else (help, abbreviations, ``--name=value``,
-repeated options and every error), so that it alone writes usage and error
-text.  The parser :mod:`motivec.dsl` loads only for ``--file``,
+distinct ``--name value`` pairs of the five string options, with a valid
+mode and format, is read directly; ``argparse`` loads only for anything
+else (``--truncation``, help, abbreviations, ``--name=value``, repeated
+options and every error), so that it alone reads an integer and writes
+usage and error text.  The parser :mod:`motivec.dsl` loads only for ``--file``,
 ``json`` only to escape a string that is not printable ASCII (``_json``
 writes the flat document itself), and :mod:`motivec.selfcheck` (with the
 series, group-law and linear-algebra modules) only for ``--mode check``.
@@ -89,7 +89,8 @@ def _forms(*heads) -> str:
 class RunConfig(namedtuple("RunConfig", "space theory mode format file truncation")):
     __slots__ = ()
 
-    def __new__(cls, space, theory, mode="motive", format="text", file=None, truncation=None):
+    def __new__(cls, space, theory, mode=OPTIONS["mode"], format=OPTIONS["format"], file=OPTIONS["file"],
+                truncation=OPTIONS["truncation"]):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if format not in FORMATS:
@@ -216,8 +217,8 @@ def read_plain_argv(argv) -> dict | None:
 
     Returns None for anything else, to be parsed by argparse: help,
     abbreviations, ``--name=value``, repeated options, a value that starts
-    with ``-``, a mode or format outside its choices, and a truncation
-    that is not ASCII digits.
+    with ``-``, a mode or format outside its choices, and ``--truncation``,
+    whose integer rule is argparse's alone.
     """
     flags = argv[::2]
     if len(argv) % 2 or len(set(flags)) != len(flags):
@@ -225,16 +226,9 @@ def read_plain_argv(argv) -> dict | None:
     args = dict(OPTIONS)
     for flag, value in zip(flags, argv[1::2]):
         name = flag[2:]
-        if flag[:2] != "--" or name not in OPTIONS or value[:1] == "-":
+        if flag[:2] != "--" or name not in OPTIONS or name == "truncation" or value[:1] == "-":
             return None
-        if name == "truncation":
-            if not (value.isascii() and value.isdigit()):
-                return None
-            try:
-                value = int(value)
-            except ValueError:  # more digits than int() converts
-                return None
-        elif (name == "mode" and value not in MODES) or (name == "format" and value not in FORMATS):
+        if (name == "mode" and value not in MODES) or (name == "format" and value not in FORMATS):
             return None
         args[name] = value
     return args

@@ -67,10 +67,10 @@ class TateMotive(Frozen):
     def from_histogram(cls, pairs) -> "TateMotive":
         """The motive with the given (twist, multiplicity) pairs, in any
         order; repeated twists add up and zero multiplicities drop out.
-        A twist or multiplicity that is not an int raises a TypeError."""
+        A twist or multiplicity that is not an int, or is a bool, raises a TypeError."""
         counts: dict[int, int] = {}
         for t, m in pairs:
-            if not (isinstance(t, int) and isinstance(m, int)):
+            if not (isinstance(t, int) and isinstance(m, int)) or bool in (type(t), type(m)):
                 raise TypeError(f"twist and multiplicity must be integers, got ({t!r}, {m!r})")
             if m < 0:
                 raise ValueError(f"negative multiplicity {m} of twist {t}")
@@ -464,7 +464,7 @@ def _unit_key(ring, degree: int):
     if not degree:
         return ring._unit  # the key of the empty monomial
     units = ring._laurent
-    if len(units) != 1 or degree % units[0]:
+    if len(units) != 1 or not units[0] or degree % units[0]:  # no power of a degree-0 unit has one
         return None
     return _encode(ring, tuple(degree // units[0] if o else 0 for o in ring._offsets))
 

@@ -16,8 +16,6 @@ PLAIN = [
     ["--space", "Gr:8,16", "--theory", "k0", "--mode", "groups", "--format", "json"],
     ["--format", "text", "--mode", "dual", "--theory", "universal:4", "--space", "quadric:2"],
     ["--file", "spaces.txt", "--space", "layered", "--mode", "poincare"],
-    ["--theory", "universal", "--truncation", "3", "--mode", "check"],
-    ["--theory", "universal", "--truncation", "007"],
     ["--space", ""],
     ["--theory", ""],
     ["--file", ""],
@@ -39,6 +37,8 @@ DEFERRED = [
     ["--mode", ""],
     ["--format", "xml"],
     ["--format", ""],
+    ["--theory", "universal", "--truncation", "3", "--mode", "check"],
+    ["--theory", "universal", "--truncation", "007"],
     ["--truncation", "-3"],
     ["--truncation", "+3"],
     ["--truncation", "\u0663"],

@@ -210,11 +210,12 @@ def test_histogram_and_twists_agree():
         TateMotive.from_histogram([(-1, 1)])
     with pytest.raises(ValueError):
         TateMotive.from_histogram([(1, -1)])
-    for pairs in ([(1, 0.5)], [(1.0, 1)], [(1, "2")]):
+    for pairs in ([(1, 0.5)], [(1.0, 1)], [(1, "2")], [(2, True)], [(1, False)]):
         with pytest.raises(TypeError, match="must be integers"):
             TateMotive.from_histogram(pairs)
-    with pytest.raises(TypeError, match="must be integers"):
-        TateMotive([1.7])
+    for twists in ([1.7], [True, 0]):  # a bool is an int to isinstance, but no twist
+        with pytest.raises(TypeError, match="must be integers"):
+            TateMotive(twists)
     with pytest.raises(ValueError):
         lazy.dual(2)
     with pytest.raises(AttributeError):

@@ -259,7 +259,7 @@ def test_split_refuses_non_scalar_projector():
         split_idempotent(p)
 
 
-@pytest.mark.parametrize("case", ["universal", "laurent-and-plain"])
+@pytest.mark.parametrize("case", ["universal", "laurent-and-plain", "degree-0-unit"])
 def test_split_names_the_first_non_scalar_entry(case):
     from motivec.gring import Generator, RingDescriptor
     from motivec.theory import OrientedTheory
@@ -270,7 +270,7 @@ def test_split_names_the_first_non_scalar_entry(case):
         first, m = gen("m_2") + gen("m_1") ** 2, TateMotive((0, 2))
         rows, message = [[1, 0], [first, 0]], "entry m_2 + m_1^2 is not a scalar multiple"
         degree = -2
-    else:
+    elif case == "laurent-and-plain":
         # a unit monomial beside a plain one of the same degree: only the
         # second entry of the block has a term off the unit
         ring = RingDescriptor("mixed", (Generator("u", -1, True), Generator("v", -1)), "Z")
@@ -278,6 +278,14 @@ def test_split_names_the_first_non_scalar_entry(case):
         u, v = (GradedRingElement.generator(ring, g) for g in "uv")
         m = TateMotive((0, 1, 1))
         rows, message = [[1, 0, 0], [u, 0, 0], [u + v, 0, 0]], "entry v + u is not a scalar multiple"
+        degree = -1
+    else:
+        # no power of a Laurent unit of degree 0 has degree -1
+        ring = RingDescriptor("z", (Generator("b", 0, True), Generator("m", -1)), "Z")
+        theory = OrientedTheory("z", ring, 1, None)
+        m = TateMotive((0, 1))
+        rows = [[1, 0], [GradedRingElement.generator(ring, "m"), 0]]
+        message = "entry m is not a scalar multiple"
         degree = -1
     rows = [[e if isinstance(e, GradedRingElement) else sc(theory, e) for e in row] for row in rows]
     p = Correspondence(theory, m, m, 0, rows)
