@@ -29,10 +29,12 @@ answer, the ``--help`` text included, that cannot be written (stdout
 closed, or full as ``/dev/full`` is) is one ``cannot write the answer``
 line and exit 1, and is dropped rather than retried at exit.
 
-:func:`main` returns the exit code; it never exits or freezes the
-collector.  The process entry of ``python -m motivec.cli`` and the
-``motivec`` script calls it, then ``gc.freeze()``, so that the shutdown
-collections scan no loaded module, then ``sys.exit``.
+:func:`main` returns the exit code; it never exits.  The process entry of
+``python -m motivec.cli`` and the ``motivec`` script calls it, runs the
+``atexit`` handlers, flushes stdout and stderr, and ends with ``os._exit``:
+the interpreter's teardown would only free what the process is about to
+give back.  Check mode runs about half of its suites in a forked child
+where ``os.fork`` exists.
 
 The ``groups`` and ``dual`` ranks are counted from the twist histogram and
 the coefficient ring's Hilbert series (:func:`motivec.motives.group_ranks`);
@@ -53,7 +55,7 @@ than a check builds a group law.
 
 from __future__ import annotations
 
-import gc
+import atexit
 import io
 import os
 import sys
@@ -153,10 +155,10 @@ def resolve_space(config: RunConfig) -> SpaceExpr:
 def run(config: RunConfig) -> tuple[str, int]:
     """Execute one request; returns (output document, exit code)."""
     if config.mode == "check":
-        from .selfcheck import run_all
+        from .selfcheck import _run_forked, run_all
         lines = []
         failed = False
-        for name, ok, detail in run_all():
+        for name, ok, detail in _run_forked() if hasattr(os, "fork") else run_all():
             status = "PASS" if ok else "FAIL"
             failed = failed or not ok
             lines.append(f"[{status}] {name}: {detail}")
@@ -317,10 +319,14 @@ def _write(output: str, code: int) -> int:
 
 
 def _process():
-    """The process entry: `main`, then skip the shutdown collections, then exit."""
+    """The process entry: `main`, the `atexit` handlers, the flush of the
+    standard streams, then the exit, without the interpreter's teardown."""
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -335,18 +335,14 @@ def test_run_config_is_an_immutable_checked_record(capsys):
 
 
 # Runs the CLI as `python -m motivec.cli` would and reports, on stderr, the
-# modules the request imported beyond those of the probe's own start-up.
+# modules the request imported beyond those of the probe's own start-up.  The
+# process entry ends the process, so the report is an `atexit` handler.
 STARTUP_PROBE = """
-import runpy, sys
+import atexit, runpy, sys
 before = set(sys.modules)
+atexit.register(lambda: sys.stderr.write(" ".join(sorted(set(sys.modules) - before))))
 sys.argv[0] = "motivec"
-code = 0
-try:
-    runpy.run_module("motivec.cli", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    code = exc.code
-sys.stderr.write(" ".join(sorted(set(sys.modules) - before)))
-sys.exit(code)
+runpy.run_module("motivec.cli", run_name="__main__", alter_sys=True)
 """
 
 
@@ -562,49 +558,46 @@ def test_a_dual_mismatch_is_exit_2_in_both_formats(theory, groups, text, capsys,
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(motivec.__file__)))
 
-# Runs `main` through the process entry (as `python -m motivec.cli` does) or
-# in-process, and reports the exit code and the collector's frozen count
-# before and after.  The count before need not be 0: Python 3.12 starts
-# with objects frozen.
+# Runs the CLI through its process entry, as `python -m motivec.cli` does, with
+# an `atexit` handler registered before it that writes "atexit" to stderr.
 ENTRY_PROBE = """
-import gc, runpy, sys
-before = gc.get_freeze_count()
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write("atexit"))
 sys.argv[0] = "motivec"
-code = None
-try:
-    runpy.run_module("motivec.cli", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    code = exc.code
-sys.stderr.write(f"{code} {before} {gc.get_freeze_count()}")
+runpy.run_module("motivec.cli", run_name="__main__", alter_sys=True)
 """
 
+# Runs `main` in-process and reports what it returned after it returned.
 MAIN_PROBE = """
-import gc, sys
-before = gc.get_freeze_count()
+import sys
 from motivec.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
-sys.stderr.write(f"{code} {before} {gc.get_freeze_count()}")
+sys.stderr.write(f"main returned {code}")
 """
 
 
 def run_probe(probe, argv):
-    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+    return subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
                           env={**os.environ, "PYTHONPATH": SRC})
-    code, before, after = proc.stderr.decode().split()
-    return code, int(before), int(after), proc.stdout
 
 
-def test_the_process_entry_freezes_the_collector_and_main_does_not():
-    code, before, after, out = run_probe(ENTRY_PROBE, ["--space", "P:3"])
-    assert code == "0" and after > before and out == b"0 1 2 3\n"
-    code, before, after, main_out = run_probe(MAIN_PROBE, ["--space", "P:3"])
-    assert (code, after, main_out) == ("0", before, out)
+@pytest.mark.parametrize("argv, code", [(["--space", "P:3"], 0), (["--space", "P:x"], 1),
+                                        (["--mode", "check"], 0)], ids=["answer", "refusal", "check"])
+def test_the_process_entry_runs_atexit_once_and_writes_what_main_writes(argv, code):
+    """The entry ends the process itself: it runs each `atexit` handler once
+    (a forked check worker runs none), and its bytes and exit code are those
+    `main` writes and returns in-process, where it does not exit."""
+    entry, inside = run_probe(ENTRY_PROBE, argv), run_probe(MAIN_PROBE, argv)
+    returned = f"main returned {code}".encode()
+    assert (entry.returncode, inside.returncode) == (code, 0)
+    assert entry.stderr.count(b"atexit") == 1 and inside.stderr.endswith(returned)
+    assert entry.stdout == inside.stdout
+    assert entry.stderr.removesuffix(b"atexit") == inside.stderr.removesuffix(returned)
 
 
 def test_one_process_entry_for_the_script_and_the_module():
-    """The `motivec` script names the function the `__main__` block calls,
-    and no process ends through `os._exit`, which skips `atexit` handlers."""
+    """The `motivec` script names the function the `__main__` block calls."""
     with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as handle:
         scripts = handle.read().split("[project.scripts]")[1].split("\n[")[0]
     command, equals, target = scripts.split()
@@ -614,12 +607,7 @@ def test_one_process_entry_for_the_script_and_the_module():
         guard = ast.parse(handle.read()).body[-1]
     assert ast.unparse(guard.test) == "__name__ == '__main__'"
     assert [ast.unparse(line) for line in guard.body] == [f"{entry}()"]
-    assert getattr(motivec.cli, entry) is not main  # `main` neither freezes nor exits
-    package = os.path.dirname(motivec.cli.__file__)
-    for name in sorted(os.listdir(package)):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name), encoding="utf-8") as handle:
-                assert "os._exit" not in handle.read(), name
+    assert getattr(motivec.cli, entry) is not main  # `main` does not exit
 
 
 def run_closing(argv, unbuffered, close=(), stdout=None):
