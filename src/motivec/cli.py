@@ -33,8 +33,7 @@ line and exit 1, and is dropped rather than retried at exit.
 ``python -m motivec.cli`` and the ``motivec`` script calls it, runs the
 ``atexit`` handlers, flushes stdout and stderr, and ends with ``os._exit``:
 the interpreter's teardown would only free what the process is about to
-give back.  Check mode runs about half of its suites in a forked child
-where ``os.fork`` exists.
+give back.  Check mode writes the rows of :func:`motivec.selfcheck.run_all`.
 
 The ``groups`` and ``dual`` ranks are counted from the twist histogram and
 the coefficient ring's Hilbert series (:func:`motivec.motives.group_ranks`);
@@ -155,14 +154,10 @@ def resolve_space(config: RunConfig) -> SpaceExpr:
 def run(config: RunConfig) -> tuple[str, int]:
     """Execute one request; returns (output document, exit code)."""
     if config.mode == "check":
-        from .selfcheck import _run_forked, run_all
-        lines = []
-        failed = False
-        for name, ok, detail in _run_forked() if hasattr(os, "fork") else run_all():
-            status = "PASS" if ok else "FAIL"
-            failed = failed or not ok
-            lines.append(f"[{status}] {name}: {detail}")
-        return "\n".join(lines) + "\n", (2 if failed else 0)
+        from .selfcheck import run_all
+        rows = run_all()
+        output = "".join(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}\n" for name, ok, detail in rows)
+        return output, (0 if all(ok for _, ok, _ in rows) else 2)
 
     space = resolve_space(config)
     theory = theory_from_selector(config.theory, config.truncation)

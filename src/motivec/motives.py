@@ -448,17 +448,6 @@ def split_idempotent(p: Correspondence) -> SplitCertificate:
     return SplitCertificate(image, section, retraction, integral)
 
 
-def _periodic(ring) -> bool:
-    """Whether a table over `ring` is one description valid in every
-    degree: true for a Laurent unit of degree 1 or -1.  A unit of another
-    degree, whose table would repeat with a longer period, is refused with
-    NotImplementedError."""
-    for d in ring._laurent:
-        if abs(d) != 1:
-            raise NotImplementedError(f"a periodic table needs a Laurent unit of degree 1 or -1, not {d}")
-    return bool(ring._laurent)
-
-
 def _unit_key(ring, degree: int):
     """The packed key of the unique unit monomial of a given degree, or None."""
     if not degree:
@@ -594,20 +583,25 @@ def realize_table(motive: TateMotive, theory: OrientedTheory) -> GradedModuleTab
     periodic, and one of another degree is refused; truncated rings cover
     the window [max_twist - truncation, max_twist].
     """
-    ring = theory.ring
-    if _periodic(ring):
-        desc = realize(motive, theory, 0)
-        return GradedModuleTable(entries=((0, desc),), periodic=True)
-    if not motive.histogram:
-        return GradedModuleTable(entries=())
-    descs = ((k, realize(motive, theory, k)) for k in _window(motive.histogram, ring))
-    return GradedModuleTable(entries=tuple((k, desc) for k, desc in descs if desc.rank))
+    periodic, window = _table_plan(motive.histogram, theory.ring)
+    descs = ((k, realize(motive, theory, k)) for k in window)
+    return GradedModuleTable(tuple((k, desc) for k, desc in descs if desc.rank or periodic), periodic)
 
 
-def _window(hist, ring) -> range:
-    """The degrees that a table of the nonempty histogram `hist` covers."""
+def _table_plan(hist, ring) -> tuple[bool, range]:
+    """The periodic flag and the degrees of a table of `hist` over `ring`, or
+    its refusal (NotImplementedError): a Laurent unit of degree other than 1
+    or -1, whose table would repeat with a longer period, then, once `hist`
+    has a twist, a ring whose components are not listed."""
+    for d in ring._laurent:
+        if abs(d) != 1:
+            raise NotImplementedError(f"a periodic table needs a Laurent unit of degree 1 or -1, not {d}")
+    if hist:
+        check_enumerable(ring)
+    if ring._laurent or not hist:  # a periodic table's one degree is 0
+        return bool(ring._laurent), range(bool(ring._laurent))
     high = hist[-1][0]
-    return range(hist[0][0] if ring.truncation is None else high - ring.truncation, high + 1)
+    return False, range(hist[0][0] if ring.truncation is None else high - ring.truncation, high + 1)
 
 
 def group_ranks(motive: TateMotive, theory: OrientedTheory) -> tuple[dict[int, int], bool]:
@@ -623,14 +617,10 @@ def group_ranks(motive: TateMotive, theory: OrientedTheory) -> tuple[dict[int, i
     and multiplying the histogram by it is one coin-change pass per
     generator over the degree window of `realize_table`.
     """
-    ring = theory.ring
-    hist = motive.histogram
-    periodic = _periodic(ring)
-    if hist:
-        check_enumerable(ring)
+    ring, hist = theory.ring, motive.histogram
+    periodic, window = _table_plan(hist, ring)
     if periodic or not hist:
         return ({0: motive.size} if periodic else {}), periodic
-    window = _window(hist, ring)
     ranks = {t: m for t, m in hist if t in window}
     if ring.generators:
         counts = [ranks.get(k, 0) for k in window]

@@ -2,10 +2,9 @@
 
 Each suite raises AssertionError on the first violated invariant, through
 :func:`require`, which ``python -O`` does not strip; :func:`run_all`
-collects one (name, passed, detail) row per suite, in one process.  The CLI
-check mode gets the same rows from :func:`_run_forked`, which runs about half
-of the suites in a forked child.  All randomness is seeded, so a run is
-reproducible.
+collects one (name, passed, detail) row per suite, for the tests and the CLI
+check mode alike, and runs about half of the suites in a forked child where
+it can.  All randomness is seeded, so a run is reproducible.
 """
 
 from __future__ import annotations
@@ -293,19 +292,21 @@ def _row(name, suite, seed):
 
 
 def run_all(seed: int = 0):
-    """Run every suite; returns a list of (name, passed, detail) rows."""
-    return [_row(name, suite, seed) for name, suite in SUITES]
+    """Run every suite; returns a list of (name, passed, detail) rows.
 
-
-def _run_forked(seed: int = 0):
-    """`run_all(seed)`'s rows, with the suites of `_WORKER_GROUP` run in a
-    forked child, which sends its rows back through a pipe and ends with
-    `os._exit`.  A child that ends without sending them, killed or exited,
-    leaves one FAIL row naming its exit status for each suite of its group."""
-    random_theories()  # the theories both groups use, built once
-    worker = [(name, suite) for name, suite in SUITES if name in _WORKER_GROUP]
+    Where `os.fork` exists the suites of `_WORKER_GROUP` run in a forked
+    child, which sends its rows back through a pipe and ends with
+    `os._exit`; a child that ends without sending them, killed or exited,
+    leaves one FAIL row naming its exit status for each suite of its group.
+    Without `os.fork`, or when it fails, every suite runs in this process."""
     read, write = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except (AttributeError, OSError):  # no os.fork, or no process or memory to spare
+        os.close(read)
+        os.close(write)
+        return [_row(name, suite, seed) for name, suite in SUITES]
+    worker = [(name, suite) for name, suite in SUITES if name in _WORKER_GROUP]
     if pid == 0:  # the child never returns into its caller's code
         code = 1
         try:
