@@ -289,7 +289,7 @@ def main(argv=None) -> int:
             return 1
     try:
         output, code = run(RunConfig(**{**args, "truncation": truncation}))
-    except (ValueError, OSError, KeyError) as exc:  # a ParseError is a ValueError
+    except (ValueError, OSError) as exc:  # a ParseError is a ValueError
         print(f"motivec: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

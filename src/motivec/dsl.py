@@ -258,23 +258,18 @@ def print_space(space: SpaceExpr) -> str:
     user-shaped cellular spaces come out as a document whose last
     declaration is the space itself.
     """
-    text: dict[int, str | None] = {}  # node id -> "point", a declared name, or None for a union
     taken: set[str] = set()  # one declared name per declaration
     lines: list[str] = []
 
-    def settled(s: SpaceExpr) -> bool:
-        # built-ins print as themselves and are not walked into
-        return getattr(s, "expr_form", None) is not None or id(s) in text
-
-    def expr_str(s: SpaceExpr) -> str:
-        """The text of a settled node; a union's is written here, once, from pieces."""
+    def expr_str(s: SpaceExpr, text: dict[int, str | None]) -> str:
+        """The text of a walked node; a union's is written here, once, from pieces."""
         pieces, stack = [], [s]
         while stack:
             s = stack.pop()
             if isinstance(s, DisjointUnion):
                 stack += (")", s.right, ", ", s.left, "union(")
             else:
-                pieces.append(s if isinstance(s, str) else text.get(id(s)) or s.expr_form)
+                pieces.append(s if isinstance(s, str) else text[id(s)])
         return "".join(pieces)
 
     def fresh_name(wanted: str | None) -> str:
@@ -287,25 +282,26 @@ def print_space(space: SpaceExpr) -> str:
         taken.add(candidate)
         return candidate
 
-    def visit(s: SpaceExpr):
+    def visit(s: SpaceExpr, text: dict[int, str | None]) -> str | None:
         if isinstance(s, Point):
-            text[id(s)] = "point"
-        elif isinstance(s, DisjointUnion):
-            text[id(s)] = None
-        else:  # a cellular space
-            name = text[id(s)] = fresh_name(s.name)
-            lines.append(f"space {name} {{")
-            lines.extend(
-                f"  cell {{ base = {expr_str(c.base)}; rank = {c.rank}; codim = {c.codim} }}"
-                for c in s.cells
-            )
-            lines.append("}")
+            return "point"
+        if isinstance(s, DisjointUnion):
+            return None
+        name = fresh_name(s.name)  # a cellular space
+        lines.append(f"space {name} {{")
+        lines.extend(
+            f"  cell {{ base = {expr_str(c.base, text)}; rank = {c.rank}; codim = {c.codim} }}"
+            for c in s.cells
+        )
+        lines.append("}")
+        return name
 
-    walk_dag(space, settled, visit)
+    # a node's text: "point", a declared name, or a built-in's own, which is not walked into
+    text = walk_dag(space, visit, leaf=lambda s: getattr(s, "expr_form", None))
     if not isinstance(space, Cellular) or space.expr_form is not None:
         if lines:
             raise ValueError(
                 "top-level expression mentions user-defined spaces; print those instead"
             )
-        return expr_str(space)
+        return expr_str(space, text)
     return "\n".join(lines) + "\n"

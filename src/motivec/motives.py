@@ -505,27 +505,23 @@ def decompose_by_codim(space: SpaceExpr) -> TateMotive:
 
 def _fold(space: SpaceExpr, field: str) -> dict[int, int]:
     """The twist histogram of a space, adding up the cell `field` ("rank"
-    or "codim") down the filtration.  Each shared node is folded once:
-    results are memoized by node identity for the length of one walk,
-    while the root keeps every node alive."""
-    memo: dict[int, dict[int, int]] = {}
+    or "codim") down the filtration.  Each shared node is folded once, as
+    one `visit` of :func:`walk_dag`, which keeps the histograms."""
 
-    def visit(node):
+    def visit(node, hists):
         if isinstance(node, Point):
-            memo[id(node)] = {0: 1}
-            return
+            return {0: 1}
         if isinstance(node, DisjointUnion):
             pieces = ((0, node.left), (0, node.right))
         else:  # a cellular space
             pieces = ((getattr(cell, field), cell.base) for cell in node.cells)
         hist: dict[int, int] = {}
         for shift, base in pieces:
-            for t, m in memo[id(base)].items():
+            for t, m in hists[id(base)].items():
                 hist[t + shift] = hist.get(t + shift, 0) + m
-        memo[id(node)] = hist
+        return hist
 
-    walk_dag(space, lambda node: id(node) in memo, visit)
-    return memo[id(space)]
+    return walk_dag(space, visit)[id(space)]
 
 
 def poincare_polynomial(motive: TateMotive) -> list[int]:

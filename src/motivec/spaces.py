@@ -9,10 +9,11 @@ structural and ignores display names.
 Spaces are immutable DAGs whose sub-spaces are often shared (the
 Grassmannian recursion, references in the text format).  A node is given
 its dimension and hash when it is built, from those of its parts.  No walk
-recurses: :func:`normalize`, printing and folding go through :func:`walk_dag`,
-which visits each shared node once; `SpaceExpr.__eq__` compares each node
-pair once and the printer writes a union's text, each on its own stack.  The
-built-in families count their cells first and refuse more than MAX_CELLS.
+recurses: :func:`normalize`, printing and folding are each one `visit` of
+:func:`walk_dag`, which returns every node's value and visits each shared
+node once; `SpaceExpr.__eq__` compares each node pair once and the printer
+writes a union's text, each on its own stack.  The built-in families count
+their cells first and refuse more than MAX_CELLS.
 """
 
 from __future__ import annotations
@@ -72,29 +73,34 @@ class SpaceExpr(Frozen):
         return True
 
 
-def walk_dag(space: SpaceExpr, settled, visit) -> None:
-    """Visit every unsettled node under `space` once, its parts first.
+def walk_dag(space: SpaceExpr, visit, leaf=None) -> dict:
+    """The value of every node under `space`, by node id, parts first.
 
-    `settled(node)` says whether a node's value is already known; a
-    settled node is neither visited nor descended into.  `visit(node)`
-    runs once all the node's parts are settled and must settle it.  The
-    walk keeps an explicit stack, so its depth is not bounded by Python's
-    recursion limit, and takes parts left to right, so errors surface in
-    the order a recursive walk would meet them.
+    `visit(node, values)` runs once per distinct node, after its parts,
+    and returns the node's value; `values` holds each part's, and a value
+    of None counts as set.  Where `leaf(node)` is not None, it is the
+    node's value and the node's parts are not walked.  The walk keeps an
+    explicit stack, so its depth is not bounded by Python's recursion
+    limit, and takes parts left to right, so errors surface in the order
+    a recursive walk would meet them.  The ids stay valid while `space`,
+    which keeps every node alive, does.
     """
     _violation((space,))  # refuses a non-space; the parts of a built node are spaces
+    values: dict[int, object] = {}
     stack = [space]
     while stack:
         node = stack[-1]
-        if settled(node):
+        if id(node) in values:
             stack.pop()
-            continue
-        pending = [p for p in node.parts() if not settled(p)]
-        if pending:
+        elif leaf is not None and (value := leaf(node)) is not None:
+            stack.pop()
+            values[id(node)] = value
+        elif pending := [p for p in node.parts() if id(p) not in values]:
             stack.extend(reversed(pending))
         else:
             stack.pop()
-            visit(node)
+            values[id(node)] = visit(node, values)
+    return values
 
 
 def _violation(parts) -> EquidimensionalityViolation | None:
@@ -223,22 +229,18 @@ def quadric(d: int) -> SpaceExpr:
 def normalize(space: SpaceExpr) -> SpaceExpr:
     """Collapse cells that add nothing: a single cell of rank 0 and codim 0
     over some base is that base.  Shared nodes stay shared."""
-    out: dict[int, SpaceExpr] = {}
 
-    def visit(node):
-        new = node
+    def visit(node, out):
         if isinstance(node, DisjointUnion):
-            new = DisjointUnion(out[id(node.left)], out[id(node.right)])
-        elif isinstance(node, Cellular):
-            cells = tuple(Cell(out[id(c.base)], c.rank, c.codim) for c in node.cells)
-            if len(cells) == 1 and cells[0].rank == 0 and cells[0].codim == 0:
-                new = cells[0].base
-            else:
-                new = Cellular(cells, name=node.name, expr_form=node.expr_form)
-        out[id(node)] = new
+            return DisjointUnion(out[id(node.left)], out[id(node.right)])
+        if isinstance(node, Point):
+            return node
+        cells = tuple(Cell(out[id(c.base)], c.rank, c.codim) for c in node.cells)
+        if len(cells) == 1 and cells[0].rank == 0 and cells[0].codim == 0:
+            return cells[0].base
+        return Cellular(cells, name=node.name, expr_form=node.expr_form)
 
-    walk_dag(space, lambda node: id(node) in out, visit)
-    return out[id(space)]
+    return walk_dag(space, visit)[id(space)]
 
 
 @lru_cache(maxsize=None)

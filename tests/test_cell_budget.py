@@ -26,10 +26,7 @@ def invoke(argv, capsys):
 
 def cell_count(space) -> int:
     """Cells over the distinct nodes of a space, counted by walking it."""
-    seen = {}
-    walk_dag(space, lambda node: id(node) in seen,
-             lambda node: seen.__setitem__(id(node), len(getattr(node, "cells", ()))))
-    return sum(seen.values())
+    return sum(walk_dag(space, lambda node, _: len(getattr(node, "cells", ()))).values())
 
 
 def gr_cells(d, n):

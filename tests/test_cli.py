@@ -433,6 +433,17 @@ def test_unexpected_errors_are_one_line_exit_2(tmp_path, capsys, monkeypatch):
     assert err == "motivec: internal error: OverflowError: cannot fit 'int' into an index-sized integer\n"
 
 
+def test_a_key_error_inside_the_computation_is_an_internal_error(capsys, monkeypatch):
+    """No request raises KeyError on purpose, so one is a fault: exit 2, one line."""
+    def fault(space):
+        raise KeyError(7)
+
+    monkeypatch.setattr(motivec.cli, "decompose_by_rank", fault)
+    code, out, err = invoke(["--space", "P:2"], capsys)
+    assert code == 2 and out == ""
+    assert err == "motivec: internal error: KeyError: 7\n"
+
+
 def test_motive_mode_refuses_more_twists_than_the_budget(tmp_path, capsys):
     doc = tmp_path / "tower.txt"
     doc.write_text(tower_document(100))

@@ -49,14 +49,7 @@ def peak(argv, tmp_path) -> tuple[int, int, int]:
 
 
 def distinct_cells(space) -> int:
-    seen, cells = set(), []
-
-    def visit(node):
-        seen.add(id(node))
-        cells.extend(getattr(node, "cells", ()))
-
-    walk_dag(space, lambda node: id(node) in seen, visit)
-    return len(cells)
+    return sum(walk_dag(space, lambda node, _: len(getattr(node, "cells", ()))).values())
 
 
 def union_document(depth: int) -> str:

@@ -2,12 +2,15 @@ from math import comb
 
 import pytest
 
+import motivec.dsl
+from motivec.dsl import print_space
 from motivec.spaces import (
     POINT,
     Cell,
     Cellular,
     DisjointUnion,
     EquidimensionalityViolation,
+    SpaceExpr,
     grassmannian,
     normalize,
     projective_space,
@@ -141,9 +144,7 @@ def test_cell_is_an_immutable_checked_record():
 
 
 def distinct_nodes(space) -> int:
-    seen = set()
-    walk_dag(space, lambda node: id(node) in seen, lambda node: seen.add(id(node)))
-    return len(seen)
+    return len(walk_dag(space, lambda node, _: None))
 
 
 def test_normalize_keeps_shared_nodes_shared():
@@ -177,3 +178,90 @@ def test_union_repr_shows_one_level():
     assert repr(DisjointUnion(DisjointUnion(p1, p1), p1)) == (
         "DisjointUnion(DisjointUnion(...), Cellular<P(1)>)"
     )
+
+
+def shared_tower(levels: int) -> SpaceExpr:
+    """Level k is one cell over union(s, s), s being level k - 1, over P(2)."""
+    space = projective_space(2)
+    for _ in range(levels):
+        space = Cellular([Cell(DisjointUnion(space, space), 0, 0)])
+    return space
+
+
+def deep_union(depth: int) -> SpaceExpr:
+    space = POINT
+    for _ in range(depth):
+        space = DisjointUnion(POINT, space)
+    return space
+
+
+def nodes_by_id(space) -> dict[int, SpaceExpr]:
+    """The distinct nodes under `space`, found by a stack of their own."""
+    found, todo = {}, [space]
+    while todo:
+        node = todo.pop()
+        if id(node) not in found:
+            found[id(node)] = node
+            todo.extend(node.parts())
+    return found
+
+
+@pytest.mark.parametrize("build, size, count, twists", [
+    (shared_tower, 100, 202, 3 * 2**100),  # POINT, P(2), and a union and a cell per level
+    (deep_union, 100_000, 100_001, 100_001),
+], ids=["tower", "deep"])
+def test_walk_returns_each_distinct_node_once_after_its_parts(build, size, count, twists):
+    space = build(size)
+    nodes = nodes_by_id(space)
+    visited = []
+
+    def twist_count(node, values):
+        visited.append(id(node))
+        assert all(id(part) in values for part in node.parts())
+        if isinstance(node, DisjointUnion):
+            return values[id(node.left)] + values[id(node.right)]
+        return sum(values[id(cell.base)] for cell in getattr(node, "cells", ())) or 1
+
+    values = walk_dag(space, twist_count)
+    assert len(visited) == len(values) == len(nodes) == count
+    assert list(values) == visited and set(values) == set(nodes)
+    place = {key: i for i, key in enumerate(values)}
+    assert all(place[id(part)] < place[key] for key, node in nodes.items() for part in node.parts())
+    assert values[id(space)] == twists
+
+
+def test_walk_takes_parts_left_to_right():
+    left, right = projective_space(1), Cellular([Cell(POINT, 1, 0)])
+    space = DisjointUnion(left, right)
+    assert list(walk_dag(space, lambda node, _: None)) == [id(POINT), id(left), id(right), id(space)]
+
+
+def test_walk_counts_a_value_of_none_as_set():
+    space = shared_tower(100)
+    calls = []
+    values = walk_dag(space, lambda node, _: calls.append(node))
+    assert len(calls) == len(values) == 202
+    assert set(values.values()) == {None}
+
+
+def test_printing_a_user_space_visits_no_node_inside_a_builtin(monkeypatch):
+    g = grassmannian(8, 16)
+    inside = set(nodes_by_id(g)) - {id(g)}
+    assert len(inside) == 57
+    user = Cellular([Cell(DisjointUnion(g, g), 1, 0)], name="top")
+    walked = []
+
+    def walk(space, visit, leaf=None):
+        values = walk_dag(space, lambda node, vals: walked.append(id(node)) or visit(node, vals), leaf)
+        walked.extend(values)
+        return values
+
+    monkeypatch.setattr(motivec.dsl, "walk_dag", walk)
+    assert print_space(user) == "space top {\n  cell { base = union(Gr(8,16), Gr(8,16)); rank = 1; codim = 0 }\n}\n"
+    assert id(g) in walked and not inside & set(walked)
+
+
+@pytest.mark.parametrize("root", [3, None, "point", Cell(POINT, 0, 0)])
+def test_walk_refuses_a_root_that_is_not_a_space(root):
+    with pytest.raises(TypeError, match="^not a space expression: "):
+        walk_dag(root, lambda node, _: None)
