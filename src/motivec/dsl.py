@@ -243,7 +243,7 @@ def parse_space(text: str, name: str | None = None) -> SpaceExpr:
     spaces = parse_document(text)
     if name is not None:
         if name not in spaces:
-            raise KeyError(f"document declares no space named {name!r}")
+            raise ValueError(f"document declares no space named {name!r}")
         return spaces[name]
     return list(spaces.values())[-1]
 
@@ -261,15 +261,15 @@ def print_space(space: SpaceExpr) -> str:
     taken: set[str] = set()  # one declared name per declaration
     lines: list[str] = []
 
-    def expr_str(s: SpaceExpr, text: dict[int, str | None]) -> str:
-        """The text of a walked node; a union's is written here, once, from pieces."""
-        pieces, stack = [], [s]
+    def expr_str(value: str | list) -> str:
+        """The text of a walked node's value; a union's pair is written here, once, from pieces."""
+        pieces, stack = [], [value]
         while stack:
-            s = stack.pop()
-            if isinstance(s, DisjointUnion):
-                stack += (")", s.right, ", ", s.left, "union(")
+            value = stack.pop()
+            if isinstance(value, list):
+                stack += (")", value[1], ", ", value[0], "union(")
             else:
-                pieces.append(s if isinstance(s, str) else text[id(s)])
+                pieces.append(value)
         return "".join(pieces)
 
     def fresh_name(wanted: str | None) -> str:
@@ -282,26 +282,26 @@ def print_space(space: SpaceExpr) -> str:
         taken.add(candidate)
         return candidate
 
-    def visit(s: SpaceExpr, text: dict[int, str | None]) -> str | None:
+    def visit(s: SpaceExpr, parts: list) -> str | list:
         if isinstance(s, Point):
             return "point"
         if isinstance(s, DisjointUnion):
-            return None
+            return parts
         name = fresh_name(s.name)  # a cellular space
         lines.append(f"space {name} {{")
         lines.extend(
-            f"  cell {{ base = {expr_str(c.base, text)}; rank = {c.rank}; codim = {c.codim} }}"
-            for c in s.cells
+            f"  cell {{ base = {expr_str(base)}; rank = {c.rank}; codim = {c.codim} }}"
+            for c, base in zip(s.cells, parts)
         )
         lines.append("}")
         return name
 
-    # a node's text: "point", a declared name, or a built-in's own, which is not walked into
-    text = walk_dag(space, visit, leaf=lambda s: getattr(s, "expr_form", None))
+    # a node's value: "point", a declared name, a built-in's own text (unwalked), or a union's pair
+    value = walk_dag(space, visit, leaf=lambda s: getattr(s, "expr_form", None))
     if not isinstance(space, Cellular) or space.expr_form is not None:
         if lines:
             raise ValueError(
                 "top-level expression mentions user-defined spaces; print those instead"
             )
-        return expr_str(space, text)
+        return expr_str(value)
     return "\n".join(lines) + "\n"

@@ -506,22 +506,19 @@ def decompose_by_codim(space: SpaceExpr) -> TateMotive:
 def _fold(space: SpaceExpr, field: str) -> dict[int, int]:
     """The twist histogram of a space, adding up the cell `field` ("rank"
     or "codim") down the filtration.  Each shared node is folded once, as
-    one `visit` of :func:`walk_dag`, which keeps the histograms."""
+    one `visit` of :func:`walk_dag`, from its parts' histograms."""
 
-    def visit(node, hists):
+    def visit(node, parts):
         if isinstance(node, Point):
             return {0: 1}
-        if isinstance(node, DisjointUnion):
-            pieces = ((0, node.left), (0, node.right))
-        else:  # a cellular space
-            pieces = ((getattr(cell, field), cell.base) for cell in node.cells)
+        shifts = (0, 0) if isinstance(node, DisjointUnion) else (getattr(c, field) for c in node.cells)
         hist: dict[int, int] = {}
-        for shift, base in pieces:
-            for t, m in hists[id(base)].items():
+        for shift, part in zip(shifts, parts):
+            for t, m in part.items():
                 hist[t + shift] = hist.get(t + shift, 0) + m
         return hist
 
-    return walk_dag(space, visit)[id(space)]
+    return walk_dag(space, visit)
 
 
 def poincare_polynomial(motive: TateMotive) -> list[int]:

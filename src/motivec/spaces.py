@@ -10,10 +10,11 @@ Spaces are immutable DAGs whose sub-spaces are often shared (the
 Grassmannian recursion, references in the text format).  A node is given
 its dimension and hash when it is built, from those of its parts.  No walk
 recurses: :func:`normalize`, printing and folding are each one `visit` of
-:func:`walk_dag`, which returns every node's value and visits each shared
-node once; `SpaceExpr.__eq__` compares each node pair once and the printer
-writes a union's text, each on its own stack.  The built-in families count
-their cells first and refuse more than MAX_CELLS.
+:func:`walk_dag`, which hands each visit its parts' values, returns the
+root's and visits each shared node once; `SpaceExpr.__eq__` compares each
+node pair once and the printer writes a union's text, each on its own
+stack.  The built-in families count their cells first and refuse more
+than MAX_CELLS.
 """
 
 from __future__ import annotations
@@ -73,34 +74,32 @@ class SpaceExpr(Frozen):
         return True
 
 
-def walk_dag(space: SpaceExpr, visit, leaf=None) -> dict:
-    """The value of every node under `space`, by node id, parts first.
+def walk_dag(space: SpaceExpr, visit, leaf=None):
+    """The value of `space`, built from its parts' values.
 
-    `visit(node, values)` runs once per distinct node, after its parts,
-    and returns the node's value; `values` holds each part's, and a value
-    of None counts as set.  Where `leaf(node)` is not None, it is the
-    node's value and the node's parts are not walked.  The walk keeps an
-    explicit stack, so its depth is not bounded by Python's recursion
-    limit, and takes parts left to right, so errors surface in the order
-    a recursive walk would meet them.  The ids stay valid while `space`,
-    which keeps every node alive, does.
+    `visit(node, parts)` runs once per distinct node, after its parts,
+    and returns the node's value; `parts` holds the values of
+    `node.parts()`, in that order, and a value of None counts as set.
+    Where `leaf(node)` is not None, it is the node's value and the node's
+    parts are not walked.  The walk keeps an explicit stack, so its depth
+    is not bounded by Python's recursion limit, and takes parts left to
+    right, so errors surface in the order a recursive walk would meet them.
     """
     _violation((space,))  # refuses a non-space; the parts of a built node are spaces
-    values: dict[int, object] = {}
-    stack = [space]
+    values: dict[int, object] = {}  # by node id: `space` keeps every node alive
+    stack: list = [space]  # nodes to reach; None over a node whose parts are done
     while stack:
-        node = stack[-1]
-        if id(node) in values:
-            stack.pop()
+        node = stack.pop()
+        if node is None:
+            node = stack.pop()
+            values[id(node)] = visit(node, [values[id(p)] for p in node.parts()])
+        elif id(node) in values:
+            continue
         elif leaf is not None and (value := leaf(node)) is not None:
-            stack.pop()
             values[id(node)] = value
-        elif pending := [p for p in node.parts() if id(p) not in values]:
-            stack.extend(reversed(pending))
         else:
-            stack.pop()
-            values[id(node)] = visit(node, values)
-    return values
+            stack += (node, None, *reversed(node.parts()))
+    return values[id(space)]
 
 
 def _violation(parts) -> EquidimensionalityViolation | None:
@@ -230,17 +229,17 @@ def normalize(space: SpaceExpr) -> SpaceExpr:
     """Collapse cells that add nothing: a single cell of rank 0 and codim 0
     over some base is that base.  Shared nodes stay shared."""
 
-    def visit(node, out):
+    def visit(node, parts):
         if isinstance(node, DisjointUnion):
-            return DisjointUnion(out[id(node.left)], out[id(node.right)])
+            return DisjointUnion(*parts)
         if isinstance(node, Point):
             return node
-        cells = tuple(Cell(out[id(c.base)], c.rank, c.codim) for c in node.cells)
+        cells = tuple(Cell(base, c.rank, c.codim) for c, base in zip(node.cells, parts))
         if len(cells) == 1 and cells[0].rank == 0 and cells[0].codim == 0:
             return cells[0].base
         return Cellular(cells, name=node.name, expr_form=node.expr_form)
 
-    return walk_dag(space, visit)[id(space)]
+    return walk_dag(space, visit)
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,19 @@ to a Fraction.
 from fractions import Fraction
 
 
+def distinct_cells(space):
+    """Cells over the distinct nodes of a space, each node counted once;
+    a stack of its own finds the nodes, told apart by identity."""
+    seen, todo, cells = set(), [space], 0
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            cells += len(getattr(node, "cells", ()))
+            todo.extend(node.parts())
+    return cells
+
+
 def box_partitions(k, parts, largest):
     """Number of partitions of k into at most `parts` parts, each <= `largest`."""
     if k == 0:

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from motivec.dsl import ParseError, parse_document, parse_space, print_space
+from motivec.motives import decompose_by_codim, decompose_by_rank
 from motivec.spaces import (
     POINT,
     Cell,
@@ -59,8 +60,10 @@ def test_references_resolve_in_order():
     assert doc["tower"].cells[0].base == projective_space(1)
     assert parse_space(text) == doc["tower"]  # default: last declaration
     assert parse_space(text, name="layer") == projective_space(1)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError) as err:
         parse_space(text, name="basement")
+    assert type(err.value) is ValueError
+    assert str(err.value) == "document declares no space named 'basement'"
 
 
 def test_negative_rank_is_a_positioned_error():
@@ -211,6 +214,28 @@ def test_union_of_user_spaces_as_a_base():
     printed = print_space(both)
     assert "union(a, b)" in printed
     assert parse_space(printed) == both
+
+
+def test_each_visit_gets_its_parts_values_in_cell_order():
+    # a base repeated around a shared union: values paired with the wrong
+    # cells fold the rank route to {0: 1, 1: 2, 2: 3, 3: 2}
+    text = """
+    space b { cell { base = point; rank = 1; codim = 0 } cell { base = point; rank = 0; codim = 1 } }
+    space s {
+      cell { base = b; rank = 2; codim = 0 }
+      cell { base = union(b, b); rank = 1; codim = 1 }
+      cell { base = b; rank = 0; codim = 2 }
+    }
+    """
+    s = parse_space(text)
+    rank = dict(decompose_by_rank(s).histogram)
+    assert rank == {0: 1, 1: 3, 2: 3, 3: 1}
+    assert dict(decompose_by_codim(s).histogram) == {s.dim() - t: m for t, m in rank.items()}
+    flat = normalize(s)
+    assert flat == s
+    b = flat.cells[0].base
+    assert flat.cells[1].base.left is b and flat.cells[1].base.right is b and flat.cells[2].base is b
+    assert parse_space(print_space(s)) == s
 
 
 def nested_unions(depth: int) -> str:

@@ -18,7 +18,8 @@ import sys
 import pytest
 
 import motivec
-from motivec.spaces import grassmannian, walk_dag
+from motivec.spaces import grassmannian
+from oracles import distinct_cells
 
 K = 32  # bytes of peak per byte of input and answer
 C = 4 << 20  # bytes of peak over the floor that any request may take
@@ -48,10 +49,6 @@ def peak(argv, tmp_path) -> tuple[int, int, int]:
     return kilobytes * 1024, code, answer.stat().st_size
 
 
-def distinct_cells(space) -> int:
-    return sum(walk_dag(space, lambda node, _: len(getattr(node, "cells", ()))).values())
-
-
 def union_document(depth: int) -> str:
     nest = "union(point, " * depth + "point" + ")" * depth
     return f"space u {{ cell {{ base = {nest}; rank = 0; codim = 0 }} }}\n"
@@ -70,6 +67,7 @@ CASES = {  # argv, and the document that --file names, or the built-in space
     "Gr-8-16-universal-4000-groups": (
         ["--space", "Gr:8,16", "--theory", "universal:4000", "--mode", "groups"],
         grassmannian(8, 16)),
+    "Gr-33-66-groups": (["--space", "Gr:33,66", "--mode", "groups"], grassmannian(33, 66)),
     "union-100000": (["--file", "doc.txt", "--space", "u"], union_document(100_000)),
     "chain-600": (["--file", "doc.txt", "--space", "c600"], chain_document(600)),
 }

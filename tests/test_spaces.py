@@ -144,7 +144,9 @@ def test_cell_is_an_immutable_checked_record():
 
 
 def distinct_nodes(space) -> int:
-    return len(walk_dag(space, lambda node, _: None))
+    visited = []
+    walk_dag(space, lambda node, _: visited.append(node))
+    return len(visited)
 
 
 def test_normalize_keeps_shared_nodes_shared():
@@ -210,38 +212,35 @@ def nodes_by_id(space) -> dict[int, SpaceExpr]:
     (shared_tower, 100, 202, 3 * 2**100),  # POINT, P(2), and a union and a cell per level
     (deep_union, 100_000, 100_001, 100_001),
 ], ids=["tower", "deep"])
-def test_walk_returns_each_distinct_node_once_after_its_parts(build, size, count, twists):
+def test_walk_visits_each_distinct_node_once_after_its_parts(build, size, count, twists):
     space = build(size)
     nodes = nodes_by_id(space)
-    visited = []
+    visited = {}  # each visited node's value, by node id, in visit order
 
-    def twist_count(node, values):
-        visited.append(id(node))
-        assert all(id(part) in values for part in node.parts())
-        if isinstance(node, DisjointUnion):
-            return values[id(node.left)] + values[id(node.right)]
-        return sum(values[id(cell.base)] for cell in getattr(node, "cells", ())) or 1
+    def twist_count(node, parts):
+        assert id(node) not in visited
+        assert parts == [visited[id(part)] for part in node.parts()]  # visited, and in order
+        visited[id(node)] = sum(parts) or 1
+        return visited[id(node)]
 
-    values = walk_dag(space, twist_count)
-    assert len(visited) == len(values) == len(nodes) == count
-    assert list(values) == visited and set(values) == set(nodes)
-    place = {key: i for i, key in enumerate(values)}
-    assert all(place[id(part)] < place[key] for key, node in nodes.items() for part in node.parts())
-    assert values[id(space)] == twists
+    assert walk_dag(space, twist_count) == twists
+    assert len(visited) == len(nodes) == count and set(visited) == set(nodes)
 
 
 def test_walk_takes_parts_left_to_right():
     left, right = projective_space(1), Cellular([Cell(POINT, 1, 0)])
     space = DisjointUnion(left, right)
-    assert list(walk_dag(space, lambda node, _: None)) == [id(POINT), id(left), id(right), id(space)]
+    visited = []
+    walk_dag(space, lambda node, _: visited.append(id(node)))
+    assert visited == [id(POINT), id(left), id(right), id(space)]
 
 
 def test_walk_counts_a_value_of_none_as_set():
     space = shared_tower(100)
     calls = []
-    values = walk_dag(space, lambda node, _: calls.append(node))
-    assert len(calls) == len(values) == 202
-    assert set(values.values()) == {None}
+    assert walk_dag(space, lambda node, parts: calls.append(parts)) is None
+    assert len(calls) == 202
+    assert {part for parts in calls for part in parts} == {None}
 
 
 def test_printing_a_user_space_visits_no_node_inside_a_builtin(monkeypatch):
@@ -251,10 +250,8 @@ def test_printing_a_user_space_visits_no_node_inside_a_builtin(monkeypatch):
     user = Cellular([Cell(DisjointUnion(g, g), 1, 0)], name="top")
     walked = []
 
-    def walk(space, visit, leaf=None):
-        values = walk_dag(space, lambda node, vals: walked.append(id(node)) or visit(node, vals), leaf)
-        walked.extend(values)
-        return values
+    def walk(space, visit, leaf):  # the walk asks `leaf` of every node it reaches
+        return walk_dag(space, visit, lambda node: walked.append(id(node)) or leaf(node))
 
     monkeypatch.setattr(motivec.dsl, "walk_dag", walk)
     assert print_space(user) == "space top {\n  cell { base = union(Gr(8,16), Gr(8,16)); rank = 1; codim = 0 }\n}\n"
