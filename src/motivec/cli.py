@@ -175,7 +175,7 @@ def run(config: RunConfig) -> tuple[str, int]:
         ranks, periodic = group_ranks(motive, theory)
         doc["groups"] = {"*": ranks[0]} if periodic else {str(k): r for k, r in ranks.items()}
     if config.mode in ("motive", "dual"):
-        doc["twists"] = motive.as_json()
+        doc["twists"] = motive.twists
     exit_code = 2 if doc.get("duality_ok") is False else 0
     return (_json(doc) if config.format == "json" else _text(doc)) + "\n", exit_code
 
@@ -201,10 +201,8 @@ def _json(value, indent="\n") -> str:
     inner = indent + "  "  # a line break and the indent of the items
     if isinstance(value, dict):
         items, ends = [f"{_json(k)}: {_json(v, inner)}" for k, v in sorted(value.items())], "{}"
-    elif all(type(v) is int for v in value):  # not bool: twists and coefficients, in one join
+    else:  # every list `run` writes is twists or coefficients, all ints: one join
         items, ends = [*map(str, value)], "[]"
-    else:
-        items, ends = [_json(v, inner) for v in value], "[]"
     return ends[0] + inner + f",{inner}".join(items) + indent + ends[1] if items else ends
 
 

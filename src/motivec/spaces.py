@@ -242,7 +242,7 @@ def normalize(space: SpaceExpr) -> SpaceExpr:
     return walk_dag(space, visit)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def grassmannian(d: int, n: int) -> SpaceExpr:
     """d-planes in n-space, by the recursive hyperplane filtration.
 

@@ -68,6 +68,9 @@ CASES = {  # argv, and the document that --file names, or the built-in space
         ["--space", "Gr:8,16", "--theory", "universal:4000", "--mode", "groups"],
         grassmannian(8, 16)),
     "Gr-33-66-groups": (["--space", "Gr:33,66", "--mode", "groups"], grassmannian(33, 66)),
+    "Gr-10-20-motive": (["--space", "Gr:10,20", "--mode", "motive"], grassmannian(10, 20)),
+    "Gr-10-20-motive-json": (
+        ["--space", "Gr:10,20", "--mode", "motive", "--format", "json"], grassmannian(10, 20)),
     "union-100000": (["--file", "doc.txt", "--space", "u"], union_document(100_000)),
     "chain-600": (["--file", "doc.txt", "--space", "c600"], chain_document(600)),
 }

@@ -77,6 +77,19 @@ def test_grassmannian_rejects_bad_arguments():
         grassmannian(-1, 2)
 
 
+def test_grassmannian_cache_does_not_answer_a_float_with_an_int_build():
+    def outcome():
+        try:
+            return grassmannian(1, 3.0)
+        except TypeError:
+            return TypeError
+
+    grassmannian.cache_clear()
+    before = outcome()
+    grassmannian(1, 3)
+    assert before is TypeError and outcome() is TypeError
+
+
 def test_cell_validation():
     with pytest.raises(ValueError):
         Cell(POINT, -1, 0)
