@@ -36,7 +36,6 @@ from .spaces import (
     Cell,
     Cellular,
     DisjointUnion,
-    Point,
     SpaceExpr,
     walk_dag,
 )
@@ -283,8 +282,6 @@ def print_space(space: SpaceExpr) -> str:
         return candidate
 
     def visit(s: SpaceExpr, parts: list) -> str | list:
-        if isinstance(s, Point):
-            return "point"
         if isinstance(s, DisjointUnion):
             return parts
         name = fresh_name(s.name)  # a cellular space
@@ -296,7 +293,7 @@ def print_space(space: SpaceExpr) -> str:
         lines.append("}")
         return name
 
-    # a node's value: "point", a declared name, a built-in's own text (unwalked), or a union's pair
+    # a node's value: a declared name, a point's or built-in's text (unwalked), or a union's pair
     value = walk_dag(space, visit, leaf=lambda s: getattr(s, "expr_form", None))
     if not isinstance(space, Cellular) or space.expr_form is not None:
         if lines:

@@ -209,7 +209,7 @@ def _is_fraction(value) -> bool:
 
 def _normalize_scalar(value, field: str):
     if isinstance(value, int):
-        return value
+        return int(value)  # a bool or another int subclass is stored, and printed, as a plain int
     if _is_fraction(value):
         if value.denominator == 1:
             return int(value)
@@ -606,8 +606,6 @@ def check_enumerable(ring: RingDescriptor) -> None:
 def _degree_monomials(ring: RingDescriptor, k: int):
     check_enumerable(ring)
     gens = ring.generators
-    if not gens:
-        return [()] if k == 0 else []
     if ring._laurent:  # one Laurent generator, alone
         d, = ring._laurent
         return [] if k % d else [(k // d,)]
@@ -615,8 +613,6 @@ def _degree_monomials(ring: RingDescriptor, k: int):
         raise TruncationError(
             f"degree {k} lies beyond the truncation bound of {ring.name!r}"
         )
-    if k > 0:
-        return []
     # the partitions of -k, one generator's exponent at a time; a generator
     # of degree below k keeps exponent 0
     partial = [((0,) * len(gens), -k)]  # (monomial so far, degree left to fill)
@@ -647,12 +643,6 @@ def render_monomial(ring: RingDescriptor, mono: tuple[int, ...]) -> str:
     return _power_product((g.symbol for g in ring.generators), mono) or "1"
 
 
-def _render_scalar(value) -> str:
-    if _is_fraction(value) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(int(value))
-
-
 def render_element(elem: GradedRingElement) -> str:
     if not elem._mono:
         return "0"
@@ -663,11 +653,11 @@ def render_element(elem: GradedRingElement) -> str:
         mono_str = render_monomial(ring, mono)
         mag = -coeff if coeff < 0 else coeff
         if mono_str == "1":
-            body = _render_scalar(mag)
+            body = str(mag)
         elif mag == 1:
             body = mono_str
         else:
-            body = f"{_render_scalar(mag)}*{mono_str}"
+            body = f"{mag}*{mono_str}"
         pieces.append(("-" if coeff < 0 else "") + body)
     return _signed_sum(pieces)
 

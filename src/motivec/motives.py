@@ -615,7 +615,7 @@ def group_ranks(motive: TateMotive, theory: OrientedTheory) -> tuple[dict[int, i
     if periodic or not hist:
         return ({0: motive.size} if periodic else {}), periodic
     ranks = {t: m for t, m in hist if t in window}
-    if ring.generators:
+    if ring.generators:  # stays: with none, `window` spans every degree between the twists
         counts = [ranks.get(k, 0) for k in window]
         for g in ring.generators:
             step = -g.degree

@@ -250,8 +250,6 @@ def suite_realization(rng) -> str:
         motive = decompose_by_rank(q)
         table = realize_table(motive, chow())
         expected = {k: (2 if k == d else 1) for k in range(0, 2 * d + 1)}
-        if d == 0:
-            expected = {0: 2}
         require(table.ranks() == expected, "quadric Chow table")
         _require_counted_ranks(motive, chow(), table)
         k_table = realize_table(motive, k0())

@@ -13,8 +13,9 @@ recurses: :func:`normalize`, printing and folding are each one `visit` of
 :func:`walk_dag`, which hands each visit its parts' values, returns the
 root's and visits each shared node once; `SpaceExpr.__eq__` compares each
 node pair once and the printer writes a union's text, each on its own
-stack.  The built-in families count their cells first and refuse more
-than MAX_CELLS.
+stack.  A point, like a built-in family, carries its own text as
+`expr_form`, so the printer writes it without walking it.  The built-in
+families count their cells first and refuse more than MAX_CELLS.
 """
 
 from __future__ import annotations
@@ -114,6 +115,7 @@ class Point(SpaceExpr):
     __slots__ = ()
     _dim = 0
     _hash = hash("point")
+    expr_form = "point"  # its text, as a built-in's
 
     def __repr__(self):
         return "Point()"

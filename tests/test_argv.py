@@ -75,7 +75,8 @@ def test_reader_agrees_with_argparse_or_defers(argv, capsys):
     capsys.readouterr()
 
 
-def test_plain_request_loads_no_argparse_and_help_still_works():
+def test_plain_request_loads_no_argparse_and_help_still_works(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage line to the caller's width
     code, out, imported = run_fresh(["--space", "Gr:2,4", "--mode", "groups", "--format", "json"])
     assert code == 0 and '"groups"' in out
     assert "motivec.motives" in imported

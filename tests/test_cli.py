@@ -69,7 +69,8 @@ def test_json_output_is_byte_stable(capsys):
     assert doc["twists"] == sorted(doc["twists"])
 
 
-def test_universal_requires_truncation(capsys):
+def test_universal_requires_truncation(capsys, monkeypatch):
+    monkeypatch.delenv(ENV_TRUNCATION, raising=False)
     code, out, err = invoke(["--space", "P:2", "--theory", "universal"], capsys)
     assert code == 1
     assert "truncation" in err
@@ -590,6 +591,40 @@ sys.stderr.write(f"main returned {code}")
 def run_probe(probe, argv):
     return subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
                           env={**os.environ, "PYTHONPATH": SRC})
+
+
+# The real process entry in development mode with warnings as errors: the
+# check request, whose suites run in a forked worker; plain answers that write
+# the text listing and the JSON number list; and two file requests in dual mode
+# with JSON output, which run the parser, both folds and the JSON writer.  The
+# second document repeats a declared base around a shared union, so each cell
+# folds its own base.  A warning raised while the entry runs, such as 3.12's
+# fork DeprecationWarning, fails the request.  The entry ends with os._exit, so
+# no finalizer runs at its end; the in-process tests catch an unclosed file.
+ENTRY_DOCUMENTS = {
+    "spaces.txt": "space s { cell { base = union(P(1), P(1)); rank = 1; codim = 0 } }\n",
+    "shared.txt": (
+        "space b { cell { base = point; rank = 1; codim = 0 } cell { base = point; rank = 0; codim = 1 } }\n"
+        "space s { cell { base = b; rank = 2; codim = 0 } cell { base = union(b, b); rank = 1; codim = 1 }"
+        " cell { base = b; rank = 0; codim = 2 } }\n"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "check"],
+    ["--space", "Gr:2,4", "--mode", "groups"],
+    ["--space", "Gr:2,4", "--mode", "motive"],
+    ["--space", "P:3", "--mode", "poincare", "--format", "json"],
+    ["--file", "spaces.txt", "--space", "s", "--mode", "dual", "--format", "json"],
+    ["--file", "shared.txt", "--space", "s", "--mode", "dual", "--format", "json"],
+], ids=" ".join)
+def test_the_process_entry_answers_in_dev_mode_with_warnings_as_errors(argv, tmp_path):
+    for name, text in ENTRY_DOCUMENTS.items():
+        (tmp_path / name).write_text(text)
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "motivec.cli", *argv],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert (proc.returncode, proc.stderr) == (0, "") and proc.stdout, proc.stderr
 
 
 @pytest.mark.parametrize("argv, code", [(["--space", "P:3"], 0), (["--space", "P:x"], 1),

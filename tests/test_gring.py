@@ -202,6 +202,17 @@ def test_render_unit_and_fraction():
     assert render_element(parse_element(U3, "-m_1^2 + m_1 - 3")) == "-m_1^2 + m_1 - 3"
 
 
+def test_an_int_subclass_is_stored_as_int_and_a_whole_fraction_renders_as_int():
+    for e in (GradedRingElement.scalar(CHOW_RING, True), GradedRingElement(CHOW_RING, {(): True})):
+        assert [type(c) for c in e.terms.values()] == [int]
+        assert render_element(e) == "1"
+    half, m1 = scalar(U3, Fraction(3, 2)), gen(U3, "m_1")
+    for product, text in [(half * scalar(U3, 2), "3"), (half * (2 * m1), "3*m_1"),
+                          (half * (-4 * m1), "-6*m_1")]:
+        assert [type(c) for c in product.terms.values()] == [Fraction]
+        assert render_element(product) == text
+
+
 def test_parse_rejects_garbage():
     for text, message in [
         ("m_1 + + 2", "line 1, col 7: expected a term, got '+'"),

@@ -62,6 +62,10 @@ def chain_document(length: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+SPARSE_SPAN = ("space s { cell { base = point; rank = 1000000000; codim = 0 } "
+               "cell { base = point; rank = 0; codim = 1000000000 } }\n")
+
+
 CASES = {  # argv, and the document that --file names, or the built-in space
     "Gr-8-16-dual": (["--space", "Gr:8,16", "--mode", "dual"], grassmannian(8, 16)),
     "Gr-8-16-universal-4000-groups": (
@@ -73,6 +77,8 @@ CASES = {  # argv, and the document that --file names, or the built-in space
         ["--space", "Gr:10,20", "--mode", "motive", "--format", "json"], grassmannian(10, 20)),
     "union-100000": (["--file", "doc.txt", "--space", "u"], union_document(100_000)),
     "chain-600": (["--file", "doc.txt", "--space", "c600"], chain_document(600)),
+    # two twists 10^9 apart over the Chow ring, which has no generators: ranks are the histogram
+    "sparse-span-groups": (["--file", "doc.txt", "--space", "s", "--mode", "groups"], SPARSE_SPAN),
 }
 
 
